@@ -26,7 +26,6 @@ __all__ = [
     "adi_real_step",
     "adi_double_step",
     "run_multistep_group",
-    "build_SG",
     "real_SG",
     "scaled_residual",
 ]
@@ -179,10 +178,12 @@ def adi_real_step(state, fact):
     """One ADI step with a real negative shift; appends one Z block.
 
     ``fact`` must be a factorization of A + alpha*M for the problem held by
-    ``state``. Returns the state (mutated in place).
+    ``state``. Returns the state (mutated in place). Raises ValueError
+    unless alpha < 0.
     """
     alpha = float(np.real(fact.alpha))
-    assert alpha < 0.0, f"shift must have negative real part, got {alpha}"
+    if not alpha < 0.0:
+        raise ValueError(f"shift must have negative real part, got {alpha}")
     problem = state.problem
     V = fact.solve(state.W)
     if np.iscomplexobj(V):  # real data + real shift => real solve
@@ -211,11 +212,12 @@ def adi_double_step(state, fact):
     and W <- W - 4 beta M (Re V + c Im V), which reproduces the two complex
     steps with alpha and conj(alpha) exactly. The residual after the first
     (complex) half step is recorded too, so the history has one entry per
-    logical step.
+    logical step. Raises ValueError unless Re alpha < 0 and Im alpha > 0.
     """
     alpha = complex(fact.alpha)
     beta, delta = alpha.real, alpha.imag
-    assert beta < 0.0 and delta > 0.0, f"need Re<0, Im>0, got {alpha}"
+    if not (beta < 0.0 and delta > 0.0):
+        raise ValueError(f"need Re<0, Im>0, got {alpha}")
     problem = state.problem
     c = beta / delta
     q = np.sqrt(c * c + 1.0)
@@ -406,43 +408,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
 # structured factors of the ADI relation
 # ---------------------------------------------------------------------------
 
-def build_SG(shifts, s):
-    """Complex structured factors of the ADI Sylvester relation.
-
-    For the executed shift history alpha_1..alpha_j with column scalings
-    gamma_i = sqrt(-2 Re alpha_i), returns (S, G) with
-
-        A Z_j = Z_j S_j + B G_j^*,        S~ := S - G G^* = -S^*,
-        A Z_j Z_j^* + Z_j Z_j^* A^* + B B^* = W_j W_j^*,
-
-    where S is upper triangular with diagonal -alpha_i and strict upper
-    fill gamma_i*gamma_k (i < k), both expanded by Kronecker products with
-    I_s, and G = [gamma_1, ..., gamma_j]^T (x) I_s. These hold for the
-    complex iteration; see real_SG for the realified factors matching the
-    real double-step blocks.
-
-    Parameters
-    ----------
-    shifts
-        Sequence of ShiftRecord (or bare complex shifts).
-    s
-        Number of right-hand-side columns.
-    """
-    alphas = np.array(
-        [r.alpha if isinstance(r, ShiftRecord) else complex(r) for r in shifts],
-        dtype=np.complex128,
-    )
-    gammas = np.sqrt(-2.0 * alphas.real)
-    j = len(alphas)
-    S_small = np.zeros((j, j), dtype=np.complex128)
-    for i in range(j):
-        S_small[i, i] = -alphas[i]
-        S_small[i, i + 1 :] = gammas[i] * gammas[i + 1 :]
-    G_small = gammas.astype(np.complex128)[:, None]
-    I_s = np.eye(s)
-    return np.kron(S_small, I_s), np.kron(G_small, I_s)
-
-
 def _pair_spans(shifts):
     """Group the shift history into singles and conjugate pairs.
 
@@ -467,28 +432,23 @@ def _pair_spans(shifts):
     return spans
 
 
-def _pair_theta(alpha):
-    # unitary 2x2 mapping the complex pair columns to the real double-step
-    # columns: [gamma V1, gamma V2] Theta = real block
-    beta, delta = alpha.real, alpha.imag
-    c = beta / delta
-    q = np.sqrt(c * c + 1.0)
-    u = q / (1.0 + 1j * c)
-    return np.array([[1.0, -1j * u], [1.0, 1j * u]]) / np.sqrt(2.0)
-
-
 def real_SG(shifts, s):
-    """Real structured factors matching the realified factor Z.
+    """Real structured factors of the ADI relation for the engine's real Z.
 
-    The complex (S, G) of build_SG are transformed by the block-diagonal
-    unitary that maps each conjugate pair of complex columns to the two
-    real columns produced by adi_double_step. The result is exactly real:
+    For the executed history with column scalings gamma_i = sqrt(-2 Re
+    alpha_i), returns (S_r, G_r) with
 
-        A Z_j = Z_j S_r + B G_r^T,    W_j = B + Z_j G_r
+        A Z_j = Z_j S_r + B G_r^T,    W_j = B + Z_j G_r,
+        S_r - G_r G_r^T = -S_r^T,
 
-    with Z_j the engine's real factor. S_r is block upper triangular
-    (2 x 2 bumps on pairs), so trailing sub-blocks are only meaningful on
-    pair boundaries.
+    built span by span in real arithmetic and expanded by Kronecker
+    products with I_s. A real step alpha has diagonal entry -alpha and
+    g = gamma; a conjugate pair alpha = beta + i delta has the diagonal
+    block [[-2 beta, -|alpha|], [|alpha|, 0]] and g = [sqrt(2) gamma, 0],
+    matching the two real columns of adi_double_step. The block between
+    spans I < K is g_I g_K^T, and G_r stacks the g. S_r is block upper
+    triangular (2 x 2 bumps on pairs), so trailing sub-blocks are only
+    meaningful on pair boundaries.
 
     Parameters
     ----------
@@ -497,20 +457,23 @@ def real_SG(shifts, s):
     s
         Number of right-hand-side columns.
     """
-    S_c, G_c = build_SG(shifts, s)
     j = len(shifts)
-    theta = np.zeros((j, j), dtype=np.complex128)
-    for start, length in _pair_spans(shifts):
+    S = np.zeros((j, j))
+    g = np.zeros(j)
+    span = np.empty(j, dtype=int)
+    for k, (start, length) in enumerate(_pair_spans(shifts)):
+        alpha = complex(shifts[start].alpha)
+        gamma = np.sqrt(-2.0 * alpha.real)
+        span[start : start + length] = k
         if length == 1:
-            theta[start, start] = 1.0
+            S[start, start] = -alpha.real
+            g[start] = gamma
         else:
-            theta[start : start + 2, start : start + 2] = _pair_theta(
-                complex(shifts[start].alpha)
-            )
-    Theta = np.kron(theta, np.eye(s))
-    S_r = Theta.conj().T @ S_c @ Theta
-    G_r = Theta.conj().T @ G_c
-    scale = max(np.abs(S_r).max(), np.abs(G_r).max(), 1.0)
-    im = max(np.abs(S_r.imag).max(), np.abs(G_r.imag).max())
-    assert im <= 1e-8 * scale, f"realified factors not real: imag {im:.2e}"
-    return S_r.real.copy(), G_r.real.copy()
+            S[start : start + 2, start : start + 2] = [
+                [-2.0 * alpha.real, -abs(alpha)],
+                [abs(alpha), 0.0],
+            ]
+            g[start] = np.sqrt(2.0) * gamma
+    S += np.where(span[:, None] < span[None, :], np.outer(g, g), 0.0)
+    I_s = np.eye(s)
+    return np.kron(S, I_s), np.kron(g[:, None], I_s)

@@ -90,22 +90,11 @@ def sparse_shifted_factorize(A, alpha, M=None):
 # small dense decompositions
 # ---------------------------------------------------------------------------
 
-class SchurDecomposition:
-    """Complex Schur form H = Q T Q^* with eigenvalues on diag(T)."""
-
-    def __init__(self, Q, T):
-        self.Q = Q
-        self.T = T
-
-    @property
-    def eigenvalues(self):
-        return np.diag(self.T).copy()
-
-
 def dense_schur(H):
     """Complex Schur decomposition of a small dense matrix.
 
-    Returns a SchurDecomposition with unitary Q and upper triangular T.
+    Returns (T, Q) with H = Q T Q^*, T upper triangular with the
+    eigenvalues on its diagonal and Q unitary.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -114,7 +103,7 @@ def dense_schur(H):
         T, Q = spla.schur(H.astype(np.complex128), output="complex")
     except spla.LinAlgError as exc:  # pragma: no cover - rare non-convergence
         raise RuntimeError(f"Schur iteration failed on a {H.shape} block: {exc}") from exc
-    return SchurDecomposition(Q, T)
+    return T, Q
 
 
 def dense_eig_hermitian(G):

@@ -1,43 +1,55 @@
-"""Residual-norm-minimizing self-generating ADI shifts.
+"""Compressed models of the ADI iteration and residual-norm-minimizing shifts.
 
-The next shift is chosen by minimizing the norm of the ADI residual factor
-after one (or g) hypothetical steps, evaluated on a small compressed model
-of the iteration. Two compressions are available: a restriction onto a
-window of recent Z columns, and a recycled extended Krylov space that
-reuses the seed basis built once up front (new basis directions come from
-the accumulated factor Z, without further solves with A). The compressed
-objective
+Every self-generating shift comes from one small compressed model: a
+restriction H of the iteration's operator and a compressed residual
+factor Wt, built either from a window of recent Z columns or from a
+recycled extended Krylov space that reuses the seed basis built once up
+front (new basis directions come from the accumulated factor Z, without
+further solves with A). The Compressor here supplies that model to every
+adaptive strategy; the strategies module adds the heuristic pickers.
+
+The residual-minimizing picker chooses the next shift by minimizing the
+norm of the ADI residual factor after one (or g) hypothetical steps,
+evaluated on the compressed model:
 
     psi(nu, xi) = || T * C(H, alpha)^g * Wt ||_2^2,
     C(H, alpha) = (H - conj(alpha) I)(H + alpha I)^{-1},  alpha = nu + i xi,
 
-is minimized over a spectral bounding box with either a Gauss-Newton
+minimized over a spectral bounding box with either a Gauss-Newton
 iteration on the stacked real residual or a trust-region Newton method
 with analytic first and second derivatives.
 """
 
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as spla
 
 from .engine import ShiftProposal, real_SG
-from .linalg import block_orth, dense_eig_hermitian, sparse_shifted_factorize, spectral_norm_small
-from .strategies import hamiltonian_residual_shift, ritz_update, schur_stabilize
+from .linalg import (
+    block_orth,
+    dense_eig_hermitian,
+    dense_schur,
+    sparse_shifted_factorize,
+    spectral_norm_small,
+)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "KrylovSeed",
     "CompressedObjective",
+    "Compressor",
     "Bounds",
     "DerivativeWorkspace",
     "ShiftObjectiveError",
     "build_seed",
     "seed_compressed",
     "extended_krylov_basis",
+    "schur_stabilize",
+    "ritz_update",
     "compress_zh",
     "recycle_krylov",
     "eval_objective",
@@ -47,6 +59,7 @@ __all__ = [
     "tangential_reduce",
     "derive_bounds",
     "optimize_shift",
+    "hamiltonian_residual_shift",
     "resmin_next_shift",
     "ResminStrategy",
 ]
@@ -158,10 +171,9 @@ class KrylovSeed:
     m_eff: int
     B_m: object
     n_factorizations: int = 0
-    phi: object = None
 
 
-def build_seed(problem, p, m, phi=None, B=None):
+def build_seed(problem, p, m, B=None):
     """Build the extended Krylov seed for a problem.
 
     Parameters
@@ -172,9 +184,6 @@ def build_seed(problem, p, m, phi=None, B=None):
     p, m
         Forward/backward orders; p >= 1 is required (the span must contain
         the right-hand side). m >= 1 costs one sparse factorization.
-    phi
-        Optional real shift: the inverse directions use (A - phi*M)^{-1}
-        instead of A^{-1}.
     B
         Override the starting block (defaults to problem.B).
 
@@ -185,8 +194,7 @@ def build_seed(problem, p, m, phi=None, B=None):
     n_fact = 0
     solve_op = None
     if m >= 1:
-        shift = 0.0 if phi is None else -float(phi)
-        fact = sparse_shifted_factorize(problem.A, shift, M=problem.M)
+        fact = sparse_shifted_factorize(problem.A, 0.0, M=problem.M)
         n_fact = 1
         if problem.M is None:
             solve_op = fact.solve
@@ -209,12 +217,12 @@ def build_seed(problem, p, m, phi=None, B=None):
         eta = np.linalg.lstsq(Q[:, :s], Bt, rcond=None)[0]
     return KrylovSeed(
         Q=Q, P=P, H=H, eta=eta, p=p, m=m, p_eff=p_eff, m_eff=m_eff,
-        B_m=Bt, n_factorizations=n_fact, phi=phi,
+        B_m=Bt, n_factorizations=n_fact,
     )
 
 
 # ---------------------------------------------------------------------------
-# compressed objective data
+# compressed models
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -255,13 +263,22 @@ def derive_bounds(eigenvalues):
 
 @dataclass
 class CompressedObjective:
-    """Small model for shift optimization.
+    """Compressed model of the iteration; the input of every shift picker.
 
     ``H`` is upper triangular (complex Schur form, unstable eigenvalues
     already negated), ``Wtil`` the compressed residual factor in the same
     coordinates, ``weight`` an optional left factor entering every norm
-    evaluation, and ``g`` the number of steps the candidate shift will be
-    used for.
+    evaluation as ||weight @ f(H) @ Wtil|| (present in the generalized
+    case), ``g`` the number of steps the candidate shift will be used for
+    and ``bounds`` the search box.
+
+    The remaining fields describe where the model came from: ``Q`` is the
+    orthonormal basis it was restricted to, ``source`` names the
+    compression ("seed", "Z(h)", "EK(p,m)"), ``n_stabilized`` counts the
+    negated unstable Ritz values, ``used_fallback`` marks a window
+    restriction formed explicitly because its QR factor was
+    ill-conditioned, and ``window_start`` is the first logical step of
+    the window.
     """
 
     H: object
@@ -269,7 +286,11 @@ class CompressedObjective:
     weight: object = None
     g: int = 1
     bounds: object = None
-    info: dict = field(default_factory=dict)
+    Q: object = None
+    source: str = ""
+    n_stabilized: int = 0
+    used_fallback: bool = False
+    window_start: int = 0
 
     @property
     def size(self):
@@ -280,42 +301,105 @@ class CompressedObjective:
         return np.diag(self.H).copy()
 
 
-def _finish_compression(H, Wt_raw, problem, Q, source, n_flip_extra=0, used_fallback=False):
+def schur_stabilize(H):
+    """Complex Schur form with unstable diagonal entries negated.
+
+    Returns (T, U, n_flipped): H ~ U T U^* before flipping; eigenvalues
+    with nonnegative real part are replaced by their negatives on the
+    diagonal of T.
+    """
+    T, U = dense_schur(H)
+    d = np.diag(T)
+    bad = d.real >= 0.0
+    n_flip = int(bad.sum())
+    if n_flip:
+        idx = np.where(bad)[0]
+        T[idx, idx] = -d[idx]
+    return T, U, n_flip
+
+
+def _compress(H, Wt_raw, weight_base, **fields):
+    """CompressedObjective from a restriction H and residual factor Wt_raw.
+
+    Rotates both into the stabilized Schur basis of H. ``weight_base`` is
+    the left factor the weight is taken from (N = Q^*MQ for the window,
+    MQ for the seed and EK spaces, None without a mass matrix): the
+    weight is the triangular QR factor of weight_base @ U.
+    """
     T, U, n_flip = schur_stabilize(H)
-    Wt = U.conj().T @ Wt_raw
     weight = None
-    if problem.M is not None:
-        weight = np.linalg.qr(problem.apply_M(Q) @ U, mode="r")
-    bounds = derive_bounds(np.diag(T))
+    if weight_base is not None:
+        weight = np.linalg.qr(weight_base @ U, mode="r")
     return CompressedObjective(
-        H=T, Wtil=Wt, weight=weight, bounds=bounds,
-        info={"source": source, "n_stabilized": n_flip + n_flip_extra,
-              "used_fallback": used_fallback, "size": T.shape[0],
-              "basis": Q},
+        H=T, Wtil=U.conj().T @ Wt_raw, weight=weight,
+        bounds=derive_bounds(np.diag(T)), n_stabilized=n_flip, **fields,
     )
 
 
 def seed_compressed(seed, problem):
     """Compressed objective at iteration zero, straight from the seed."""
-    Wt_raw = seed.Q.conj().T @ seed.B_m
-    return _finish_compression(seed.H, Wt_raw, problem, seed.Q, "seed")
+    MQ = problem.apply_M(seed.Q) if problem.M is not None else None
+    return _compress(seed.H, seed.Q.conj().T @ seed.B_m, MQ, Q=seed.Q, source="seed")
+
+
+def ritz_update(state, h, problem=None):
+    """Restrict onto the span of the last h logical steps' Z columns.
+
+    The window is widened by one step when it would split a conjugate
+    pair. The restriction H = Q^* A Q comes structurally from the factored
+    ADI relation (no products with A); if the window's triangular QR
+    factor is numerically singular (condition >= 1e8), it falls back to an
+    explicit product. In the generalized case the pencil (Q^*AQ, Q^*MQ) is
+    reduced to a single matrix N^{-1} Q^*AQ, the compressed residual
+    becomes N^{-1} Q^*W, and the QR factor of N times the Schur rotation
+    is attached as a left weight so norms are preserved.
+
+    Returns a CompressedObjective. Requires state.j >= 1.
+    """
+    problem = problem if problem is not None else state.problem
+    s, j = state.s, state.j
+    if j < 1:
+        raise ValueError("ritz_update needs at least one completed step")
+    start = max(0, j - h)
+    if (
+        start > 0
+        and state.shifts[start].kind == "pair"
+        and complex(state.shifts[start].alpha).imag < 0
+    ):
+        start -= 1  # never split a conjugate pair
+    Zw = state.Z[:, start * s :]
+    Q, R = np.linalg.qr(Zw)
+    used_fallback = not np.all(np.isfinite(R)) or np.linalg.cond(R) >= 1e8
+    QW = Q.conj().T @ state.W
+
+    generalized = problem.M is not None
+    N = Q.conj().T @ problem.apply_M(Q) if generalized else None
+    if used_fallback:
+        logger.warning("window QR factor ill-conditioned; used explicit restriction")
+        Ht = Q.conj().T @ (problem.A @ Q)
+    else:
+        S_r, G_r = real_SG(state.shifts[start:], s)
+        St = S_r - G_r @ G_r.T
+        core = R @ St + QW @ G_r.T
+        # right division by the triangular R
+        Ht = spla.solve_triangular(R, core.T, trans="T").T
+        if generalized:
+            # Q^*AQ = N R St R^{-1} + Q^*W G^T R^{-1}; fold N into the first term
+            WG = spla.solve_triangular(R, (QW @ G_r.T).T, trans="T").T
+            Ht = N @ (Ht - WG) + WG
+    if generalized:
+        Ht, QW = np.linalg.solve(N, Ht), np.linalg.solve(N, QW)
+    return _compress(Ht, QW, N, Q=Q, source=f"Z({h})",
+                     used_fallback=used_fallback, window_start=start)
 
 
 def compress_zh(state, h, problem=None):
-    """Compressed objective from the restriction onto the last h steps.
+    """Window compression: the restriction onto the last h steps.
 
-    Delegates to the window restriction (structured, no products with A)
-    and attaches the search box. Requires at least one completed step.
+    The Compressor's entry to the Z window; the work is ritz_update's.
+    Requires at least one completed step.
     """
-    problem = problem if problem is not None else state.problem
-    rd = ritz_update(state, h, problem)
-    bounds = derive_bounds(rd.eigenvalues)
-    return CompressedObjective(
-        H=rd.H, Wtil=rd.Wtil, weight=rd.weight, bounds=bounds,
-        info={"source": f"Z({h})", "n_stabilized": rd.n_stabilized,
-              "used_fallback": rd.used_fallback, "size": rd.H.shape[0],
-              "basis": rd.Q},
-    )
+    return ritz_update(state, h, problem)
 
 
 def recycle_krylov(seed, state, problem=None):
@@ -361,8 +445,37 @@ def recycle_krylov(seed, state, problem=None):
     else:
         P = seed.P
     H = Qj.conj().T @ P
-    Wt_raw = Qj.conj().T @ state.W_m
-    return _finish_compression(H, Wt_raw, problem, Qj, f"EK({seed.p},{seed.m})")
+    MQ = problem.apply_M(Qj) if problem.M is not None else None
+    return _compress(H, Qj.conj().T @ state.W_m, MQ, Q=Qj,
+                     source=f"EK({seed.p},{seed.m})")
+
+
+class Compressor:
+    """Source of the compressed model for every adaptive strategy.
+
+    Builds the extended Krylov seed once, on the first call (orders (p, m)
+    for the recycled space, (1, 1) for the Z window), and adds its
+    factorization to ``n_factorizations``. Each call returns the seed
+    compression at j = 0, afterwards the window over the last h steps
+    (``subspace`` "Z") or the recycled extended Krylov space ("EK").
+    """
+
+    def __init__(self, subspace, h, p=1, m=1):
+        self.subspace = subspace
+        self.h = h
+        self.orders = (p, m) if subspace == "EK" else (1, 1)
+        self.seed = None
+        self.n_factorizations = 0
+
+    def __call__(self, state, problem):
+        if self.seed is None:
+            self.seed = build_seed(problem, *self.orders)
+            self.n_factorizations += self.seed.n_factorizations
+        if state.j == 0:
+            return seed_compressed(self.seed, problem)
+        if self.subspace == "EK":
+            return recycle_krylov(self.seed, state, problem)
+        return compress_zh(state, self.h, problem)
 
 
 # ---------------------------------------------------------------------------
@@ -797,29 +910,52 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
 
 
 # ---------------------------------------------------------------------------
-# strategy driver
+# shift pickers on a compressed model, and the resmin strategy
 # ---------------------------------------------------------------------------
 
-def resmin_next_shift(state, problem, config, seed):
-    """One residual-minimizing shift for the current iteration state.
+def hamiltonian_residual_shift(H, Wtil):
+    """Shift from the eigenstructure of the projected residual Hamiltonian.
 
-    Compresses (seed restriction at step zero; afterwards either the
-    recycled extended Krylov space or the recent-Z window, per config),
-    takes the projected-Hamiltonian shift on the same compressed data as
-    the initial guess, and minimizes the compressed objective over the
-    spectral box. Returns (alpha, info).
+    Builds the 2l x 2l matrix [[H^*, 0], [Wtil Wtil^*, -H]] and returns,
+    among its stable eigenvalues, the one whose unit-norm eigenvector has
+    the largest lower half — the direction along which the current
+    residual couples most strongly. Without any stable eigenvalue the
+    Ritz value with the most negative real part is returned instead.
+    Output normalized to Im >= 0.
     """
-    if state.j == 0:
-        co = seed_compressed(seed, problem)
-    elif config.subspace == "EK":
-        co = recycle_krylov(seed, state, problem)
+    H = np.asarray(H, dtype=np.complex128)
+    Wtil = np.atleast_2d(np.asarray(Wtil, dtype=np.complex128))
+    l = H.shape[0]
+    Ham = np.zeros((2 * l, 2 * l), dtype=np.complex128)
+    Ham[:l, :l] = H.conj().T
+    Ham[l:, :l] = Wtil @ Wtil.conj().T
+    Ham[l:, l:] = -H
+    w, V = np.linalg.eig(Ham)
+    stable = np.where(w.real < 0.0)[0]
+    if stable.size == 0:
+        logger.warning("projected Hamiltonian has no stable eigenvalue; "
+                       "falling back to the most negative Ritz value")
+        eigs = np.linalg.eigvals(H)
+        z = complex(eigs[int(np.argmin(eigs.real))])
     else:
-        co = compress_zh(state, config.h, problem)
-    if config.g != 1:
-        co = replace(co, g=int(config.g))
+        qnorm = np.linalg.norm(V[l:, stable], axis=0)
+        z = complex(w[stable[int(np.argmax(qnorm))]])
+    return z.conjugate() if z.imag < 0 else z
+
+
+def resmin_next_shift(co, g=1, method="gauss-newton"):
+    """Residual-minimizing shift on a compressed model.
+
+    Takes the projected-Hamiltonian shift of ``co`` as the initial guess
+    and minimizes the objective of ``co`` for a group of g steps over its
+    spectral box with the given optimizer backend. Returns (alpha, info);
+    info also carries the model used ("compression") and the guess.
+    """
+    if g != 1:
+        co = replace(co, g=int(g))
     guess = hamiltonian_residual_shift(co.H, co.Wtil)
-    alpha, info = optimize_shift(co, x0=guess, method=config.optimizer)
-    info["compression"] = co.info
+    alpha, info = optimize_shift(co, x0=guess, method=method)
+    info["compression"] = co
     info["guess"] = guess
     return alpha, info
 
@@ -828,28 +964,22 @@ class ResminStrategy:
     """Residual-norm-minimizing shifts, with multistep support.
 
     ``config.subspace`` selects the compression ("EK" recycles the seed
-    space, anything else uses the Z window of size config.h); ``config.g``
-    makes each shift a multistep group sharing one factorization.
+    space of orders (config.p, config.m), anything else uses the Z window
+    of size config.h); ``config.g`` makes each shift a multistep group
+    sharing one factorization. ``last_info`` holds the info of the latest
+    shift.
     """
 
     def __init__(self, config):
         self.config = config
-        self._seed = None
-        self.n_factorizations = 0
+        self.compressor = Compressor(config.subspace, config.h, config.p, config.m)
         self.last_info = None
 
-    def _ensure_seed(self, problem):
-        if self._seed is None:
-            if self.config.subspace == "EK":
-                p, m = self.config.p, self.config.m
-            else:
-                p, m = 1, 1
-            self._seed = build_seed(problem, p, m)
-            self.n_factorizations += self._seed.n_factorizations
-        return self._seed
+    @property
+    def n_factorizations(self):
+        return self.compressor.n_factorizations
 
     def next_shift(self, state, problem):
-        seed = self._ensure_seed(problem)
-        alpha, info = resmin_next_shift(state, problem, self.config, seed)
-        self.last_info = info
+        co = self.compressor(state, problem)
+        alpha, self.last_info = resmin_next_shift(co, self.config.g, self.config.optimizer)
         return ShiftProposal(alpha, budget=max(1, int(self.config.g)))

@@ -1,39 +1,44 @@
 """Shift strategies for the low-rank ADI iteration.
 
 Contains the classical precomputed heuristic (greedy selection on Ritz
-values of an extended Krylov space), and the self-generating strategies
-that work with a small restriction of A onto the span of recent Z columns:
-recomputed heuristic shifts, convex-hull boundary shifts, and shifts from
-the eigenvector structure of a projected residual Hamiltonian. The
-residual-norm-minimizing strategy builds on the same restrictions and
-lives in the resmin module.
+values of an extended Krylov space) and the adaptive strategies. Every
+adaptive strategy pairs the resmin module's Compressor, which supplies a
+small compressed model of the iteration, with a shift picker: recomputed
+greedy heuristic shifts, convex-hull boundary shifts, the projected
+residual Hamiltonian shift, or the residual-norm minimizer
+(ResminStrategy, in the resmin module).
 """
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as spla
 
-from .engine import ShiftProposal, real_SG
-from .linalg import dense_schur
+from .engine import ShiftProposal
+from .resmin import (
+    Compressor,
+    ResminStrategy,
+    build_seed,
+    hamiltonian_residual_shift,
+    ritz_update,
+    schur_stabilize,
+)
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "RitzData",
     "StrategyConfig",
     "penzl_select",
     "precomputed_heuristic",
     "ritz_update",
+    "schur_stabilize",
     "convex_hull_shift",
     "hamiltonian_residual_shift",
     "CyclicShifts",
     "PrecomputedHeuristicStrategy",
-    "RitzHeuristicStrategy",
-    "ConvexHullStrategy",
-    "ResidualHamiltonianStrategy",
+    "AdaptiveStrategy",
+    "ResminStrategy",
     "make_strategy",
 ]
 
@@ -93,8 +98,6 @@ def precomputed_heuristic(problem, J, p, m):
     needed, and fed to the greedy selection. Returns the shift list (to be
     reused cyclically).
     """
-    from .resmin import build_seed  # deferred: resmin builds on this module
-
     b1 = problem.B @ np.ones((problem.s, 1))
     seed = build_seed(problem, p, m, B=b1)
     ritz = np.linalg.eigvals(seed.H)
@@ -111,122 +114,6 @@ def precomputed_heuristic(problem, J, p, m):
         J = ritz.size
     shifts = penzl_select(ritz, J)
     return shifts, seed.n_factorizations
-
-
-# ---------------------------------------------------------------------------
-# restriction onto a window of recent Z columns
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RitzData:
-    """Restriction of the iteration onto the span of recent Z columns.
-
-    ``H`` is the (Schur-form, stabilized) small restriction matrix, with
-    its triangular structure intact; ``Wtil`` the compressed residual
-    factor in the same rotated coordinates; ``weight`` an optional left
-    factor so that norm evaluations use ||weight @ f(H) @ Wtil|| (present
-    in the generalized case). ``eigenvalues`` are the Ritz values after
-    unstable ones were negated.
-    """
-
-    Q: object
-    H: object
-    Wtil: object
-    eigenvalues: object
-    weight: object = None
-    used_fallback: bool = False
-    n_stabilized: int = 0
-    window_start: int = 0
-
-
-def schur_stabilize(H):
-    """Complex Schur form with unstable diagonal entries negated.
-
-    Returns (T, U, n_flipped): H ~ U T U^* before flipping; eigenvalues
-    with nonnegative real part are replaced by their negatives on the
-    diagonal of T.
-    """
-    dec = dense_schur(H)
-    T = dec.T.copy()
-    d = np.diag(T)
-    bad = d.real >= 0.0
-    n_flip = int(bad.sum())
-    if n_flip:
-        idx = np.where(bad)[0]
-        T[idx, idx] = -d[idx]
-    return T, dec.Q, n_flip
-
-
-def ritz_update(state, h, problem=None):
-    """Restrict onto the span of the last h logical steps' Z columns.
-
-    The window is widened by one step when it would split a conjugate
-    pair. The restriction H = Q^* A Q comes structurally from the factored
-    ADI relation (no products with A); if the window's triangular QR
-    factor is numerically singular (condition >= 1e8), it falls back to an
-    explicit product. In the generalized case the pencil (Q^*AQ, Q^*MQ) is
-    reduced to a single matrix N^{-1} Q^*AQ, the compressed residual
-    becomes N^{-1} Q^*W, and the QR factor of N times the Schur rotation
-    is attached as a left weight so norms are preserved.
-
-    Returns RitzData. Requires state.j >= 1.
-    """
-    problem = problem if problem is not None else state.problem
-    s, j = state.s, state.j
-    if j < 1:
-        raise ValueError("ritz_update needs at least one completed step")
-    start = max(0, j - h)
-    if (
-        start > 0
-        and state.shifts[start].kind == "pair"
-        and complex(state.shifts[start].alpha).imag < 0
-    ):
-        start -= 1  # never split a conjugate pair
-    Zw = state.Z[:, start * s :]
-    Q, R = np.linalg.qr(Zw)
-    used_fallback = not np.all(np.isfinite(R)) or np.linalg.cond(R) >= 1e8
-
-    generalized = problem.M is not None
-    if used_fallback:
-        Ht = Q.conj().T @ (problem.A @ Q)
-        N = Q.conj().T @ problem.apply_M(Q) if generalized else None
-    else:
-        recs = state.shifts[start:]
-        S_r, G_r = real_SG(recs, s)
-        St = S_r - G_r @ G_r.T
-        core = R @ St + (Q.conj().T @ state.W) @ G_r.T
-        # right division by the triangular R
-        Ht = spla.solve_triangular(R, core.T, trans="T").T
-        if generalized:
-            MQ = problem.apply_M(Q)
-            N = Q.conj().T @ MQ
-            # Q^*AQ = N R St R^{-1} + Q^*W G^T R^{-1}; fold N into the first term
-            WG = spla.solve_triangular(R, ((Q.conj().T @ state.W) @ G_r.T).T, trans="T").T
-            Ht = N @ (Ht - WG) + WG
-        else:
-            N = None
-
-    if generalized:
-        Hn = np.linalg.solve(N, Ht)
-        T, U, n_flip = schur_stabilize(Hn)
-        Wtil = U.conj().T @ np.linalg.solve(N, Q.conj().T @ state.W)
-        weight = np.linalg.qr(N @ U, mode="r")
-    else:
-        T, U, n_flip = schur_stabilize(Ht)
-        Wtil = U.conj().T @ (Q.conj().T @ state.W)
-        weight = None
-    if used_fallback:
-        logger.warning("window QR factor ill-conditioned; used explicit restriction")
-    return RitzData(
-        Q=Q,
-        H=T,
-        Wtil=Wtil,
-        eigenvalues=np.diag(T).copy(),
-        weight=weight,
-        used_fallback=used_fallback,
-        n_stabilized=n_flip,
-        window_start=start,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -261,17 +148,16 @@ def _hull_boundary(points, n_boundary):
     return np.concatenate(segs)
 
 
-def convex_hull_shift(ritz_values, used_shifts, n_boundary=200, objective="max_r"):
+def convex_hull_shift(ritz_values, used_shifts, n_boundary=200):
     """Next shift from the convex hull of the (mirrored) Ritz values.
 
     The hull of the Ritz values and their conjugates is discretized along
     its boundary (n_boundary points per edge, uniform in arc length;
     degenerate hulls become segments or single points) and the accumulated
     ADI product r(z) = prod |(z - conj(a_i))/(z + a_i)| over all used
-    shifts a_i is evaluated there. The default objective returns the point
-    where r is largest — the least damped spot, which is where the greedy
-    heuristics place the next shift; ``objective="min_r"`` selects the
-    smallest value instead. With no used shifts yet, the most negative
+    shifts a_i is evaluated there. The point where r is largest is
+    returned — the least damped spot, which is where the greedy heuristics
+    place the next shift. With no used shifts yet, the most negative
     boundary point is returned. The result is normalized to Im >= 0.
     """
     ritz = np.asarray(list(ritz_values), dtype=np.complex128)
@@ -283,48 +169,8 @@ def convex_hull_shift(ritz_values, used_shifts, n_boundary=200, objective="max_r
     if len(used) == 0:
         z = boundary[int(np.argmin(boundary.real))]
     else:
-        vals = _log_adi_product(boundary, used)
-        if objective == "max_r":
-            z = boundary[int(np.argmax(vals))]
-        elif objective == "min_r":
-            z = boundary[int(np.argmin(vals))]
-        else:
-            raise ValueError(f"unknown hull objective {objective!r}")
+        z = boundary[int(np.argmax(_log_adi_product(boundary, used)))]
     z = complex(z)
-    return z.conjugate() if z.imag < 0 else z
-
-
-# ---------------------------------------------------------------------------
-# projected residual Hamiltonian shifts
-# ---------------------------------------------------------------------------
-
-def hamiltonian_residual_shift(H, Wtil):
-    """Shift from the eigenstructure of the projected residual Hamiltonian.
-
-    Builds the 2l x 2l matrix [[H^*, 0], [Wtil Wtil^*, -H]] and returns,
-    among its stable eigenvalues, the one whose unit-norm eigenvector has
-    the largest lower half — the direction along which the current
-    residual couples most strongly. Without any stable eigenvalue the
-    Ritz value with the most negative real part is returned instead.
-    Output normalized to Im >= 0.
-    """
-    H = np.asarray(H, dtype=np.complex128)
-    Wtil = np.atleast_2d(np.asarray(Wtil, dtype=np.complex128))
-    l = H.shape[0]
-    Ham = np.zeros((2 * l, 2 * l), dtype=np.complex128)
-    Ham[:l, :l] = H.conj().T
-    Ham[l:, :l] = Wtil @ Wtil.conj().T
-    Ham[l:, l:] = -H
-    w, V = np.linalg.eig(Ham)
-    stable = np.where(w.real < 0.0)[0]
-    if stable.size == 0:
-        logger.warning("projected Hamiltonian has no stable eigenvalue; "
-                       "falling back to the most negative Ritz value")
-        eigs = np.linalg.eigvals(H)
-        z = complex(eigs[int(np.argmin(eigs.real))])
-    else:
-        qnorm = np.linalg.norm(V[l:, stable], axis=0)
-        z = complex(w[stable[int(np.argmax(qnorm))]])
     return z.conjugate() if z.imag < 0 else z
 
 
@@ -375,90 +221,34 @@ class PrecomputedHeuristicStrategy:
         return self._cycle.next_shift(state, problem)
 
 
-class _SeedMixin:
-    """Shared lazy bootstrap restriction for the adaptive strategies."""
-
-    def _seed_data(self, problem):
-        if getattr(self, "_seed_cache", None) is None:
-            from .resmin import build_seed, seed_compressed
-
-            seed = build_seed(problem, 1, 1)
-            self.n_factorizations = getattr(self, "n_factorizations", 0) + seed.n_factorizations
-            self._seed_cache = seed_compressed(seed, problem)
-        return self._seed_cache
+# Each picker maps the current compressed model (and the state, for the
+# shifts used so far) to the next shift. penzl_select appends the partner
+# of a complex pick; the double step runs it, so only the first is taken.
+_PICKERS = {
+    "zheur": lambda co, state: penzl_select(co.eigenvalues, 1)[0],
+    "zconv": lambda co, state: convex_hull_shift(co.eigenvalues, state.shift_values()),
+    "zhres": lambda co, state: hamiltonian_residual_shift(co.H, co.Wtil),
+}
 
 
-class _QueueMixin:
-    """Queue with conjugate-pair skipping on pop."""
+class AdaptiveStrategy:
+    """Z(h)+heur|conv|Hres: a fresh window compression per shift, then a picker.
 
-    def _pop_queue(self):
-        a = self._queue.pop(0)
-        if a.imag != 0.0 and self._queue and abs(self._queue[0] - a.conjugate()) <= 1e-14 * max(1.0, abs(a)):
-            self._queue.pop(0)
-        return a
-
-
-class RitzHeuristicStrategy(_SeedMixin, _QueueMixin):
-    """Z(h)+heur: greedy shifts recomputed from a window restriction.
-
-    Each time the working batch is exhausted, Ritz values of the
-    restriction onto the last h steps' Z columns are fed through the
-    greedy selection. By default only the single best candidate is
-    taken per refresh (J=1), so stale Ritz data is never reused; a
-    larger J trades shift quality for fewer restrictions.
+    ``pick(co, state)`` is one of the pickers above: the greedy heuristic
+    on the Ritz values, the convex-hull boundary point, or the projected
+    residual Hamiltonian shift.
     """
 
-    def __init__(self, h, J=None):
-        self.h = h
-        self.J = J
-        self._queue = []
-        self.n_factorizations = 0
+    def __init__(self, h, pick):
+        self.compressor = Compressor("Z", h)
+        self.pick = pick
 
-    def _refill(self, state, problem):
-        if state.j == 0:
-            ritz = self._seed_data(problem).eigenvalues
-        else:
-            ritz = ritz_update(state, self.h, problem).eigenvalues
-        J = self.J if self.J is not None else 1
-        self._queue = list(penzl_select(ritz, min(J, ritz.size)))
+    @property
+    def n_factorizations(self):
+        return self.compressor.n_factorizations
 
     def next_shift(self, state, problem):
-        if not self._queue:
-            self._refill(state, problem)
-        return ShiftProposal(self._pop_queue())
-
-
-class ConvexHullStrategy(_SeedMixin):
-    """Z(h)+conv: one shift per call from the hull of fresh Ritz values."""
-
-    def __init__(self, h, n_boundary=200, objective="max_r"):
-        self.h = h
-        self.n_boundary = n_boundary
-        self.objective = objective
-        self.n_factorizations = 0
-
-    def next_shift(self, state, problem):
-        if state.j == 0:
-            ritz = self._seed_data(problem).eigenvalues
-        else:
-            ritz = ritz_update(state, self.h, problem).eigenvalues
-        a = convex_hull_shift(ritz, state.shift_values(), self.n_boundary, self.objective)
-        return ShiftProposal(a)
-
-
-class ResidualHamiltonianStrategy(_SeedMixin):
-    """Z(h)+Hres: shift from the projected residual Hamiltonian."""
-
-    def __init__(self, h):
-        self.h = h
-        self.n_factorizations = 0
-
-    def next_shift(self, state, problem):
-        if state.j == 0:
-            data = self._seed_data(problem)
-        else:
-            data = ritz_update(state, self.h, problem)
-        return ShiftProposal(hamiltonian_residual_shift(data.H, data.Wtil))
+        return ShiftProposal(self.pick(self.compressor(state, problem), state))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +269,9 @@ class StrategyConfig:
     p: int = 30
     m: int = 20
     h: int = 4
-    n_boundary: int = 200
-    hull_objective: str = "max_r"
     subspace: str = "Z"
     optimizer: str = "gauss-newton"
     g: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 def make_strategy(config):
@@ -492,14 +279,8 @@ def make_strategy(config):
     kind = config.kind
     if kind == "heur":
         return PrecomputedHeuristicStrategy(config.J, config.p, config.m)
-    if kind == "zheur":
-        return RitzHeuristicStrategy(config.h, config.extra.get("J"))
-    if kind == "zconv":
-        return ConvexHullStrategy(config.h, config.n_boundary, config.hull_objective)
-    if kind == "zhres":
-        return ResidualHamiltonianStrategy(config.h)
+    if kind in _PICKERS:
+        return AdaptiveStrategy(config.h, _PICKERS[kind])
     if kind == "resmin":
-        from .resmin import ResminStrategy
-
         return ResminStrategy(config)
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -16,7 +16,6 @@ from lradi.engine import (
     ShiftProposal,
     adi_double_step,
     adi_real_step,
-    build_SG,
     lr_adi_solve,
     normalize_shift,
     real_SG,
@@ -212,37 +211,37 @@ def test_lr_adi_solve_on_step_callback():
     assert_allclose([r[1] for r in rows], report.residuals, rtol=0)
 
 
-def test_structured_factors_relation():
-    # the complex factors close the Sylvester relation for the complex
-    # iteration in both the B and the residual-factor form
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("shifts", [
+    [-1.5, -2.0 + 1.5j, -7.0],
+    [-2.0 + 1.5j, -0.5, -0.3 + 4.0j, -7.0],
+], ids=["real-first", "pair-first"])
+def test_realified_factors_match_engine_blocks(shifts, s):
+    # the real structured factors close the ADI relations for the engine's
+    # real Z, in both the B and the residual-factor form
     rng = np.random.default_rng(11)
-    n, s = 24, 2
+    n = 24
     A = random_stable(n, rng)
     B = rng.standard_normal((n, s))
-    shifts = [-1.5, -2.0 + 1.5j, -7.0]
-    full = [-1.5 + 0j, -2.0 + 1.5j, -2.0 - 1.5j, -7.0 + 0j]
     state = run_shifts(sp.csr_matrix(A), B, shifts)
-    Zc, Wc = reference_complex_adi(A, B, full)
-    S, G = build_SG(state.shifts, s)
-    assert_allclose(A @ Zc, Zc @ S + B @ G.conj().T, atol=1e-10)
-    St = S - G @ G.conj().T
-    assert_allclose(A @ Zc, Zc @ St + Wc @ G.conj().T, atol=1e-10)
-
-
-def test_realified_factors_match_engine_blocks():
-    # the realified factors close the same relations for the engine's
-    # real Z, entirely in real arithmetic
-    rng = np.random.default_rng(11)
-    n, s = 24, 2
-    A = random_stable(n, rng)
-    B = rng.standard_normal((n, s))
-    state = run_shifts(sp.csr_matrix(A), B, [-1.5, -2.0 + 1.5j, -7.0])
     Sr, Gr = real_SG(state.shifts, s)
     assert np.isrealobj(Sr) and np.isrealobj(Gr)
     assert_allclose(A @ state.Z, state.Z @ Sr + B @ Gr.T, atol=1e-10)
     assert_allclose(state.W, B + state.Z @ Gr, atol=1e-10)
     Str = Sr - Gr @ Gr.T
+    assert_allclose(Str, -Sr.T, atol=1e-12)
     assert_allclose(A @ state.Z, state.Z @ Str + state.W @ Gr.T, atol=1e-10)
+
+
+def test_steps_reject_wrong_shift_sign():
+    # a ValueError, not an assert, so the check survives python -O
+    problem = LyapunovProblem(sp.csr_matrix(-np.eye(4)), np.ones((4, 1)))
+    state = AdiState(problem)
+    with pytest.raises(ValueError, match="negative real part"):
+        adi_real_step(state, sparse_shifted_factorize(problem.A, 0.5))
+    with pytest.raises(ValueError, match="Re<0, Im>0"):
+        adi_double_step(state, sparse_shifted_factorize(problem.A, 0.5 + 1.0j))
+    assert state.j == 0 and np.all(state.W == 1.0)
 
 
 def test_one_step_exact_on_negative_identity():

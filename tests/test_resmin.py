@@ -25,7 +25,6 @@ from lradi.resmin import (
     nls_residual_jacobian,
     optimize_shift,
     recycle_krylov,
-    resmin_next_shift,
     seed_compressed,
     tangential_reduce,
 )
@@ -38,7 +37,7 @@ def make_objective(rng, k=6, s=1, g=1, weighted=False, real_spectrum=False):
     H = random_stable(k, rng)
     if real_spectrum:
         H = np.diag(-rng.random(k) * 5 - 0.5)
-    T = dense_schur(H).T
+    T, _ = dense_schur(H)
     Wt = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
     weight = None
     if weighted:
@@ -170,7 +169,7 @@ def test_compress_zh_consistent_with_own_restriction():
     B = rng.standard_normal((n, 1))
     state = run_shifts(sp.csr_matrix(A), B, [-2.0, -5.0])
     co = compress_zh(state, h=1)
-    Q = co.info["basis"]
+    Q = co.Q
     assert Q.shape[1] == 1  # one block of the window
     assert_allclose(np.linalg.norm(co.Wtil), np.linalg.norm(Q.conj().T @ state.W),
                     rtol=1e-12)
@@ -207,7 +206,7 @@ def test_recycle_matches_direct_extended_krylov():
     state = run_shifts(problem.A, B, [-0.5, -1.0, -2.0, -4.0, -8.0])
     state.problem = problem
     co = recycle_krylov(seed, state, problem)
-    Qj = co.info["basis"]
+    Qj = co.Q
     Q_ref = explicit_extended_krylov(A, state.W, 2, 1)
     # recycled span contains the directly built EK space of (A, W_j)
     assert max_principal_angle(Q_ref, Qj) < 1e-8
@@ -228,7 +227,7 @@ def test_recycle_handles_conjugate_pairs():
     state.problem = problem
     co = recycle_krylov(seed, state, problem)
     Q_ref = explicit_extended_krylov(A, state.W, 1, 2)
-    assert max_principal_angle(Q_ref, co.info["basis"]) < 1e-8
+    assert max_principal_angle(Q_ref, co.Q) < 1e-8
 
 
 def test_recycle_short_history_contains_residual():
@@ -241,7 +240,7 @@ def test_recycle_short_history_contains_residual():
     state = run_shifts(problem.A, B, [-1.0])
     state.problem = problem
     co = recycle_krylov(seed, state, problem)
-    Qj = co.info["basis"]
+    Qj = co.Q
     gap = np.linalg.norm(state.W - Qj @ (Qj.conj().T @ state.W))
     assert gap <= 1e-10 * np.linalg.norm(state.W)
 
@@ -491,11 +490,11 @@ def test_resmin_first_shift_negative_identity():
     B = np.zeros((30, 1))
     B[0, 0] = 1.0
     problem = LyapunovProblem(sp.csr_matrix(-np.eye(30)), B)
-    seed = build_seed(problem, p=1, m=1)
-    state = AdiState(problem)
-    cfg = StrategyConfig(kind="resmin", subspace="EK", p=1, m=1)
-    alpha, info = resmin_next_shift(state, problem, cfg, seed)
+    strat = ResminStrategy(StrategyConfig(kind="resmin", subspace="EK", p=1, m=1))
+    alpha = strat.next_shift(AdiState(problem), problem).alpha
     assert alpha == pytest.approx(-1.0, abs=1e-9)
+    assert strat.last_info["compression"].source == "seed"
+    assert strat.n_factorizations == 1
 
 
 def test_resmin_never_worse_than_guess():

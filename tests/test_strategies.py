@@ -1,4 +1,8 @@
 import logging
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import lradi.strategies
 from conftest import random_stable
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
 from lradi.linalg import sparse_shifted_factorize
@@ -338,3 +343,16 @@ def test_adaptive_strategies_bootstrap_counts_factorization():
     # one seed factorization on top of the per-step ones
     pairs = sum(1 for a in report.shifts if a.imag > 0)
     assert report.n_factorizations == report.iterations - pairs + 1
+
+
+def test_resmin_does_not_import_strategies():
+    # resmin is the lower layer: importing it must not pull in strategies,
+    # and strategies takes everything it needs from resmin at module level
+    src = str(Path(lradi.strategies.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lradi.resmin; "
+            "print('lradi.strategies' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+    text = Path(lradi.strategies.__file__).read_text()
+    assert not re.search(r"^[ \t]+from \.resmin import", text, re.MULTILINE)
