@@ -146,20 +146,28 @@ class AdiState:
         self.shifts = []
         self.res_history = []
         self.current_residual = 1.0
-        self._zblocks = []
-        self._zcache = np.zeros((n, 0))
+        self._zbuf = np.empty((n, 0), order="F")
 
     @property
     def Z(self):
-        """Accumulated low-rank factor (n x j*s), materialized on demand."""
-        if self._zcache.shape[1] != self.j * self.s:
-            blocks = [self._zcache] + self._zblocks
-            self._zcache = np.hstack(blocks)
-            self._zblocks = []
-        return self._zcache
+        """Accumulated low-rank factor (n x j*s).
+
+        A read-only view into a growable column-major buffer: no copy is
+        made, and a view taken earlier stays valid (and unchanged) while
+        later steps append columns.
+        """
+        Z = self._zbuf[:, : self.j * self.s]
+        Z.flags.writeable = False
+        return Z
 
     def _push(self, block, records, residuals):
-        self._zblocks.append(block)
+        k, w = self.j * self.s, block.shape[1]
+        if k + w > self._zbuf.shape[1]:
+            # doubling keeps the total copy cost linear in the final size
+            buf = np.empty((self.n, max(2 * self._zbuf.shape[1], k + w)), order="F")
+            buf[:, :k] = self._zbuf[:, :k]
+            self._zbuf = buf
+        self._zbuf[:, k : k + w] = block
         self.shifts.extend(records)
         self.res_history.extend(residuals)
         self.j += len(records)

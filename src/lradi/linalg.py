@@ -130,6 +130,8 @@ def spectral_norm_small(W):
     W = np.atleast_2d(np.asarray(W))
     if W.shape[1] == 0 or W.shape[0] == 0:
         return 0.0
+    if W.shape[1] == 1:  # the 1 x 1 Gram matrix is its own eigenvalue
+        return float(np.vdot(W, W).real)
     G = W.conj().T @ W
     G = 0.5 * (G + G.conj().T)
     w = np.linalg.eigvalsh(G)
@@ -143,8 +145,9 @@ def spectral_norm_small(W):
 def block_orth(basis, block, drop_tol=1e-10):
     """Extend an orthonormal basis by the columns of a new block.
 
-    Two-pass block Gram-Schmidt: each incoming column is orthogonalized
-    twice against everything already accepted, then normalized. Columns
+    Two-pass block Gram-Schmidt: the whole block is projected twice against
+    ``basis`` (two GEMM passes), then each column in turn is orthogonalized
+    twice against the columns accepted before it and normalized. Columns
     whose remainder falls below ``drop_tol`` times the incoming block scale
     are dropped (rank deficiency).
 
@@ -159,53 +162,48 @@ def block_orth(basis, block, drop_tol=1e-10):
 
     Returns
     -------
-    Q : (n, k0 + k_add) augmented orthonormal basis (prefix is ``basis``).
+    Q : (n, k0 + k_add) column-major augmented orthonormal basis (prefix
+        is ``basis``).
     R : (k0 + k_add, w) coefficients with block ~= Q @ R up to dropped
         parts; the lower k_add rows form a staircase whose pivots mark the
         kept columns.
     """
     block = np.atleast_2d(np.asarray(block))
     n, w = block.shape
-    if basis is None:
-        basis = np.zeros((n, 0), dtype=block.dtype)
-    k0 = basis.shape[1]
+    k0 = 0 if basis is None else basis.shape[1]
     cdtype = np.promote_types(basis.dtype if k0 else np.float64, block.dtype)
-    colnorms = np.linalg.norm(block, axis=0)
-    scale = float(np.max(colnorms)) if w else 0.0
+    Q = np.empty((n, k0 + w), dtype=cdtype, order="F")
+    if k0:
+        Q[:, :k0] = basis
+    R = np.zeros((k0 + w, w), dtype=cdtype)
+    scale = float(np.max(np.linalg.norm(block, axis=0))) if w else 0.0
     if scale == 0.0:
-        return basis.astype(cdtype, copy=False), np.zeros((k0, w), dtype=cdtype)
+        return Q[:, :k0], R[:k0]
 
-    newcols = []
-    rows = []  # coefficient column vectors, padded at the end
-    for j in range(w):
-        x = block[:, j].astype(cdtype, copy=True)
-        coeff_old = np.zeros(k0, dtype=cdtype)
-        coeff_new = np.zeros(len(newcols) + 1, dtype=cdtype)
+    X = np.array(block, dtype=cdtype, order="F")
+    if k0:
+        # in-place BLAS updates keep X column-major (numpy's old @ C is not)
+        gemm = spla.get_blas_funcs("gemm", (Q,))
+        old = Q[:, :k0]
         for _ in range(2):  # second pass mops up cancellation
-            if k0:
-                c = basis.conj().T @ x
-                x -= basis @ c
-                coeff_old += c
-            for i, q in enumerate(newcols):
-                c = np.vdot(q, x)
-                x -= c * q
-                coeff_new[i] += c
+            C = gemm(1.0, old, X, trans_a=2)
+            X = gemm(-1.0, old, C, beta=1.0, c=X, overwrite_c=1)
+            R[:k0] += C
+    k = 0  # columns accepted so far
+    for j in range(w):
+        x = X[:, j]
+        if k:
+            new = Q[:, k0 : k0 + k]
+            for _ in range(2):
+                c = new.conj().T @ x
+                x -= new @ c
+                R[k0 : k0 + k, j] += c
         nrm = np.linalg.norm(x)
         if nrm > drop_tol * scale:
-            newcols.append(x / nrm)
-            coeff_new[len(newcols) - 1] = nrm
-            rows.append((coeff_old, coeff_new.copy(), len(newcols)))
-        else:
-            rows.append((coeff_old, coeff_new[:-1].copy(), len(newcols)))
-
-    k_add = len(newcols)
-    Q = np.hstack([basis.astype(cdtype, copy=False)] + [c[:, None] for c in newcols]) \
-        if k_add else basis.astype(cdtype, copy=False)
-    R = np.zeros((k0 + k_add, w), dtype=cdtype)
-    for j, (cold, cnew, _) in enumerate(rows):
-        R[:k0, j] = cold
-        R[k0:k0 + len(cnew), j] = cnew
-    return Q, R
+            Q[:, k0 + k] = x / nrm
+            R[k0 + k, j] = nrm
+            k += 1
+    return Q[:, : k0 + k], R[: k0 + k]
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,9 @@ def build_seed(problem, p, m, B=None):
         else:
             solve_op = lambda X: fact.solve(problem.apply_M(X))
     Q, p_eff, m_eff = extended_krylov_basis(problem.apply_Atilde, solve_op, Bt, p, m)
+    # row-major: SciPy's sparse products (A Q here, M Q later) copy a
+    # column-major operand into this layout first
+    Q = np.ascontiguousarray(Q)
     if p_eff < p or m_eff < m:
         logger.info("seed orders reduced by breakdown: (%d, %d) -> (%d, %d)",
                     p, m, p_eff, m_eff)
@@ -269,8 +272,10 @@ class CompressedObjective:
     already negated), ``Wtil`` the compressed residual factor in the same
     coordinates, ``weight`` an optional left factor entering every norm
     evaluation as ||weight @ f(H) @ Wtil|| (present in the generalized
-    case), ``g`` the number of steps the candidate shift will be used for
-    and ``bounds`` the search box.
+    case: any left factor, not necessarily triangular, with
+    weight^* weight = U^* K^* K U for the Schur rotation U and the weight
+    base K, see _compress), ``g`` the number of steps the candidate shift
+    will be used for and ``bounds`` the search box.
 
     The remaining fields describe where the model came from: ``Q`` is the
     orthonormal basis it was restricted to, ``source`` names the
@@ -323,13 +328,16 @@ def _compress(H, Wt_raw, weight_base, **fields):
 
     Rotates both into the stabilized Schur basis of H. ``weight_base`` is
     the left factor the weight is taken from (N = Q^*MQ for the window,
-    MQ for the seed and EK spaces, None without a mass matrix): the
-    weight is the triangular QR factor of weight_base @ U.
+    MQ for the seed and EK spaces, None without a mass matrix). Only
+    weight^* weight = U^* K^* K U (K = weight_base) enters the norms, so
+    the weight is any left factor with that Gram matrix: R U, from one
+    real QR K = Q_K R taken before the (complex) rotation.
     """
     T, U, n_flip = schur_stabilize(H)
     weight = None
     if weight_base is not None:
-        weight = np.linalg.qr(weight_base @ U, mode="r")
+        # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
+        weight = np.linalg.qr(np.asfortranarray(weight_base), mode="r") @ U
     return CompressedObjective(
         H=T, Wtil=U.conj().T @ Wt_raw, weight=weight,
         bounds=derive_bounds(np.diag(T)), n_stabilized=n_flip, **fields,
@@ -421,16 +429,18 @@ def recycle_krylov(seed, state, problem=None):
     S_r, G_r = real_SG(state.shifts, s)
     Z = state.Z
     if j <= seed.p + seed.m:
-        omega = Z
-        SQ, GQ = S_r, G_r.T
+        Qs = np.eye(j * s)  # short history: extend by all of Z
     else:
         lu = spla.lu_factor(S_r)
         Qs, _, _ = extended_krylov_basis(
             lambda X: S_r @ X, lambda X: spla.lu_solve(lu, X), G_r, seed.p, seed.m
         )
-        omega = Z @ Qs
-        SQ, GQ = S_r @ Qs, G_r.T @ Qs
-    Phat = Z @ SQ + seed.B_m @ GQ  # = (M^{-1}) A omega, from the factored relation
+    w = Qs.shape[1]
+    # Z [Qs, S Qs] in one pass over Z, computed transposed so that the
+    # product comes out column-major like Z
+    ZX = (np.hstack([Qs, S_r @ Qs]).T @ Z.T).T
+    omega, Phat = ZX[:, :w], ZX[:, w:]
+    Phat += seed.B_m @ (G_r.T @ Qs)  # = (M^{-1}) A omega, from the factored relation
 
     k0 = seed.Q.shape[1]
     Qj, R = block_orth(seed.Q, omega)
@@ -440,7 +450,8 @@ def recycle_krylov(seed, state, problem=None):
         T_tri = R[k0:, piv]
         rhs = Phat[:, piv] - seed.P @ R[:k0, piv]
         # right division by the upper triangular pivot block
-        Padd = spla.solve_triangular(T_tri, rhs.T, trans="T").T
+        trsm = spla.get_blas_funcs("trsm", (T_tri, rhs))
+        Padd = trsm(1.0, T_tri, rhs, side=1)
         P = np.hstack([seed.P, Padd])
     else:
         P = seed.P
@@ -482,13 +493,25 @@ class Compressor:
 # objective, derivatives
 # ---------------------------------------------------------------------------
 
+_trtrs = spla.get_lapack_funcs("trtrs", dtype=np.complex128)
+
+
 def _solve_L(L, X):
-    return spla.solve_triangular(L, X, lower=False, check_finite=False)
+    """L^{-1} X for the row-major upper triangular L of _shift_matrix.
+
+    Calls LAPACK directly: L.T is the column-major lower factor, solved
+    transposed (what solve_triangular does for a row-major L, minus its
+    per-call validation).
+    """
+    x, info = _trtrs(L.T, X, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"trtrs failed with info {info}")
+    return x
 
 
 def _shift_matrix(co, alpha):
-    k = co.size
-    L = co.H + alpha * np.eye(k)
+    L = np.array(co.H, dtype=np.complex128, order="C")
+    L.flat[:: co.size + 1] += alpha
     d = np.abs(np.diag(L))
     scale = max(np.abs(np.diag(co.H)).max(), abs(alpha), 1.0)
     if d.min() <= 1e-14 * scale:

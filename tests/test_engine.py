@@ -233,6 +233,48 @@ def test_realified_factors_match_engine_blocks(shifts, s):
     assert_allclose(A @ state.Z, state.Z @ Str + state.W @ Gr.T, atol=1e-10)
 
 
+def test_factor_buffer_grows_without_copying_views(monkeypatch):
+    # Z lives in one growable column-major buffer: no hstack of the factor,
+    # logarithmically many reallocations, and a view handed out before
+    # later steps never changes under them
+    rng = np.random.default_rng(14)
+    n, s = 30, 3
+    A = random_stable(n, rng)
+    B = rng.standard_normal((n, s))
+    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=0.0, max_iterations=500)
+    state = AdiState(problem)
+    pushed, hstacks = [], []
+    push, hstack = state._push, np.hstack
+
+    def recording_push(block, *rest):
+        pushed.append(block.copy())
+        push(block, *rest)
+
+    def counting_hstack(*args, **kwargs):
+        hstacks.append(1)
+        return hstack(*args, **kwargs)
+
+    state._push = recording_push
+    monkeypatch.setattr(np, "hstack", counting_hstack)
+    views, reallocs = [], 0
+    for alpha in [-1.0, -2.0 + 1.0j, -0.5, -3.0 + 2.0j, -5.0] * 4:
+        buf = state._zbuf
+        Z = state.Z
+        views.append((Z, Z.copy()))
+        fact = sparse_shifted_factorize(problem.A, alpha)
+        (adi_real_step if np.imag(alpha) == 0 else adi_double_step)(state, fact)
+        reallocs += state._zbuf is not buf
+    Z = state.Z
+    assert not hstacks
+    monkeypatch.undo()
+    assert state.j == 28 and Z.shape == (n, state.j * s)
+    assert np.array_equal(Z, np.hstack(pushed))
+    assert Z.flags.f_contiguous and not Z.flags.writeable
+    assert 3 <= reallocs <= int(np.ceil(np.log2(state.j * s))) + 1
+    for view, snapshot in views:
+        assert np.array_equal(view, snapshot)
+
+
 def test_steps_reject_wrong_shift_sign():
     # a ValueError, not an assert, so the check survives python -O
     problem = LyapunovProblem(sp.csr_matrix(-np.eye(4)), np.ones((4, 1)))

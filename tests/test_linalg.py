@@ -82,6 +82,8 @@ def test_spectral_norm_small():
     W = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
     assert_allclose(spectral_norm_small(W), np.linalg.norm(W, 2) ** 2, rtol=1e-12)
     assert spectral_norm_small(np.zeros((5, 0))) == 0.0
+    for w in (W[:, :1], W[:, :1].real):  # one column: no eigensolver
+        assert_allclose(spectral_norm_small(w), np.linalg.norm(w) ** 2, rtol=1e-12)
 
 
 def test_block_orth_extends():
@@ -117,6 +119,28 @@ def test_block_orth_two_pass_accuracy():
     block = np.hstack([base, base + 1e-9 * rng.standard_normal((50, 1))])
     Q, _ = block_orth(None, block)
     assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_block_orth_layout_independent(dtype):
+    # row-major and column-major inputs give the same basis and coefficients
+    rng = np.random.default_rng(9)
+
+    def draw(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if dtype is np.complex128 else X
+
+    basis, _ = np.linalg.qr(draw(40, 5))
+    fresh = draw(40, 3)
+    block = np.hstack([fresh, basis @ draw(5, 1), fresh @ draw(3, 1), draw(40, 2)])
+    Qc, Rc = block_orth(np.ascontiguousarray(basis), np.ascontiguousarray(block))
+    Qf, Rf = block_orth(np.asfortranarray(basis), np.asfortranarray(block))
+    assert Qc.shape == Qf.shape == (40, 10)  # the two dependent columns are dropped
+    assert Qc.dtype == Qf.dtype == dtype
+    assert_allclose(Qc, Qf, rtol=0, atol=1e-14)
+    assert_allclose(Rc, Rf, rtol=0, atol=1e-14)
+    assert_allclose(Qf @ Rf, block, atol=1e-12)
+    assert_allclose(Qf.conj().T @ Qf, np.eye(10), atol=1e-12)
 
 
 def test_matrix_market_roundtrip_bitwise(tmp_path):

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg as spla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
@@ -9,6 +12,7 @@ from conftest import (
     random_spd,
     random_stable,
 )
+from lradi import resmin
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
 from lradi.linalg import dense_schur
 from lradi.resmin import (
@@ -245,6 +249,51 @@ def test_recycle_short_history_contains_residual():
     assert gap <= 1e-10 * np.linalg.norm(state.W)
 
 
+@pytest.mark.parametrize("shifts", [
+    [-1.0, -2.0 + 1.0j],  # short history: the basis grows by all of Z
+    [-1.0, -2.0 + 1.0j, -0.5, -4.0, -0.8 + 0.6j],
+], ids=["short", "long"])
+def test_recycle_generalized_weight_and_ritz_values(shifts, monkeypatch):
+    # with a mass matrix the weighted objective is ||M Qj U f(T) Wt||^2 for
+    # the model's Schur rotation U, and the Ritz values are those of the
+    # explicit restriction Qj^* M^{-1} A Qj
+    rng = np.random.default_rng(30)
+    n, s = 40, 2
+    F = rng.standard_normal((n, n))
+    A = -random_spd(n, rng) + 0.3 * (F - F.T)
+    M = random_spd(n, rng)
+    B = rng.standard_normal((n, s))
+    problem = LyapunovProblem(sp.csr_matrix(A), B, M=sp.csr_matrix(M),
+                              tol=0.0, max_iterations=99)
+    seed = build_seed(problem, p=2, m=1)
+    state = run_shifts(problem.A, B, shifts, M=problem.M)
+    state.problem = problem
+    rotations = []
+    stabilize = resmin.schur_stabilize
+
+    def recording(H):
+        out = stabilize(H)
+        rotations.append(out[1])
+        return out
+
+    monkeypatch.setattr(resmin, "schur_stabilize", recording)
+    co = replace(recycle_krylov(seed, state, problem), g=2)
+    (U,) = rotations
+    assert co.n_stabilized == 0
+    Qj, T, Wt = co.Q, co.H, co.Wtil
+    lam = np.linalg.eigvals(Qj.T @ np.linalg.solve(M, A @ Qj))
+    gaps = np.abs(np.diag(T)[:, None] - lam[None, :]).min(axis=1)
+    assert gaps.max() < 1e-9 * np.abs(lam).max()
+    I = np.eye(Qj.shape[1])
+    b = co.bounds
+    for nu, xi in [(b.nu_minus, 0.0), (0.5 * (b.nu_minus + b.nu_plus), 0.3 * b.xi_plus),
+                   (b.nu_plus, b.xi_plus)]:
+        alpha = complex(nu, xi)
+        C = np.linalg.solve((T + alpha * I).T, (T - np.conj(alpha) * I).T).T
+        exact = np.linalg.norm(M @ Qj @ U @ C @ C @ Wt, 2) ** 2
+        assert_allclose(eval_objective(co, nu, xi), exact, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # objective and derivatives
 # ---------------------------------------------------------------------------
@@ -278,6 +327,21 @@ def test_objective_singularity_sentinel():
     co = CompressedObjective(H=np.diag([-1.0 + 0j, -2.0 + 0j]),
                              Wtil=np.ones((2, 1), dtype=complex))
     assert eval_objective(co, 1.0, 0.0) == np.inf  # alpha = -lambda_1
+    co = make_objective(np.random.default_rng(14), s=2)
+    for lam in np.diag(co.H):  # alpha = -lambda of a full triangular H
+        assert eval_objective(co, -lam.real, -lam.imag) == np.inf
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_L_matches_solve_triangular(order):
+    rng = np.random.default_rng(15)
+    for k, s in [(1, 1), (6, 1), (9, 3)]:
+        L = np.triu(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        L[np.diag_indices(k)] += 3.0
+        X = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
+        ref = spla.solve_triangular(L, X)
+        got = resmin._solve_L(np.asarray(L, order=order), X)
+        assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
 def fd_gradient(co, nu, xi, h=1e-6):
