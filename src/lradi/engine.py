@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sparse_shifted_factorize, spectral_norm_small
+from .linalg import sparse_lu, sparse_shifted_factorize, spectral_norm_small
 
 __all__ = [
     "LyapunovProblem",
@@ -80,14 +80,15 @@ class LyapunovProblem:
         return self.B.shape[1]
 
     def solve_M(self, rhs):
-        """M^{-1} rhs (identity when no mass matrix). Factorized once, lazily."""
+        """M^{-1} rhs (identity when no mass matrix).
+
+        M is factorized once, lazily, by ``sparse_lu``; that factorization
+        is not a shifted one and is not counted in ``n_factorizations``.
+        """
         if self.M is None:
             return np.array(rhs, copy=True)
         if self._m_lu is None:
-            from scipy.sparse.linalg import splu
-            import scipy.sparse as sp
-
-            self._m_lu = splu(sp.csc_matrix(self.M))
+            self._m_lu = sparse_lu(self.M)
         return self._m_lu.solve(np.asarray(rhs))
 
     def apply_M(self, X):

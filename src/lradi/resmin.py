@@ -159,6 +159,9 @@ class KrylovSeed:
     ``H = Q^* P`` is the seed restriction and ``eta`` reproduces the
     starting block as Q[:, :s] @ eta. ``p_eff``/``m_eff`` record the orders
     actually reached (smaller than requested on early breakdown).
+    ``MQ_Q``, ``MQ_R`` are the thin QR factors of M Q (None without a mass
+    matrix): the weights of the seed and recycled compressions start from
+    them, so a recycled basis applies M and factors only its new columns.
     """
 
     Q: object
@@ -171,6 +174,8 @@ class KrylovSeed:
     m_eff: int
     B_m: object
     n_factorizations: int = 0
+    MQ_Q: object = None
+    MQ_R: object = None
 
 
 def build_seed(problem, p, m, B=None):
@@ -218,9 +223,13 @@ def build_seed(problem, p, m, B=None):
             RuntimeWarning,
         )
         eta = np.linalg.lstsq(Q[:, :s], Bt, rcond=None)[0]
+    MQ_Q = MQ_R = None
+    if problem.M is not None:
+        # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
+        MQ_Q, MQ_R = np.linalg.qr(np.asfortranarray(problem.apply_M(Q)))
     return KrylovSeed(
         Q=Q, P=P, H=H, eta=eta, p=p, m=m, p_eff=p_eff, m_eff=m_eff,
-        B_m=Bt, n_factorizations=n_fact,
+        B_m=Bt, n_factorizations=n_fact, MQ_Q=MQ_Q, MQ_R=MQ_R,
     )
 
 
@@ -323,21 +332,18 @@ def schur_stabilize(H):
     return T, U, n_flip
 
 
-def _compress(H, Wt_raw, weight_base, **fields):
+def _compress(H, Wt_raw, weight_r, **fields):
     """CompressedObjective from a restriction H and residual factor Wt_raw.
 
-    Rotates both into the stabilized Schur basis of H. ``weight_base`` is
-    the left factor the weight is taken from (N = Q^*MQ for the window,
-    MQ for the seed and EK spaces, None without a mass matrix). Only
-    weight^* weight = U^* K^* K U (K = weight_base) enters the norms, so
-    the weight is any left factor with that Gram matrix: R U, from one
-    real QR K = Q_K R taken before the (complex) rotation.
+    Rotates both into the stabilized Schur basis of H. ``weight_r`` is the
+    triangular factor R_K of a QR of the weight base K (N = Q^*MQ for the
+    window, MQ for the seed and EK spaces; None without a mass matrix).
+    Only weight^* weight = U^* K^* K U enters the norms, so the weight is
+    any left factor with that Gram matrix: R_K U, with the (real) QR taken
+    before the (complex) rotation U.
     """
     T, U, n_flip = schur_stabilize(H)
-    weight = None
-    if weight_base is not None:
-        # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
-        weight = np.linalg.qr(np.asfortranarray(weight_base), mode="r") @ U
+    weight = None if weight_r is None else weight_r @ U
     return CompressedObjective(
         H=T, Wtil=U.conj().T @ Wt_raw, weight=weight,
         bounds=derive_bounds(np.diag(T)), n_stabilized=n_flip, **fields,
@@ -346,8 +352,8 @@ def _compress(H, Wt_raw, weight_base, **fields):
 
 def seed_compressed(seed, problem):
     """Compressed objective at iteration zero, straight from the seed."""
-    MQ = problem.apply_M(seed.Q) if problem.M is not None else None
-    return _compress(seed.H, seed.Q.conj().T @ seed.B_m, MQ, Q=seed.Q, source="seed")
+    return _compress(seed.H, seed.Q.conj().T @ seed.B_m, seed.MQ_R, Q=seed.Q,
+                     source="seed")
 
 
 def ritz_update(state, h, problem=None):
@@ -397,7 +403,8 @@ def ritz_update(state, h, problem=None):
             Ht = N @ (Ht - WG) + WG
     if generalized:
         Ht, QW = np.linalg.solve(N, Ht), np.linalg.solve(N, QW)
-    return _compress(Ht, QW, N, Q=Q, source=f"Z({h})",
+    N_r = np.linalg.qr(N, mode="r") if generalized else None
+    return _compress(Ht, QW, N_r, Q=Q, source=f"Z({h})",
                      used_fallback=used_fallback, window_start=start)
 
 
@@ -456,9 +463,31 @@ def recycle_krylov(seed, state, problem=None):
     else:
         P = seed.P
     H = Qj.conj().T @ P
-    MQ = problem.apply_M(Qj) if problem.M is not None else None
-    return _compress(H, Qj.conj().T @ state.W_m, MQ, Q=Qj,
+    MQ_r = None
+    if problem.M is not None:
+        MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, problem.apply_M(Qj[:, k0:]))
+    return _compress(H, Qj.conj().T @ state.W_m, MQ_r, Q=Qj,
                      source=f"EK({seed.p},{seed.m})")
+
+
+def _extend_qr_r(Q0, R0, X):
+    """R factor of [Q0 R0, X] given the thin QR factors (Q0, R0) of the first block.
+
+    Block Gram-Schmidt with one reorthogonalization pass projects X against
+    Q0; a QR of the remainder gives the new diagonal block. Only the new
+    columns are touched, never the first block.
+    """
+    if X.shape[1] == 0:
+        return R0
+    # numpy's QR is faster on a column-major copy than on row-major X
+    X = np.array(X, dtype=np.result_type(Q0, X), order="F")
+    C = Q0.conj().T @ X
+    X -= Q0 @ C
+    C2 = Q0.conj().T @ X  # second pass mops up cancellation
+    X -= Q0 @ C2
+    C += C2
+    R22 = np.linalg.qr(X, mode="r")
+    return np.block([[R0, C], [np.zeros((R22.shape[0], R0.shape[1])), R22]])
 
 
 class Compressor:

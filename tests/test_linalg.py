@@ -4,7 +4,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
+from lradi import linalg
+from lradi.engine import LyapunovProblem
 from lradi.linalg import (
     MatrixMarketError,
     SingularShiftError,
@@ -16,6 +19,20 @@ from lradi.linalg import (
     sparse_shifted_factorize,
     spectral_norm_small,
 )
+from lradi.problems import gen_cd3d
+
+
+@pytest.fixture
+def recorded_lu(monkeypatch):
+    """Every SuperLU object linalg.splu returns, in call order."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(splu(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    return made
 
 
 def test_shifted_factorization_real():
@@ -50,6 +67,95 @@ def test_shifted_factorization_singular():
 def test_shifted_factorization_rejects_nonsquare():
     with pytest.raises(ValueError):
         sparse_shifted_factorize(sp.csr_matrix(np.ones((3, 4))), -1.0)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -2.0 + 1.5j])
+def test_shifted_factorization_pivots_off_diagonal(alpha, recorded_lu):
+    # structurally nonsymmetric K = A + alpha*M with exact zeros on part of
+    # its diagonal: symmetric mode must fall back to off-diagonal pivots
+    n = 40
+    rng = np.random.default_rng(11)
+    A = sp.random(n, n, density=0.08, random_state=rng, format="lil")
+    A.setdiag(-10.0)
+    zero = np.arange(0, n, 5)
+    m = np.ones(n)
+    m[zero] = 0.0
+    for i in zero:  # pivot candidates K[i, i+1] and K[i+2, i], unmirrored
+        A[i, i] = A[i + 1, i] = A[i, i + 2] = 0.0
+        A[i, i + 1], A[i + 2, i] = 4.0, 3.0
+    A = sp.csr_matrix(A)
+    A.eliminate_zeros()
+    M = sp.diags(m)
+    K = (A + alpha * M).toarray()
+    assert np.all(K[zero, zero] == 0.0)
+    assert (K != 0).sum() != ((K != 0) & (K.T != 0)).sum()  # pattern not symmetric
+    fact = sparse_shifted_factorize(A, alpha, M=M)
+    lu, = recorded_lu
+    assert not np.array_equal(lu.perm_r, lu.perm_c)  # rows swapped off the diagonal
+    b = rng.standard_normal((n, 2))
+    x = fact.solve(b)
+    assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("alpha", [-3.0, -3.0 + 2.0j])
+def test_shifted_factorization_near_singular(alpha):
+    # K = A + alpha*I is upper bidiagonal with one pivot 1e-16 of the largest
+    n = 30
+    d = np.linspace(1.0, 10.0, n)
+    d[n // 2] = 1e-16 * d.max()
+    S = sp.diags([d, np.ones(n - 1)], [0, 1], format="csr", dtype=np.result_type(alpha))
+    A = S - alpha * sp.identity(n, format="csr")
+    with pytest.raises(SingularShiftError, match="numerically singular"):
+        sparse_shifted_factorize(A, alpha)
+    fact = sparse_shifted_factorize(A, alpha - 0.5)  # a shift away: regular
+    assert np.all(np.isfinite(fact.solve(np.ones(n))))
+
+
+class _NoFactorsLU:
+    """SuperLU stand-in whose L and U factors may not be formed."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.nnz = lu.nnz
+
+    def solve(self, rhs, trans="N"):
+        return self._lu.solve(rhs, trans)
+
+    @property
+    def L(self):
+        raise AssertionError("the L factor was materialized")
+
+    @property
+    def U(self):
+        raise AssertionError("the U factor was materialized")
+
+
+def test_factorization_never_forms_L_or_U(monkeypatch):
+    monkeypatch.setattr(linalg, "splu", lambda *a, **k: _NoFactorsLU(splu(*a, **k)))
+    rng = np.random.default_rng(12)
+    A = sp.csr_matrix(rng.standard_normal((20, 20)) - 25 * np.eye(20))
+    for alpha in (-1.5, -1.5 + 4.0j):
+        fact = sparse_shifted_factorize(A, alpha)
+        b = rng.standard_normal((20, 3))
+        assert_allclose((A + alpha * sp.identity(20)) @ fact.solve(b), b, atol=1e-12)
+    with pytest.raises(SingularShiftError):
+        sparse_shifted_factorize(sp.identity(4, format="csr"), -1.0)
+    # the mass-matrix solve shares the factorization helper
+    M = sp.diags(rng.random(20) + 0.5, format="csr")
+    problem = LyapunovProblem(A, rng.standard_normal((20, 1)), M=M)
+    rhs = rng.standard_normal((20, 2))
+    assert_allclose(M @ problem.solve_M(rhs), rhs, atol=1e-12)
+
+
+def test_complex_shift_fill_stays_low(recorded_lu):
+    # the ordering of A + A^T must keep fill well below SciPy's default
+    # (COLAMD, full partial pivoting); a silent fall-back fails this bound
+    A = gen_cd3d(8)
+    alpha = -1000.0 + 3000.0j
+    sparse_shifted_factorize(A, alpha)
+    lu, = recorded_lu
+    K = sp.csc_matrix(A + alpha * sp.identity(A.shape[0]))
+    assert lu.nnz <= 0.6 * splu(K).nnz
 
 
 def test_dense_schur_reconstructs():

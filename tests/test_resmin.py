@@ -344,6 +344,27 @@ def test_solve_L_matches_solve_triangular(order):
         assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_extend_qr_r_keeps_the_gram_matrix(dtype):
+    # the extended R factor has the Gram matrix of the whole block [K0, X]
+    rng = np.random.default_rng(16)
+
+    def draw(*shape):
+        X = rng.standard_normal(shape)
+        return X + 1j * rng.standard_normal(shape) if dtype is np.complex128 else X
+
+    K0 = draw(200, 6)
+    Q0, R0 = np.linalg.qr(K0)
+    for X in (draw(200, 4), K0[:, :2] @ draw(2, 3) + 1e-6 * draw(200, 3)):
+        K = np.hstack([K0, X])
+        R = resmin._extend_qr_r(Q0, R0, X)
+        assert R.shape == (K.shape[1], K.shape[1])
+        assert_allclose(R[:, :6], np.vstack([R0, np.zeros((X.shape[1], 6))]), atol=0)
+        gram = K.conj().T @ K
+        assert_allclose(R.conj().T @ R, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
+    assert resmin._extend_qr_r(Q0, R0, np.empty((200, 0), dtype=dtype)) is R0
+
+
 def fd_gradient(co, nu, xi, h=1e-6):
     d = max(abs(nu), 1.0) * h
     gn = (eval_objective(co, nu + d, xi) - eval_objective(co, nu - d, xi)) / (2 * d)
