@@ -2,10 +2,12 @@
 
 Solves A X + X A^* + B B^* = 0, or A X M^* + M X A^* + B B^* = 0 when a
 mass matrix is present, for a low-rank factor Z with X ~ Z Z^T. One
-factorization of A + alpha*M is built per shift; conjugate shift pairs are
-handled by a real double step so Z stays real. The scaled residual norm
-||W^* W||_2 / ||B^* B||_2 is tracked from the residual factor W that the
-iteration carries along (the residual is exactly W W^* at every step).
+factorization of A + alpha*M is built per shift, in real arithmetic for a
+real shift, and released before the next one is built; conjugate shift
+pairs are handled by a real double step so Z stays real. The scaled
+residual norm ||W^* W||_2 / ||B^* B||_2 is tracked from the residual
+factor W that the iteration carries along (the residual is exactly W W^*
+at every step).
 """
 
 import time
@@ -38,13 +40,13 @@ class LyapunovProblem:
     Parameters
     ----------
     A
-        Sparse stable system matrix (n x n). Stability is not verified up
-        front; an unstable matrix typically surfaces as a singular shifted
-        factorization.
+        Sparse stable real system matrix (n x n). Stability is not verified
+        up front; an unstable matrix typically surfaces as a singular
+        shifted factorization.
     B
         Dense right-hand-side factor (n x s), s << n.
     M
-        Optional sparse mass matrix for A X M^* + M X A^* + B B^* = 0.
+        Optional sparse real mass matrix for A X M^* + M X A^* + B B^* = 0.
         None solves the standard equation.
     tol
         Convergence threshold on the scaled residual ||W^*W|| / ||B^*B||.
@@ -65,6 +67,10 @@ class LyapunovProblem:
             self.B = self.B.T
         if self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be square, got {self.A.shape}")
+        # B, W and Z are real throughout: complex data would be truncated
+        for name, X in (("A", self.A), ("M", self.M)):
+            if np.iscomplexobj(X):
+                raise ValueError(f"{name} must be real, got dtype {X.dtype}")
         if self.B.shape[0] != self.A.shape[0]:
             raise ValueError(
                 f"B has {self.B.shape[0]} rows, A is {self.A.shape[0]} x {self.A.shape[1]}"
@@ -195,8 +201,6 @@ def adi_real_step(state, fact):
         raise ValueError(f"shift must have negative real part, got {alpha}")
     problem = state.problem
     V = fact.solve(state.W)
-    if np.iscomplexobj(V):  # real data + real shift => real solve
-        V = V.real
     gamma = np.sqrt(-2.0 * alpha)
     if problem.M is None:
         state.W = state.W - 2.0 * alpha * V
@@ -381,6 +385,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         fact = sparse_shifted_factorize(problem.A, alpha, M=problem.M)
         n_fact += 1
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
+        fact = None  # release this LU before the next one is built
         if done == 0:  # budget exhausted by the cap before any step ran
             status = "max_iterations"
             break

@@ -59,7 +59,9 @@ class ShiftedFactorization:
     A
         Sparse square matrix, any scipy.sparse format.
     alpha
-        Shift; a complex shift produces a complex factorization.
+        Shift. A shift with zero imaginary part is cast to a real scalar,
+        so a real A (and M) gives a float64 factorization; only a shift
+        with nonzero imaginary part pays for complex128 arithmetic.
     M
         Optional mass matrix. None means the identity.
 
@@ -78,12 +80,12 @@ class ShiftedFactorization:
         n = A.shape[0]
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"matrix must be square, got {A.shape}")
-        use_complex = bool(np.iscomplexobj(A)) or abs(np.imag(alpha)) > 0
-        dtype = np.complex128 if use_complex else np.float64
+        if np.imag(alpha) == 0.0:
+            alpha = float(np.real(alpha))
         if M is None:
-            K = A.astype(dtype) + alpha * sp.identity(n, dtype=dtype, format="csc")
+            K = A + alpha * sp.identity(n, format="csc")
         else:
-            K = A.astype(dtype) + alpha * M.astype(dtype)
+            K = A + alpha * M
         try:
             self._lu = sparse_lu(K)
         except RuntimeError as exc:  # exactly singular; scipy wording varies
@@ -93,7 +95,7 @@ class ShiftedFactorization:
         # splu can succeed on a nearly singular K: bound its condition from
         # below with one solve against a fixed pseudo-random +-1 vector
         b = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
-        x = self._lu.solve(b.astype(dtype))
+        x = self._lu.solve(b.astype(K.dtype))
         with np.errstate(all="ignore"):
             cond = abs(K).sum(axis=1).max() * np.max(np.abs(x), initial=0.0)
         if not cond < _COND_LIMIT:  # also true for nan
@@ -103,7 +105,7 @@ class ShiftedFactorization:
             )
         self.alpha = alpha
         self.n = n
-        self.is_complex = use_complex
+        self.is_complex = np.iscomplexobj(K)
 
     def solve(self, rhs):
         """Solve (A + alpha*M) x = rhs for one or several right-hand sides."""
@@ -153,6 +155,8 @@ def dense_eig_hermitian(G):
     if np.linalg.norm(G - G.conj().T, np.inf) > 1e-8 * scale:
         raise ValueError("matrix is not Hermitian to working accuracy")
     G = 0.5 * (G + G.conj().T)
+    if G.shape == (1, 1):  # closed form: LAPACK's call overhead dominates
+        return G[0].real.copy(), np.ones_like(G)
     w, U = np.linalg.eigh(G)
     return w[::-1].copy(), U[:, ::-1].copy()
 

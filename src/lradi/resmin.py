@@ -23,6 +23,7 @@ with analytic first and second derivatives.
 import logging
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -314,6 +315,14 @@ class CompressedObjective:
     def eigenvalues(self):
         return np.diag(self.H).copy()
 
+    @cached_property
+    def _shift_base(self):
+        """(row-major complex128 copy of H, its diagonal, max(|diag H|, 1)),
+        computed once for the many _shift_matrix calls of one optimization."""
+        H = np.array(self.H, dtype=np.complex128, order="C")
+        d = np.diag(H).copy()
+        return H, d, max(np.abs(d).max(), 1.0)
+
 
 def schur_stabilize(H):
     """Complex Schur form with unstable diagonal entries negated.
@@ -539,12 +548,13 @@ def _solve_L(L, X):
 
 
 def _shift_matrix(co, alpha):
-    L = np.array(co.H, dtype=np.complex128, order="C")
-    L.flat[:: co.size + 1] += alpha
-    d = np.abs(np.diag(L))
-    scale = max(np.abs(np.diag(co.H)).max(), abs(alpha), 1.0)
-    if d.min() <= 1e-14 * scale:
+    """H + alpha I as a row-major complex copy; None when numerically singular."""
+    H, d, scale = co._shift_base
+    d = d + alpha
+    if np.abs(d).min() <= 1e-14 * max(scale, abs(alpha)):
         return None
+    L = H.copy()
+    L.ravel()[:: H.shape[0] + 1] = d
     return L
 
 

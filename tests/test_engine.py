@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import splu
 
 from conftest import (
     dense_lyap_solve,
@@ -10,6 +13,8 @@ from conftest import (
     random_stable,
     reference_complex_adi,
 )
+from lradi import engine, linalg, resmin
+from lradi.cli import parse_strategy
 from lradi.engine import (
     AdiState,
     LyapunovProblem,
@@ -23,7 +28,9 @@ from lradi.engine import (
     scaled_residual,
 )
 from lradi.linalg import sparse_shifted_factorize
-from lradi.strategies import CyclicShifts
+from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
+from lradi.strategies import CyclicShifts, make_strategy
+from test_acceptance import _fem_pair
 
 
 def run_shifts(A, B, shifts, M=None, tol=0.0, max_iterations=500):
@@ -306,3 +313,87 @@ def test_scaled_residual_definition():
     b2 = 5.0
     assert_allclose(scaled_residual(W, b2),
                     np.linalg.norm(W.T @ W, 2) / b2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["A", "M"])
+def test_problem_rejects_complex_matrices(name):
+    # B, W and Z are real throughout: a complex A or M would be truncated
+    data = dict(A=-sp.identity(4, format="csr"), B=np.ones((4, 1)),
+                M=sp.identity(4, format="csr"))
+    data[name] = data[name].astype(np.complex128)
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        LyapunovProblem(**data)
+
+
+def test_only_conjugate_pairs_factor_in_complex(monkeypatch):
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(splu(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    A = gen_cd2d(10)
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], 1, 7), tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+Z(8)+gn")))
+    assert report.converged and len(made) == report.n_factorizations
+    pairs = sum(1 for a in report.shifts if a.imag > 0)
+    complex_lus = sum(lu.solve(np.ones(A.shape[0])).dtype == np.complex128 for lu in made)
+    assert 0 < pairs < report.n_factorizations - 1  # both kinds of shift occur
+    assert complex_lus == pairs
+
+
+def test_solve_keeps_one_factorization_alive(monkeypatch):
+    # the engine drops each shifted LU before it requests the next one
+    alive = []
+    build = engine.sparse_shifted_factorize
+
+    def tracking(*args, **kwargs):
+        assert all(ref() is None for ref in alive), "previous LU still alive"
+        fact = build(*args, **kwargs)
+        alive.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(engine, "sparse_shifted_factorize", tracking)
+    rng = np.random.default_rng(15)
+    problem = LyapunovProblem(sp.csr_matrix(random_stable(20, rng)),
+                              rng.standard_normal((20, 2)), tol=1e-9)
+    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]))
+    assert report.converged and len(alive) == report.n_factorizations >= 3
+
+
+@pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres"])
+def test_factorizations_pass_through_the_seams(case, monkeypatch):
+    # every counted factorization enters through engine's or resmin's
+    # sparse_shifted_factorize with the shift as second positional
+    # argument, and each costs one MMD_AT_PLUS_A linalg.splu (plus one
+    # for M's LU)
+    if case == "resmin+Z":
+        A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
+    elif case == "resmin+EK+M":
+        (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
+    else:
+        A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
+    shifts, lus = [], []
+
+    def seam(build):
+        def counted(*args, **kwargs):
+            assert len(args) >= 2 and np.isscalar(args[1])
+            shifts.append(args[1])
+            return build(*args, **kwargs)
+        return counted
+
+    def counted_splu(*args, **kwargs):
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        lus.append(None)
+        return splu(*args, **kwargs)
+
+    for module in (engine, resmin):
+        monkeypatch.setattr(module, "sparse_shifted_factorize",
+                            seam(module.sparse_shifted_factorize))
+    monkeypatch.setattr(linalg, "splu", counted_splu)
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    assert report.converged
+    assert len(shifts) == report.n_factorizations
+    assert len(lus) == report.n_factorizations + (M is not None)

@@ -46,6 +46,24 @@ def test_shifted_factorization_real():
     assert_allclose((A + alpha * sp.identity(15)) @ x, rhs, atol=1e-11)
 
 
+@pytest.mark.parametrize("alpha, dtype", [
+    (complex(-2.0, 0.0), np.float64),  # a real shift held as a complex number
+    (np.complex128(-2.0), np.float64),
+    (-2.0 + 1.5j, np.complex128),
+], ids=["complex-zero-imag", "numpy-zero-imag", "complex"])
+def test_shifted_factorization_dtype_follows_shift(alpha, dtype, recorded_lu):
+    rng = np.random.default_rng(14)
+    A = sp.csr_matrix(rng.standard_normal((15, 15)) - 20 * np.eye(15))
+    fact = sparse_shifted_factorize(A, alpha)
+    lu, = recorded_lu
+    assert lu.solve(np.ones(15)).dtype == dtype
+    assert fact.is_complex == (dtype == np.complex128)
+    rhs = rng.standard_normal((15, 2))
+    x = fact.solve(rhs)
+    assert x.dtype == dtype
+    assert_allclose((A + alpha * sp.identity(15)) @ x, rhs, atol=1e-11)
+
+
 def test_shifted_factorization_complex_and_mass():
     rng = np.random.default_rng(1)
     A = sp.csr_matrix(rng.standard_normal((12, 12)) - 15 * np.eye(12))
@@ -181,6 +199,18 @@ def test_dense_eig_hermitian_descending():
 def test_dense_eig_hermitian_rejects_asymmetric():
     with pytest.raises(ValueError):
         dense_eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        dense_eig_hermitian(np.array([[1.0 + 1e-6j]]))
+
+
+@pytest.mark.parametrize("g", [2.5, 3.0 + 1e-12j, -0.0 + 0.0j])
+def test_dense_eig_hermitian_one_by_one_matches_lapack(g):
+    # the closed form must return exactly what eigh returns for 1 x 1
+    G = np.array([[g]])
+    w, U = dense_eig_hermitian(G)
+    w_ref, U_ref = np.linalg.eigh(0.5 * (G + G.conj().T))
+    assert w.dtype == w_ref.dtype and U.dtype == U_ref.dtype
+    assert np.array_equal(w, w_ref) and np.array_equal(U, U_ref)
 
 
 def test_spectral_norm_small():
