@@ -49,11 +49,13 @@ __all__ = [
     "build_seed",
     "seed_compressed",
     "extended_krylov_basis",
+    "history_krylov_basis",
     "schur_stabilize",
     "ritz_update",
     "compress_zh",
     "recycle_krylov",
     "eval_objective",
+    "grid_objective",
     "eval_gradient",
     "eval_hessian",
     "nls_residual_jacobian",
@@ -426,15 +428,43 @@ def compress_zh(state, h, problem=None):
     return ritz_update(state, h, problem)
 
 
+def history_krylov_basis(shifts, p, m):
+    """Extended Krylov basis of the single-column structured factors.
+
+    ``real_SG(shifts, s)`` is ``(kron(S, I_s), kron(g, I_s))`` with
+    ``(S, g) = real_SG(shifts, 1)``, so ``kron(q, I_s)`` spans
+    EK_{p,m}(S_r, G_r) for the orthonormal basis q of EK_{p,m}(S, g): the
+    basis is built on j x j data (one j x j LU) for any number of columns
+    s. Returns (q, S, g), g a j x 1 column.
+    """
+    S, g = real_SG(shifts, 1)
+    lu = spla.lu_factor(S)
+    q, _, _ = extended_krylov_basis(
+        lambda X: S @ X, lambda X: spla.lu_solve(lu, X), g, p, m
+    )
+    return q, S, g
+
+
 def recycle_krylov(seed, state, problem=None):
     """Compressed objective from the recycled extended Krylov space.
 
     The extended Krylov space of (A, W_j) is contained in the seed space
     plus the range of the accumulated factor Z_j, so the updated basis
     needs no new solves with A: candidate directions come from Z_j times a
-    small extended Krylov basis of the structured factors (S, G) of the
-    iteration, their A-images follow from the factored relation
-    A Z = Z S + B G^T, and one block orthogonalization extends the seed.
+    small extended Krylov basis of the structured factors (S_r, G_r) of
+    the iteration, their A-images follow from the factored relation
+    A Z = Z S_r + B G_r^T, and one block orthogonalization extends the
+    seed.
+
+    Z is read once. The small basis is kron(q, I_s) with q from
+    history_krylov_basis (the identity for a history of at most p + m
+    steps), so Z kron([q, S q], I_s) is one product of Z's column-major
+    (n s) x j view, reshaped to n x 2 s w without a copy. The restriction
+    H = Qj^* (M^{-1}) A Qj is assembled from k x k projections: the seed
+    columns from the seed images P, the new ones from Qj^* times the
+    images of the candidate block and one k x k triangular solve. The
+    weight factor of M Qj comes from its Gram matrix (_extend_qr_r), so
+    the weighted norms carry a relative error of order eps cond(M)^2.
 
     Returns a CompressedObjective over the extended basis.
     """
@@ -442,61 +472,68 @@ def recycle_krylov(seed, state, problem=None):
     s, j = state.s, state.j
     if j < 1:
         return seed_compressed(seed, problem)
-    S_r, G_r = real_SG(state.shifts, s)
-    Z = state.Z
     if j <= seed.p + seed.m:
-        Qs = np.eye(j * s)  # short history: extend by all of Z
+        S, g = real_SG(state.shifts, 1)
+        q = np.eye(j)  # short history: extend by all of Z
     else:
-        lu = spla.lu_factor(S_r)
-        Qs, _, _ = extended_krylov_basis(
-            lambda X: S_r @ X, lambda X: spla.lu_solve(lu, X), G_r, seed.p, seed.m
-        )
-    w = Qs.shape[1]
-    # Z [Qs, S Qs] in one pass over Z, computed transposed so that the
-    # product comes out column-major like Z
-    ZX = (np.hstack([Qs, S_r @ Qs]).T @ Z.T).T
-    omega, Phat = ZX[:, :w], ZX[:, w:]
-    Phat += seed.B_m @ (G_r.T @ Qs)  # = (M^{-1}) A omega, from the factored relation
+        q, S, g = history_krylov_basis(state.shifts, seed.p, seed.m)
+    w = q.shape[1] * s
+    # Z kron([q, S q], I_s), computed transposed so that it comes out
+    # column-major and reshapes to n x 2w as a view
+    Zv = state.Z.reshape(state.n * s, j, order="F")
+    ZX = (np.hstack([q, S @ q]).T @ Zv.T).T.reshape(state.n, 2 * w, order="F")
+    omega, ZSq = ZX[:, :w], ZX[:, w:]
 
     k0 = seed.Q.shape[1]
     Qj, R = block_orth(seed.Q, omega)
     kadd = Qj.shape[1] - k0
+    QjH = Qj.conj().T
+    H = np.vstack([seed.H, QjH[k0:] @ seed.P])  # Qj^* P for the seed columns
     if kadd:
+        # Qj^* of the images Phat = Z kron(S q, I_s) + B_m kron(g^T q, I_s)
+        QPhat = QjH @ ZSq + np.kron(g.T @ q, QjH @ seed.B_m)
         piv = _staircase_pivots(R, k0)
+        # omega[:, piv] = Q0 R[:k0, piv] + Qnew T_tri, so Qj^* A Qnew is
+        # (Qj^* Phat[:, piv] - (Qj^* P) R[:k0, piv]) right-divided by T_tri
         T_tri = R[k0:, piv]
-        rhs = Phat[:, piv] - seed.P @ R[:k0, piv]
-        # right division by the upper triangular pivot block
+        rhs = QPhat[:, piv] - H @ R[:k0, piv]
         trsm = spla.get_blas_funcs("trsm", (T_tri, rhs))
-        Padd = trsm(1.0, T_tri, rhs, side=1)
-        P = np.hstack([seed.P, Padd])
-    else:
-        P = seed.P
-    H = Qj.conj().T @ P
+        H = np.hstack([H, trsm(1.0, T_tri, rhs, side=1)])
     MQ_r = None
     if problem.M is not None:
         MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, problem.apply_M(Qj[:, k0:]))
-    return _compress(H, Qj.conj().T @ state.W_m, MQ_r, Q=Qj,
+    return _compress(H, QjH @ state.W_m, MQ_r, Q=Qj,
                      source=f"EK({seed.p},{seed.m})")
 
 
 def _extend_qr_r(Q0, R0, X):
     """R factor of [Q0 R0, X] given the thin QR factors (Q0, R0) of the first block.
 
-    Block Gram-Schmidt with one reorthogonalization pass projects X against
-    Q0; a QR of the remainder gives the new diagonal block. Only the new
-    columns are touched, never the first block.
+    With C = Q0^* X, the new diagonal block R22 is the Cholesky factor of
+    the Gram complement X^* X - C^* C: two products with X and a w x w
+    Cholesky factorization; the first block itself is never formed. The
+    result has the Gram matrix of [Q0 R0, X] up to eps ||X||^2; when rounding
+    leaves the complement not numerically positive definite (nearly
+    dependent columns), the Cholesky factorization is shifted as in
+    shifted CholeskyQR (Fukaya et al., SIAM J. Sci. Comput. 42, 2020).
     """
-    if X.shape[1] == 0:
+    w = X.shape[1]
+    if w == 0:
         return R0
-    # numpy's QR is faster on a column-major copy than on row-major X
-    X = np.array(X, dtype=np.result_type(Q0, X), order="F")
     C = Q0.conj().T @ X
-    X -= Q0 @ C
-    C2 = Q0.conj().T @ X  # second pass mops up cancellation
-    X -= Q0 @ C2
-    C += C2
-    R22 = np.linalg.qr(X, mode="r")
-    return np.block([[R0, C], [np.zeros((R22.shape[0], R0.shape[1])), R22]])
+    XX = X.conj().T @ X
+    G = XX - C.conj().T @ C
+    if not np.all(np.isfinite(G)):
+        raise np.linalg.LinAlgError("weight Gram matrix is not finite")
+    potrf = spla.get_lapack_funcs("potrf", (G,))
+    R22, info = potrf(G, lower=0, clean=1)
+    # Fukaya et al.'s shift 11 (n w + w (w + 1)) eps ||X||^2, grown until it takes
+    eps = np.finfo(np.float64).eps
+    shift = 11.0 * (X.size + w * (w + 1)) * eps * max(np.trace(XX).real, 1e-300)
+    while info:
+        R22, info = potrf(G + shift * np.eye(w), lower=0, clean=1)
+        shift *= 10.0
+    return np.block([[R0, C], [np.zeros((w, R0.shape[1])), R22]])
 
 
 class Compressor:
@@ -576,6 +613,46 @@ def eval_objective(co, nu, xi=0.0):
     return spectral_norm_small(X)
 
 
+def grid_objective(co, nus, xis):
+    """eval_objective at every point of the grid nus x xis (nu-major order).
+
+    The same sums as eval_objective, batched: one back substitution with
+    H + alpha I runs row by row over all grid shifts at once (k NumPy
+    steps per step of the group instead of one LAPACK call per point),
+    and the singular points give +inf by eval_objective's test.
+    """
+    H, d, scale = co._shift_base
+    k, s = co.Wtil.shape
+    alpha = np.empty((len(nus), len(xis)), dtype=np.complex128)
+    alpha.real = np.asarray(nus)[:, None]
+    alpha.imag = np.asarray(xis)[None, :]
+    alpha = alpha.ravel()
+    vals = np.full(alpha.size, np.inf)
+    D = d[:, None] + alpha
+    ok = np.abs(D).min(axis=0) > 1e-14 * np.maximum(scale, np.abs(alpha))
+    if not ok.any():
+        return vals
+    # one column per (grid point, residual column), grid point major
+    D = np.repeat(D[:, ok], s, axis=1)
+    two_nu = np.repeat(2.0 * alpha[ok].real, s)
+    X = np.tile(co.Wtil.astype(np.complex128), ok.sum())
+    Y = np.empty_like(X)
+    for _ in range(co.g):
+        for i in range(k - 1, -1, -1):
+            Y[i] = (X[i] - H[i, i + 1 :] @ Y[i + 1 :]) / D[i]
+        X = X - two_nu * Y
+    if co.weight is not None:
+        X = co.weight @ X
+    if s == 1:
+        vals[ok] = (X.real**2 + X.imag**2).sum(axis=0)
+    else:
+        X = X.reshape(X.shape[0], -1, s).transpose(1, 0, 2)
+        G = X.conj().transpose(0, 2, 1) @ X
+        w = np.linalg.eigvalsh(0.5 * (G + G.conj().transpose(0, 2, 1)))
+        vals[ok] = np.maximum(w[:, -1], 0.0)
+    return vals
+
+
 @dataclass
 class DerivativeWorkspace:
     """Shared quantities for gradient/Hessian/Jacobian at one point.
@@ -612,7 +689,7 @@ def make_workspace(co, nu, xi=0.0, order=2):
         raise ShiftObjectiveError(f"H + alpha I singular at alpha = {alpha}")
     g = co.g
     S = [co.Wtil.astype(np.complex128, copy=False)]
-    for _ in range(4):
+    for _ in range(4 if order >= 2 else 2):  # S[3], S[4] enter only second derivatives
         S.append(_solve_L(L, S[-1]))
 
     def C_pow(X, times):
@@ -912,9 +989,10 @@ _BACKENDS = {
 def optimize_shift(co, x0=None, method="gauss-newton"):
     """Minimize the compressed objective over its spectral box.
 
-    A deterministic coarse grid presearch (24 x 12 objective evaluations;
-    48 on the real axis) seeds the chosen backend from the three best grid
-    points; a provided initial guess is always polished too and wins ties.
+    A deterministic coarse grid presearch (24 x 12 points, 48 on the real
+    axis, evaluated in one batch by grid_objective) seeds the chosen
+    backend from the three best grid points; a provided initial guess is
+    always polished too and wins ties.
     Returns (alpha, info) with alpha = nu + i xi the best point found and
     info carrying the final value, iteration counts and convergence flags.
 
@@ -937,7 +1015,7 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
     grid = [(nu, xi) for nu in nus for xi in xis]
-    vals = np.array([eval_objective(co, nu, xi) for nu, xi in grid])
+    vals = grid_objective(co, nus, xis)
     order = np.argsort(vals, kind="stable")[:3]
 
     starts = []

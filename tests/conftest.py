@@ -6,11 +6,20 @@ in complex arithmetic with no realification or factor bookkeeping, and
 the extended Krylov oracle builds explicit power/inverse-power blocks.
 They exist so the package code is checked against something it shares no
 code with.
+
+BLAS is pinned to one thread before NumPy is first imported: the package's
+small dense kernels oversubscribe the cores with threaded BLAS, and one
+test took 90 s instead of 0.1 s while another process held a core.
 """
 
-import numpy as np
-import scipy.linalg as spla
-import scipy.sparse as sp
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import scipy.linalg as spla  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 
 def random_stable(n, rng, spread=1.0):

@@ -13,7 +13,8 @@ from conftest import (
     random_stable,
 )
 from lradi import resmin
-from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
+from lradi.cli import parse_strategy
+from lradi.engine import AdiState, LyapunovProblem, ShiftRecord, lr_adi_solve, real_SG
 from lradi.linalg import dense_schur
 from lradi.resmin import (
     Bounds,
@@ -32,7 +33,8 @@ from lradi.resmin import (
     seed_compressed,
     tangential_reduce,
 )
-from lradi.strategies import StrategyConfig
+from lradi.strategies import StrategyConfig, make_strategy
+from test_acceptance import _fem_pair
 from test_engine import run_shifts
 
 
@@ -249,6 +251,21 @@ def test_recycle_short_history_contains_residual():
     assert gap <= 1e-10 * np.linalg.norm(state.W)
 
 
+def recorded_restriction(monkeypatch):
+    """Record the restriction H that recycle_krylov hands to the Schur step,
+    and the Schur rotation U it gets back."""
+    calls = []
+    stabilize = resmin.schur_stabilize
+
+    def recording(H):
+        out = stabilize(H)
+        calls.append((np.array(H), out[1]))
+        return out
+
+    monkeypatch.setattr(resmin, "schur_stabilize", recording)
+    return calls
+
+
 @pytest.mark.parametrize("shifts", [
     [-1.0, -2.0 + 1.0j],  # short history: the basis grows by all of Z
     [-1.0, -2.0 + 1.0j, -0.5, -4.0, -0.8 + 0.6j],
@@ -268,17 +285,9 @@ def test_recycle_generalized_weight_and_ritz_values(shifts, monkeypatch):
     seed = build_seed(problem, p=2, m=1)
     state = run_shifts(problem.A, B, shifts, M=problem.M)
     state.problem = problem
-    rotations = []
-    stabilize = resmin.schur_stabilize
-
-    def recording(H):
-        out = stabilize(H)
-        rotations.append(out[1])
-        return out
-
-    monkeypatch.setattr(resmin, "schur_stabilize", recording)
+    calls = recorded_restriction(monkeypatch)
     co = replace(recycle_krylov(seed, state, problem), g=2)
-    (U,) = rotations
+    (_, U), = calls
     assert co.n_stabilized == 0
     Qj, T, Wt = co.Q, co.H, co.Wtil
     lam = np.linalg.eigvals(Qj.T @ np.linalg.solve(M, A @ Qj))
@@ -292,6 +301,124 @@ def test_recycle_generalized_weight_and_ritz_values(shifts, monkeypatch):
         C = np.linalg.solve((T + alpha * I).T, (T - np.conj(alpha) * I).T).T
         exact = np.linalg.norm(M @ Qj @ U @ C @ C @ Wt, 2) ** 2
         assert_allclose(eval_objective(co, nu, xi), exact, rtol=1e-12)
+
+
+def shift_history(shifts):
+    """ShiftRecords of an executed history (a complex entry is a whole pair)."""
+    records = []
+    for alpha in shifts:
+        gamma = np.sqrt(-2.0 * np.real(alpha))
+        if np.imag(alpha) == 0:
+            records.append(ShiftRecord(complex(alpha), gamma, "real"))
+        else:
+            records += [ShiftRecord(complex(alpha), gamma, "pair"),
+                        ShiftRecord(np.conj(complex(alpha)), gamma, "pair")]
+    return records
+
+
+HISTORIES = {
+    "real-short": [-1.0, -3.0],
+    "real-long": [-0.5, -2.0, -7.0, -1.3, -30.0, -0.9, -4.0],
+    "pair-short": [-1.0 + 2.0j],
+    "pair-long": [-1.0, -2.0 + 1.0j, -0.5, -6.0 + 9.0j, -0.8 + 0.1j, -3.0],
+}
+
+
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("history", sorted(HISTORIES))
+def test_history_basis_spans_full_extended_krylov(history, s):
+    # kron(q, I_s) spans the extended Krylov space of the full structured
+    # factors (S_r, G_r) = real_SG(shifts, s), built at full dimension
+    # incrementally and from explicit power blocks
+    shifts = shift_history(HISTORIES[history])
+    for p, m in [(3, 1), (2, 2)]:
+        q, S, g = resmin.history_krylov_basis(shifts, p, m)
+        assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
+        S_r, G_r = real_SG(shifts, s)
+        Q_inc, _, _ = resmin.extended_krylov_basis(
+            lambda X: S_r @ X, lambda X: np.linalg.solve(S_r, X), G_r, p, m)
+        Q = np.kron(q, np.eye(s))
+        for Q_ref in (Q_inc, explicit_extended_krylov(S_r, G_r, p, m)):
+            assert Q.shape == Q_ref.shape
+            assert max_principal_angle(Q, Q_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("mass", [False, True], ids=["no-M", "M"])
+@pytest.mark.parametrize("block", ["full", "rank-deficient"])
+def test_recycled_restriction_matches_dense(block, mass, monkeypatch):
+    # H equals the dense Qj^* M^{-1} A Qj over the recycled basis; in the
+    # rank-deficient case A and M leave an 8-dimensional subspace containing
+    # B invariant, so block_orth keeps fewer columns than the block has
+    rng = np.random.default_rng(31)
+    n, s = 40, 2
+    A = random_stable(n, rng)
+    M = random_spd(n, rng) if mass else None
+    B = rng.standard_normal((n, s))
+    if block == "rank-deficient":
+        A[:8, 8:] = A[8:, :8] = 0.0
+        if mass:
+            M[:8, 8:] = M[8:, :8] = 0.0
+        B[8:] = 0.0
+    Ms = sp.csr_matrix(M) if mass else None
+    F = A if M is None else np.linalg.solve(M, A)
+    # shifts on the scale of the spectrum, as the iteration's own are
+    scale = np.abs(np.linalg.eigvals(F)).max() / 16.0
+    problem = LyapunovProblem(sp.csr_matrix(A), B, M=Ms, tol=0.0, max_iterations=99)
+    seed = build_seed(problem, p=2, m=1)
+    shifts = scale * np.array([-1.0, -2.0 + 1.0j, -0.5, -4.0, -0.8 + 0.6j])
+    state = run_shifts(problem.A, B, list(shifts), M=Ms)
+    state.problem = problem
+    calls = recorded_restriction(monkeypatch)
+    co = recycle_krylov(seed, state, problem)
+    (H, _), = calls
+    Qj = co.Q
+    ref = Qj.T @ F @ Qj
+    # the new columns' images are divided by the pivot block of the
+    # orthogonalization, so rounding grows with its condition (2e-11 here
+    # in the rank-deficient case with M)
+    assert_allclose(H, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+    kadd = Qj.shape[1] - seed.Q.shape[1]
+    w = resmin.history_krylov_basis(state.shifts, 2, 1)[0].shape[1] * s
+    if block == "rank-deficient":
+        assert Qj.shape[1] == 8 and 0 < kadd < w
+    else:
+        assert kadd == w
+
+
+def test_recycled_weight_gram_on_fem_pair(monkeypatch):
+    # weight^* weight = U^* (M Qj)^* (M Qj) U for the Schur rotation U
+    A, M = _fem_pair(512)
+    B = np.random.default_rng(32).random((512, 2))
+    problem = LyapunovProblem(A, B, M=M, tol=0.0, max_iterations=99)
+    seed = build_seed(problem, p=3, m=1)
+    state = run_shifts(A, B, -np.geomspace(5.0, 5e4, 7), M=M)
+    state.problem = problem
+    calls = recorded_restriction(monkeypatch)
+    co = recycle_krylov(seed, state, problem)
+    (_, U), = calls
+    MQU = M @ co.Q @ U
+    gram = MQU.conj().T @ MQU
+    assert co.Q.shape[1] > seed.Q.shape[1]
+    assert_allclose(co.weight.conj().T @ co.weight, gram, rtol=0,
+                    atol=1e-13 * np.abs(gram).max())
+
+
+def test_recycled_solve_with_ill_conditioned_mass():
+    # an SPD M of condition 1e9 leaves the weight's Gram complement at the
+    # rounding level; the shifted Cholesky keeps the solve going
+    n = 300
+    A, _ = _fem_pair(n)
+    d = np.geomspace(1.0, 1e-9, n)
+    M = sp.diags([0.25 * np.sqrt(d[:-1] * d[1:]), d, 0.25 * np.sqrt(d[:-1] * d[1:])],
+                 [-1, 0, 1], format="csr")
+    assert np.linalg.cond(M.toarray()) > 1e8
+    B = np.random.default_rng(33).random((n, 2))
+    problem = LyapunovProblem(A, B, M=M, tol=1e-8, max_iterations=60)
+    report, state = lr_adi_solve(
+        problem, make_strategy(parse_strategy("resmin+EK(3,1)+gn, g=2")),
+        return_state=True)
+    assert report.iterations >= 1
+    assert np.all(np.isfinite(state.Z))
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +459,28 @@ def test_objective_singularity_sentinel():
         assert eval_objective(co, -lam.real, -lam.imag) == np.inf
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("s", [1, 3])
+@pytest.mark.parametrize("g", [1, 3])
+def test_grid_objective_matches_pointwise(g, s, weighted):
+    rng = np.random.default_rng(18)
+    for real_spectrum in (False, True):
+        co = make_objective(rng, k=7, s=s, g=g, weighted=weighted,
+                            real_spectrum=real_spectrum)
+        b = co.bounds
+        lam = np.diag(co.H)[2]
+        # the last grid point is alpha = -lambda, a pole of the objective
+        nus = np.append(np.linspace(b.nu_minus, b.nu_plus, 24), -lam.real)
+        xis = np.append(np.linspace(0.0, max(b.xi_plus, 1.0), 12), -lam.imag)
+        vals = resmin.grid_objective(co, nus, xis)
+        ref = np.array([eval_objective(co, nu, xi) for nu in nus for xi in xis])
+        assert vals[-1] == np.inf
+        assert np.array_equal(np.isinf(vals), np.isinf(ref))
+        finite = np.isfinite(ref)
+        assert finite.sum() >= 24 * 12
+        assert_allclose(vals[finite], ref[finite], rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_solve_L_matches_solve_triangular(order):
     rng = np.random.default_rng(15)
@@ -363,6 +512,25 @@ def test_extend_qr_r_keeps_the_gram_matrix(dtype):
         gram = K.conj().T @ K
         assert_allclose(R.conj().T @ R, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
     assert resmin._extend_qr_r(Q0, R0, np.empty((200, 0), dtype=dtype)) is R0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_extend_qr_r_dependent_columns(dtype):
+    # X inside the range of the first block: the Gram complement is pure
+    # rounding, not numerically positive definite, and the shifted
+    # Cholesky still returns a finite factor with the right Gram matrix
+    rng = np.random.default_rng(17)
+    K0 = rng.standard_normal((200, 6))
+    if dtype is np.complex128:
+        K0 = K0 + 1j * rng.standard_normal((200, 6))
+    Q0, R0 = np.linalg.qr(K0)
+    X = K0[:, :3] @ rng.standard_normal((3, 3))
+    R = resmin._extend_qr_r(Q0, R0, X)
+    assert np.all(np.isfinite(R))
+    K = np.hstack([K0, X])
+    gram = K.conj().T @ K
+    assert_allclose(R.conj().T @ R, gram, rtol=0, atol=1e-10 * np.abs(gram).max())
+    assert np.linalg.norm(R[6:, 6:], 2) <= 1e-4 * np.linalg.norm(X, 2)
 
 
 def fd_gradient(co, nu, xi, h=1e-6):
