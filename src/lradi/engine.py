@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sparse_lu, sparse_shifted_factorize, spectral_norm_small
+from .linalg import ShiftedPencil, sparse_shifted_factorize, spectral_norm_small
 
 __all__ = [
     "LyapunovProblem",
@@ -75,7 +75,9 @@ class LyapunovProblem:
             raise ValueError(
                 f"B has {self.B.shape[0]} rows, A is {self.A.shape[0]} x {self.A.shape[1]}"
             )
-        self._m_lu = None
+        # A and M as every factorization of the solve sees them; the
+        # ordering is computed on first use, inside the solve
+        self.pencil = ShiftedPencil(self.A, self.M)
 
     @property
     def n(self):
@@ -88,14 +90,13 @@ class LyapunovProblem:
     def solve_M(self, rhs):
         """M^{-1} rhs (identity when no mass matrix).
 
-        M is factorized once, lazily, by ``sparse_lu``; that factorization
-        is not a shifted one and is not counted in ``n_factorizations``.
+        M is factorized once, lazily, in the order of ``pencil``; that
+        factorization is not a shifted one and is not counted in
+        ``n_factorizations``.
         """
         if self.M is None:
             return np.array(rhs, copy=True)
-        if self._m_lu is None:
-            self._m_lu = sparse_lu(self.M)
-        return self._m_lu.solve(np.asarray(rhs))
+        return self.pencil.solve_M(rhs)
 
     def apply_M(self, X):
         """M @ X (identity when no mass matrix)."""
@@ -382,7 +383,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         proposal = strategy.next_shift(state, problem)
         t_shift += time.monotonic() - ts
         alpha = normalize_shift(proposal.alpha)
-        fact = sparse_shifted_factorize(problem.A, alpha, M=problem.M)
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
         n_fact += 1
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
         fact = None  # release this LU before the next one is built

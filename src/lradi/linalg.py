@@ -6,6 +6,9 @@ higher-level modules build on these; nothing here knows about Lyapunov
 equations.
 """
 
+from functools import cached_property
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sp
@@ -24,31 +27,272 @@ class MatrixMarketError(ValueError):
 # sparse factorizations
 # ---------------------------------------------------------------------------
 
-# SuperLU's pairing for matrices with a (nearly) symmetric pattern: order
-# A + A^T by minimum degree, and keep the diagonal pivot unless it is below
-# this fraction of its column's largest entry.
+# SuperLU's pairing for matrices with a (nearly) symmetric pattern: a
+# symmetric ordering, and the diagonal pivot kept unless it is below this
+# fraction of its column's largest entry.
 _DIAG_PIVOT_THRESH = 0.1
 # a shifted matrix whose condition-number estimate reaches this is singular
 _COND_LIMIT = 1e14
+# pencils of at least this many unknowns are ordered once by nested
+# dissection. Timed on the convection-diffusion grids (2-core x86 host,
+# one BLAS thread, best of 9 LUs per order): dissection's LU is 10-40 %
+# faster on 3-D grids from 8^3 on and ties minimum degree on 2-D grids up
+# to 64^2 (faster from 80^2 on), so whole solves gain from 10^3 on in 3-D
+# and pay the ordering (13-40 ms) with no LU saving in 2-D below about
+# 5000 unknowns. On the 8^3 grid minimum degree fills less (0.57 of
+# COLAMD's fill, against 0.62-0.73).
+_ND_MIN_N = 1000
+# parts of at most this many nodes are ordered without dissecting them
+_ND_LEAF = 32
 
 
-def sparse_lu(K):
+def _bfs_levels(G, lab):
+    """BFS levels of every node from a pseudo-peripheral node of its component.
+
+    Each component starts at its lowest-numbered node and moves twice to
+    the lowest-numbered node of its last level. Returns the levels and each
+    component's eccentricity (its largest level).
+    """
+    from scipy.sparse import csgraph
+
+    _, start = np.unique(lab, return_index=True)
+    for sweep in range(3):
+        # directed=True reads the symmetric pattern as it is stored
+        lev = csgraph.dijkstra(G, directed=True, indices=start, unweighted=True,
+                               min_only=True).astype(np.int64)
+        ecc = np.zeros(start.size, dtype=np.int64)
+        np.maximum.at(ecc, lab, lev)
+        if sweep == 2:
+            return lev, ecc
+        far = np.flatnonzero(lev == ecc[lab])
+        start = far[np.unique(lab[far], return_index=True)[1]]
+
+
+def _ranks(groups):
+    """0, 1, ... within each run of equal values of a sorted array."""
+    k = np.arange(groups.size)
+    first = np.r_[True, groups[1:] != groups[:-1]]
+    return k - np.maximum.accumulate(np.where(first, k, 0))
+
+
+def nested_dissection_order(P):
+    """Fill-reducing symmetric ordering of a structurally symmetric pattern.
+
+    Level-structure nested dissection (George & Liu, SIAM J. Numer. Anal.
+    15, 1978), run one level of the dissection tree at a time over all
+    parts at once with ``scipy.sparse.csgraph``. Each connected part gets
+    BFS levels from a pseudo-peripheral node; its middle level, shrunk to
+    the nodes with a neighbour one level up, separates the levels below
+    from those above and is ordered after both. Parts of at most 32
+    nodes, paths (one node per level) and parts of fewer than three levels
+    are ordered by BFS level instead of being dissected.
+
+    Parameters
+    ----------
+    P
+        Sparse n x n matrix with a symmetric nonzero pattern; the diagonal
+        is ignored.
+
+    Returns
+    -------
+    perm : (n,) int64 array; ``perm[k]`` is the node placed k-th, so the
+        reordered matrix is ``P[perm][:, perm]``.
+    """
+    # imported on first use, so that importing lradi does not pay for it
+    from scipy.sparse import csgraph
+
+    P = sp.coo_matrix(P)
+    n = P.shape[0]
+    off = P.row != P.col
+    row, col = P.row[off].astype(np.int64), P.col[off].astype(np.int64)
+    pos = np.full(n, -1, dtype=np.int64)  # place in the order, -1 until placed
+    lo = np.zeros(n, dtype=np.int64)  # first place of the part holding a node
+    act = np.arange(n)
+    while act.size:
+        # the unplaced nodes, without edges between different parts
+        m = act.size
+        loc = np.full(n, -1, dtype=np.int64)
+        loc[act] = np.arange(m)
+        keep = (loc[row] >= 0) & (loc[col] >= 0)
+        keep[keep] = lo[row[keep]] == lo[col[keep]]
+        row, col = row[keep], col[keep]
+        r, c = loc[row], loc[col]
+        G = sp.csr_matrix((np.ones(r.size), (r, c)), shape=(m, m))
+        ncomp, lab = csgraph.connected_components(G, directed=True, connection="weak")
+        size = np.bincount(lab, minlength=ncomp)
+        # the components of one part share its places, in label order
+        plo = np.empty(ncomp, dtype=np.int64)
+        plo[lab] = lo[act]
+        order = np.lexsort((np.arange(ncomp), plo))
+        before = np.cumsum(size[order]) - size[order]
+        first = np.r_[True, plo[order][1:] != plo[order][:-1]]
+        before -= np.maximum.accumulate(np.where(first, before, 0))
+        clo = np.empty(ncomp, dtype=np.int64)
+        clo[order] = plo[order] + before
+
+        lev, ecc = _bfs_levels(G, lab)
+        leaf = (size <= _ND_LEAF) | (ecc + 1 == size) | (ecc < 2)
+        mid = (ecc // 2)[lab]
+        up = (lev[r] == mid[r]) & (lev[c] == mid[r] + 1)
+        sep = np.zeros(m, dtype=bool)
+        sep[r[up]] = True
+        sep &= ~leaf[lab]
+        # leaves are placed by level, separators at the end of their part
+        idx = np.flatnonzero(sep | leaf[lab])
+        idx = idx[np.lexsort((idx, lev[idx], lab[idx]))]
+        g = lab[idx]
+        tail = size - np.bincount(lab[sep], minlength=ncomp)
+        pos[act[idx]] = clo[g] + np.where(leaf[g], 0, tail[g]) + _ranks(g)
+        lo[act] = clo[lab]
+        act = act[pos[act] < 0]
+    perm = np.empty(n, dtype=np.int64)
+    perm[pos] = np.arange(n)
+    return perm
+
+
+def sparse_lu(K, ordered=False):
     """SuperLU factorization of a sparse square matrix in symmetric mode.
 
-    The column ordering is minimum degree on the pattern of K + K^T
-    (``MMD_AT_PLUS_A``), applied symmetrically, and the diagonal entry is
-    the pivot unless it is below 0.1 times the largest entry of its
-    column, in which case SuperLU pivots off the diagonal. The ADI shifted
-    matrices and mass matrices here have symmetric patterns, where this
-    gives about half the fill of column ordering with full partial
-    pivoting. Returns SciPy's ``SuperLU`` object.
+    With ``ordered``, K is already in a fill-reducing symmetric order (a
+    ShiftedPencil's nested dissection) and is factored as it stands
+    (``permc_spec="NATURAL"``); otherwise SuperLU orders it by minimum
+    degree on the pattern of K + K^T (``MMD_AT_PLUS_A``), applied
+    symmetrically. The diagonal entry is the pivot unless it is below 0.1
+    times the largest entry of its column, in which case SuperLU pivots
+    off the diagonal. The ADI shifted matrices and mass matrices here have
+    symmetric patterns, where this gives about half the fill of column
+    ordering with full partial pivoting. Returns SciPy's ``SuperLU``
+    object.
     """
     return splu(
-        sp.csc_matrix(K),
-        permc_spec="MMD_AT_PLUS_A",
+        K if sp.isspmatrix_csc(K) else sp.csc_matrix(K),
+        permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
         diag_pivot_thresh=_DIAG_PIVOT_THRESH,
         options=dict(SymmetricMode=True),
     )
+
+
+class _Layout(NamedTuple):
+    ordered: bool  # in nested-dissection order: factored as it stands
+    perm: object  # that order, None when it is the given one (no gathers)
+    iperm: object
+    indptr: object  # CSC pattern of A + M, in the pencil's order
+    indices: object
+    a_vals: object  # A's and M's values on that pattern, zero elsewhere
+    m_vals: object
+    M: object  # M alone in the pencil's order (the I of M = None included)
+
+
+class ShiftedPencil:
+    """The pencil (A, M) in one ordering, for many factorizations of A + alpha*M.
+
+    Parameters
+    ----------
+    A
+        Sparse square real or complex matrix, any scipy.sparse format.
+    M
+        Optional sparse matrix of A's shape. None means the identity.
+
+    Prepared on first use, not on construction: a pencil of at least 1000
+    unknowns gets one nested-dissection ordering of P + P^T with
+    P = |A| + |M| (M = I when absent), and every LU of it (each shifted
+    matrix, and M's) factors the permuted matrix with
+    ``sparse_lu(..., ordered=True)``; a smaller pencil keeps
+    its order and each LU is ordered by SuperLU's minimum degree. Solves
+    gather the right-hand side into the pencil's order and scatter the
+    solution back, unless that order is the given one. A's and M's values
+    are laid out once on the CSC pattern of their union, so a shifted
+    matrix costs one axpy on the values: no sparse sum and no format
+    conversion.
+    """
+
+    def __init__(self, A, M=None):
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square, got {A.shape}")
+        if M is not None and M.shape != A.shape:
+            raise ValueError(f"M has shape {M.shape}, A has {A.shape}")
+        self.A, self.M = A, M
+        self.n = A.shape[0]
+        self._m_lu = None
+
+    @cached_property
+    def _layout(self):
+        """The pencil in its order, with A's and M's values on their union."""
+        n = self.n
+        A = sp.csc_matrix(self.A)
+        M = sp.identity(n, format="csc") if self.M is None else sp.csc_matrix(self.M)
+        ordered = n >= _ND_MIN_N
+        perm = iperm = None
+        if ordered:
+            P = abs(A) + abs(M)
+            perm = nested_dissection_order(P + P.T)
+        if perm is not None and np.array_equal(perm, np.arange(n)):
+            perm = None  # e.g. a path numbered end to end
+        if perm is not None:
+            iperm = np.empty(n, dtype=np.int64)
+            iperm[perm] = np.arange(n)
+            A, M = A[perm][:, perm].tocsc(), M[perm][:, perm].tocsc()
+        A.sum_duplicates()
+        M.sum_duplicates()
+
+        def ones(X):
+            return sp.csc_matrix((np.ones(X.nnz), X.indices, X.indptr), shape=X.shape)
+
+        union = ones(A) + ones(M)  # canonical: sorted rows, no duplicates
+
+        def keys(X):  # column-major position of every stored entry
+            cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(X.indptr))
+            return cols * n + X.indices
+
+        where = keys(union)
+
+        def values(X):
+            vals = np.zeros(union.nnz, dtype=np.result_type(X.dtype, np.float64))
+            vals[np.searchsorted(where, keys(X))] = X.data
+            return vals
+
+        return _Layout(ordered, perm, iperm, union.indptr.astype(np.intc),
+                       union.indices.astype(np.intc), values(A), values(M), M)
+
+    @property
+    def perm(self):
+        """The pencil's order (perm[k] is the k-th unknown), or None when
+        it factors in the given order."""
+        return self._layout.perm
+
+    def shifted(self, alpha):
+        """K = A + alpha*M in the pencil's order, as a canonical CSC matrix."""
+        lay = self._layout
+        K = sp.csc_matrix((lay.a_vals + alpha * lay.m_vals, lay.indices, lay.indptr),
+                          shape=(self.n, self.n))
+        K.has_canonical_format = True
+        return K
+
+    def lu(self, K):
+        """``sparse_lu`` of a matrix in the pencil's order."""
+        return sparse_lu(K, ordered=self._layout.ordered)
+
+    def solve(self, lu, rhs):
+        """x with K x = rhs, for an LU of K in the pencil's order.
+
+        Gathers the right-hand side into the pencil's order and scatters
+        the solution back; ``rhs`` is (n,) or (n, k).
+        """
+        lay = self._layout
+        if lay.perm is None:
+            return lu.solve(rhs)
+        return lu.solve(rhs[lay.perm])[lay.iperm]
+
+    def solve_M(self, rhs):
+        """M^{-1} rhs through one LU of M in the pencil's order (made once).
+
+        Requires a mass matrix; that LU is not a shifted one.
+        """
+        if self.M is None:
+            raise ValueError("the pencil has no mass matrix")
+        if self._m_lu is None:
+            self._m_lu = self.lu(self._layout.M)
+        return self.solve(self._m_lu, np.asarray(rhs))
 
 
 class ShiftedFactorization:
@@ -56,38 +300,35 @@ class ShiftedFactorization:
 
     Parameters
     ----------
-    A
-        Sparse square matrix, any scipy.sparse format.
+    pencil
+        ShiftedPencil holding A and M; it keeps its ordering and value
+        layout for every shift.
     alpha
         Shift. A shift with zero imaginary part is cast to a real scalar,
         so a real A (and M) gives a float64 factorization; only a shift
         with nonzero imaginary part pays for complex128 arithmetic.
-    M
-        Optional mass matrix. None means the identity.
 
-    K is factored by ``sparse_lu``: minimum-degree ordering of K + K^T,
-    symmetric mode, diagonal pivot threshold 0.1. Singularity is tested
+    K is assembled by the pencil in its order and factored by
+    ``sparse_lu`` in symmetric mode with diagonal pivot threshold 0.1: as
+    it stands after a nested-dissection ordering (1000 unknowns or more),
+    otherwise ordered by minimum degree on K + K^T. Singularity is tested
     without forming the L and U factors: one solve K x = b with a fixed
     +-1 vector b, and SingularShiftError when x is not finite or
     ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a lower bound
     of the condition number kappa_inf(K).
 
     Solves with multiple right-hand sides are cheap once the factorization
-    exists; ``solve`` accepts (n,) or (n, k) arrays.
+    exists; ``solve`` accepts (n,) or (n, k) arrays and gathers and
+    scatters them through the pencil's order.
     """
 
-    def __init__(self, A, alpha, M=None):
-        n = A.shape[0]
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"matrix must be square, got {A.shape}")
+    def __init__(self, pencil, alpha):
+        n = pencil.n
         if np.imag(alpha) == 0.0:
             alpha = float(np.real(alpha))
-        if M is None:
-            K = A + alpha * sp.identity(n, format="csc")
-        else:
-            K = A + alpha * M
+        K = pencil.shifted(alpha)
         try:
-            self._lu = sparse_lu(K)
+            self._lu = pencil.lu(K)
         except RuntimeError as exc:  # exactly singular; scipy wording varies
             raise SingularShiftError(
                 f"factorization of A + ({alpha})*M failed: {exc}"
@@ -97,12 +338,14 @@ class ShiftedFactorization:
         b = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
         x = self._lu.solve(b.astype(K.dtype))
         with np.errstate(all="ignore"):
-            cond = abs(K).sum(axis=1).max() * np.max(np.abs(x), initial=0.0)
+            row_sums = np.bincount(K.indices, np.abs(K.data), minlength=n)
+            cond = row_sums.max(initial=0.0) * np.max(np.abs(x), initial=0.0)
         if not cond < _COND_LIMIT:  # also true for nan
             raise SingularShiftError(
                 f"A + ({alpha})*M is numerically singular "
                 f"(condition number >= {cond:.2e})"
             )
+        self._pencil = pencil
         self.alpha = alpha
         self.n = n
         self.is_complex = np.iscomplexobj(K)
@@ -112,16 +355,16 @@ class ShiftedFactorization:
         rhs = np.asarray(rhs)
         if self.is_complex and not np.iscomplexobj(rhs):
             rhs = rhs.astype(np.complex128)
-        return self._lu.solve(rhs)
+        return self._pencil.solve(self._lu, rhs)
 
 
-def sparse_shifted_factorize(A, alpha, M=None):
-    """Factorize A + alpha*M and return a ShiftedFactorization.
+def sparse_shifted_factorize(pencil, alpha):
+    """Factorize A + alpha*M of a ShiftedPencil; returns a ShiftedFactorization.
 
     Raises SingularShiftError when the shifted matrix is numerically
     singular (this is how an unstable input matrix is usually detected).
     """
-    return ShiftedFactorization(A, alpha, M=M)
+    return ShiftedFactorization(pencil, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def build_seed(problem, p, m, B=None):
     n_fact = 0
     solve_op = None
     if m >= 1:
-        fact = sparse_shifted_factorize(problem.A, 0.0, M=problem.M)
+        fact = sparse_shifted_factorize(problem.pencil, 0.0)
         n_fact = 1
         if problem.M is None:
             solve_op = fact.solve
@@ -680,9 +680,13 @@ class DerivativeWorkspace:
         return float(self.theta[0])
 
 
-def make_workspace(co, nu, xi=0.0, order=2):
-    """Build the derivative workspace at (nu, xi); order 1 skips the
-    second derivatives. Raises ShiftObjectiveError at singular points."""
+def _psi_derivatives(co, nu, xi, order, with_xi=True):
+    """Psi = T C^g Wt and its partial derivatives in (nu, xi), weighted.
+
+    Returns [Psi, Psi_nu, Psi_xi], and with order 2 also [Psi_nunu,
+    Psi_nuxi, Psi_xixi]; without ``with_xi`` (order 1 only) Psi_xi is
+    None and never formed. Raises ShiftObjectiveError at singular points.
+    """
     alpha = complex(nu, xi)
     L = _shift_matrix(co, alpha)
     if L is None:
@@ -698,10 +702,8 @@ def make_workspace(co, nu, xi=0.0, order=2):
             X = X - 2.0 * nu * _solve_L(L, X)
         return X
 
-    Psi = C_pow(S[0], g)
-    Psi_nu = -2.0 * g * C_pow(S[1] - nu * S[2], g - 1)
-    Psi_xi = 2.0j * nu * g * C_pow(S[2], g - 1)
-    Psi_nunu = Psi_nuxi = Psi_xixi = None
+    out = [C_pow(S[0], g), -2.0 * g * C_pow(S[1] - nu * S[2], g - 1),
+           2.0j * nu * g * C_pow(S[2], g - 1) if with_xi else None]
     if order >= 2:
         Psi_nunu = 4.0 * g * C_pow(S[2] - nu * S[3], g - 1)
         Psi_nuxi = 2.0j * g * C_pow(S[2] - 2.0 * nu * S[3], g - 1)
@@ -711,16 +713,18 @@ def make_workspace(co, nu, xi=0.0, order=2):
             Psi_nunu = Psi_nunu + gg * C_pow(S[2] - 2.0 * nu * S[3] + nu * nu * S[4], g - 2)
             Psi_nuxi = Psi_nuxi - 1.0j * nu * gg * C_pow(S[3] - nu * S[4], g - 2)
             Psi_xixi = Psi_xixi - nu * nu * gg * C_pow(S[4], g - 2)
+        out += [Psi_nunu, Psi_nuxi, Psi_xixi]
     if co.weight is not None:
-        T = co.weight
-        Psi, Psi_nu, Psi_xi = T @ Psi, T @ Psi_nu, T @ Psi_xi
-        if order >= 2:
-            Psi_nunu, Psi_nuxi, Psi_xixi = T @ Psi_nunu, T @ Psi_nuxi, T @ Psi_xixi
+        out = [None if X is None else co.weight @ X for X in out]
+    return out
+
+
+def make_workspace(co, nu, xi=0.0, order=2):
+    """Build the derivative workspace at (nu, xi); order 1 skips the
+    second derivatives. Raises ShiftObjectiveError at singular points."""
+    Psi, Psi_nu, Psi_xi, *second = _psi_derivatives(co, nu, xi, order)
     theta, U = dense_eig_hermitian(Psi.conj().T @ Psi)
-    return DerivativeWorkspace(
-        nu=nu, xi=xi, Psi=Psi, Psi_nu=Psi_nu, Psi_xi=Psi_xi,
-        theta=theta, U=U, Psi_nunu=Psi_nunu, Psi_nuxi=Psi_nuxi, Psi_xixi=Psi_xixi,
-    )
+    return DerivativeWorkspace(nu, xi, Psi, Psi_nu, Psi_xi, theta, U, *second)
 
 
 def _check_gap(theta, how):
@@ -788,24 +792,34 @@ def eval_hessian(co, nu, xi=0.0):
     return _hessian_from_ws(make_workspace(co, nu, xi, order=2))
 
 
-def nls_residual_jacobian(co, nu, xi=0.0):
+def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):
     """Stacked real residual and Jacobian for Gauss-Newton.
 
     r stacks sqrt(2) * [Re vec(T C^g Wt); Im vec(...)] so that
     0.5 ||r||^2 equals the objective for a single column (and the
     Frobenius surrogate of it otherwise); J holds the corresponding
     (nu, xi) columns from the analytic derivatives.
+
+    With ``normal`` the Gauss-Newton normal equations (J^T r, J^T J) are
+    returned instead, in closed form: the columns of J stack Psi_nu and
+    Psi_xi like r stacks Psi, so each product is 2 Re vdot of two blocks.
+    With ``normal``, ``real_axis`` keeps only the nu column (1 x 1
+    equations) and never forms Psi_xi; the stacked (r, J) always has both
+    columns.
     """
-    ws = make_workspace(co, nu, xi, order=1)
+    real_axis = normal and real_axis
+    Psi, P_nu, P_xi = _psi_derivatives(co, nu, xi, 1, with_xi=not real_axis)
+    if normal:
+        cols = [P_nu] if real_axis else [P_nu, P_xi]
+        JJ = np.array([[2.0 * np.vdot(a, c).real for c in cols] for a in cols])
+        return np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ
     rt2 = np.sqrt(2.0)
 
     def stack(X):
         v = np.asarray(X).ravel(order="F")
         return rt2 * np.concatenate([v.real, v.imag])
 
-    r = stack(ws.Psi)
-    J = np.column_stack([stack(ws.Psi_nu), stack(ws.Psi_xi)])
-    return r, J
+    return stack(Psi), np.column_stack([stack(P_nu), stack(P_xi)])
 
 
 def tangential_reduce(co):
@@ -839,50 +853,92 @@ def _box_diam(b):
     return float(np.hypot(b.nu_plus - b.nu_minus, b.xi_plus))
 
 
+def _free(x, g, b):
+    """Variables not held by the box: a variable on a bound counts as fixed
+    while its gradient points out of the box (descent would leave it)."""
+    lower = np.array([b.nu_minus, 0.0])[: g.size]
+    upper = np.array([b.nu_plus, b.xi_plus])[: g.size]
+    x = x[: g.size]
+    return ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+
+
+def _levenberg_step(g, JJ, lam, free):
+    """Solve (J^T J + lam I) d = -g over the free variables, in closed form.
+
+    Fixed variables get a zero step. Returns the (nu, xi) step, or None
+    when the 1 x 1 or 2 x 2 system is not numerically positive definite.
+    """
+    d = np.zeros(2)
+    if free.all() and g.size == 2:
+        a, c, off = JJ[0, 0] + lam, JJ[1, 1] + lam, JJ[0, 1]
+        det = a * c - off * off
+        if not det > 0.0:
+            return None
+        d[0] = (off * g[1] - c * g[0]) / det
+        d[1] = (off * g[0] - a * g[1]) / det
+        return d
+    i = int(np.flatnonzero(free)[0])
+    den = JJ[i, i] + lam
+    if not den > 0.0:
+        return None
+    d[i] = -g[i] / den
+    return d
+
+
+# polish stops that count as converged: a stationary point of the box
+# (projected gradient) or a vanishing step
+_CONVERGED = ("gradient", "step")
+
+
 def _polish_gauss_newton(co, x, b):
+    """Levenberg-Marquardt on the stacked residual, inside the box.
+
+    Stationarity is tested on the projected gradient and the step is taken
+    over the free variables only (see _free), so a minimum on the box's
+    edge converges like an interior one. Returns (x, f(x), iterations,
+    stop) with stop one of "gradient", "step" (converged), "rejected" (no
+    decrease found), "singular" (H + alpha I singular) or
+    "max_iterations".
+    """
     fx = eval_objective(co, x[0], x[1])
     lam = 1e-3
     diam = max(_box_diam(b), 1e-300)
-    ncols = 1 if b.real_axis else 2
-    converged = False
+    stop = "max_iterations"
     it = 0
     for it in range(100):
         try:
-            r, J = nls_residual_jacobian(co, x[0], x[1])
+            g, JJ = nls_residual_jacobian(co, x[0], x[1], normal=True,
+                                          real_axis=b.real_axis)
         except ShiftObjectiveError:
+            stop = "singular"
             break
-        J = J[:, :ncols]
-        g = J.T @ r
-        if np.linalg.norm(g, np.inf) <= 1e-8 * (1.0 + abs(fx)):
-            converged = True
+        free = _free(x, g, b)
+        if np.abs(g[free]).max(initial=0.0) <= 1e-8 * (1.0 + abs(fx)):
+            stop = "gradient"
             break
-        accepted = False
         step = None
         for _ in range(30):
-            A = J.T @ J + lam * np.eye(ncols)
-            try:
-                d = -np.linalg.solve(A, g)
-            except np.linalg.LinAlgError:
+            d = _levenberg_step(g, JJ, lam, free)
+            if d is None:
                 lam = max(lam, 1e-8) * 10.0
                 continue
-            full = np.array([d[0], 0.0]) if ncols == 1 else d
-            xn = _box_clip(x + full, b)
+            xn = _box_clip(x + d, b)
             fn = eval_objective(co, xn[0], xn[1])
             if fn < fx:
                 step = xn - x
                 x, fx = xn, fn
                 lam = max(lam / 3.0, 1e-14)
-                accepted = True
                 break
             lam *= 10.0
             if lam > 1e14:
                 break
-        if not accepted:
+        if step is None:
+            stop = "rejected"
             break
         if np.linalg.norm(step) <= 1e-10 * diam:
-            converged = True
+            stop = "step"
             break
-    return x, fx, it + 1, converged
+    return x, fx, it + 1, stop
 
 
 def _trust_region_step(g, H, delta):
@@ -927,13 +983,20 @@ def _trust_region_step(g, H, delta):
 
 
 def _polish_newton_trust(co, x, b):
+    """Trust-region Newton inside the box; returns (x, f(x), iterations, stop).
+
+    Stationarity is tested on the projected gradient, as in the
+    Gauss-Newton polish; stop is "gradient" or "step" (converged),
+    "radius" (the trust region collapsed), "singular" or
+    "max_iterations".
+    """
     if co.Wtil.shape[1] > 1:
         co = tangential_reduce(co)
     fx = eval_objective(co, x[0], x[1])
     diam = max(_box_diam(b), 1e-300)
     delta = 0.1 * diam
     nvar = 1 if b.real_axis else 2
-    converged = False
+    stop = "max_iterations"
     it = 0
     reduced_retry = False
     for it in range(100):
@@ -946,11 +1009,12 @@ def _polish_newton_trust(co, x, b):
                 co = tangential_reduce(co)
                 reduced_retry = True
                 continue
+            stop = "singular"
             break
         g = g2[:nvar]
         Hm = H2[:nvar, :nvar]
-        if np.linalg.norm(g, np.inf) <= 1e-8 * (1.0 + abs(ws.value)):
-            converged = True
+        if np.abs(g[_free(x, g, b)]).max(initial=0.0) <= 1e-8 * (1.0 + abs(ws.value)):
+            stop = "gradient"
             break
         d = _trust_region_step(g, Hm, delta)
         full = np.array([d[0], 0.0]) if nvar == 1 else d
@@ -961,6 +1025,7 @@ def _polish_newton_trust(co, x, b):
         if pred <= 0.0 or not np.isfinite(fn):
             delta *= 0.25
             if delta <= 1e-14 * diam:
+                stop = "radius"
                 break
             continue
         rho = (fx - fn) / pred
@@ -971,11 +1036,12 @@ def _polish_newton_trust(co, x, b):
         if fn < fx:
             x, fx = xn, fn
         if np.linalg.norm(dd) <= 1e-10 * diam:
-            converged = True
+            stop = "step"
             break
         if delta <= 1e-14 * diam:
+            stop = "radius"
             break
-    return x, fx, it + 1, converged
+    return x, fx, it + 1, stop
 
 
 _BACKENDS = {
@@ -994,7 +1060,9 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     backend from the three best grid points; a provided initial guess is
     always polished too and wins ties.
     Returns (alpha, info) with alpha = nu + i xi the best point found and
-    info carrying the final value, iteration counts and convergence flags.
+    info carrying the final value, the chosen start's iteration count,
+    ``converged`` and stop reason (``stop``), and every start's stop
+    reason in start order (``stops``; see the backends for the reasons).
 
     Parameters
     ----------
@@ -1031,14 +1099,16 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     best = None
     runs = []
     for k, st in enumerate(starts):
-        x, fx, iters, conv = polish(co, st.copy(), b)
-        runs.append((fx, iters, conv))
+        x, fx, iters, stop = polish(co, st.copy(), b)
+        runs.append((fx, iters, stop))
         if best is None or fx < best[1]:
-            best = (x, fx, k, conv)
-    x, fx, which, conv = best
+            best = (x, fx, k)
+    x, fx, which = best
     info = {
         "value": fx,
-        "converged": conv,
+        "converged": runs[which][2] in _CONVERGED,
+        "stop": runs[which][2],
+        "stops": [run[2] for run in runs],
         "n_starts": len(starts),
         "chosen_start": which,
         "from_guess": x0 is not None and which == 0,

@@ -109,7 +109,7 @@ def test_c2_residual_factorization_identity():
         state = AdiState(problem)
         scale = np.linalg.norm(B @ B.T, 2)
         for alpha in shifts:
-            fact = sparse_shifted_factorize(As, alpha)
+            fact = sparse_shifted_factorize(problem.pencil, alpha)
             if np.imag(alpha) == 0:
                 adi_real_step(state, fact)
             else:
@@ -142,7 +142,7 @@ def test_c3_recycled_extended_krylov_angles():
                     shifts = [-0.5 * (i + 1) for i in range(j)]
                 state = AdiState(problem)
                 for alpha in shifts:
-                    fact = sparse_shifted_factorize(As, alpha)
+                    fact = sparse_shifted_factorize(problem.pencil, alpha)
                     if np.imag(alpha) == 0:
                         adi_real_step(state, fact)
                     else:
@@ -384,7 +384,7 @@ def test_c9_generalized_path():
     for _ in range(80):
         prop = strategy.next_shift(state, problem)
         alpha = normalize_shift(prop.alpha)
-        fact = sparse_shifted_factorize(problem.A, alpha, M=problem.M)
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
         run_multistep_group(state, fact, prop.budget)
         gap = factored_residual_gap(As.toarray(), state.Z, state.W, Bs,
                                     M=Ms.toarray())

@@ -38,7 +38,7 @@ def run_shifts(A, B, shifts, M=None, tol=0.0, max_iterations=500):
     problem = LyapunovProblem(A, B, M=M, tol=tol, max_iterations=max_iterations)
     state = AdiState(problem)
     for alpha in shifts:
-        fact = sparse_shifted_factorize(problem.A, alpha, M=problem.M)
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
         if np.imag(alpha) == 0:
             adi_real_step(state, fact)
         else:
@@ -148,7 +148,7 @@ def test_run_multistep_group_real_budget():
     B = rng.standard_normal((15, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-14, max_iterations=100)
     state = AdiState(problem)
-    fact = sparse_shifted_factorize(problem.A, -2.0)
+    fact = sparse_shifted_factorize(problem.pencil, -2.0)
     done = run_multistep_group(state, fact, 3)
     assert done == 3 and state.j == 3
     # exactly the same as applying the shift three times
@@ -162,7 +162,7 @@ def test_run_multistep_group_pair_budget_may_overshoot():
     B = rng.standard_normal((15, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-14, max_iterations=100)
     state = AdiState(problem)
-    fact = sparse_shifted_factorize(problem.A, -2.0 + 1.0j)
+    fact = sparse_shifted_factorize(problem.pencil, -2.0 + 1.0j)
     done = run_multistep_group(state, fact, 5)
     assert done == 6  # ceil(5/2) double steps
 
@@ -171,7 +171,7 @@ def test_run_multistep_group_stops_on_tol():
     problem = LyapunovProblem(sp.csr_matrix(-np.eye(10)),
                               np.ones((10, 1)), tol=1e-10, max_iterations=50)
     state = AdiState(problem)
-    fact = sparse_shifted_factorize(problem.A, -1.0)
+    fact = sparse_shifted_factorize(problem.pencil, -1.0)
     done = run_multistep_group(state, fact, 4)
     assert done == 1  # first step already converged
     assert state.current_residual <= 1e-10
@@ -268,7 +268,7 @@ def test_factor_buffer_grows_without_copying_views(monkeypatch):
         buf = state._zbuf
         Z = state.Z
         views.append((Z, Z.copy()))
-        fact = sparse_shifted_factorize(problem.A, alpha)
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
         (adi_real_step if np.imag(alpha) == 0 else adi_double_step)(state, fact)
         reallocs += state._zbuf is not buf
     Z = state.Z
@@ -287,9 +287,9 @@ def test_steps_reject_wrong_shift_sign():
     problem = LyapunovProblem(sp.csr_matrix(-np.eye(4)), np.ones((4, 1)))
     state = AdiState(problem)
     with pytest.raises(ValueError, match="negative real part"):
-        adi_real_step(state, sparse_shifted_factorize(problem.A, 0.5))
+        adi_real_step(state, sparse_shifted_factorize(problem.pencil, 0.5))
     with pytest.raises(ValueError, match="Re<0, Im>0"):
-        adi_double_step(state, sparse_shifted_factorize(problem.A, 0.5 + 1.0j))
+        adi_double_step(state, sparse_shifted_factorize(problem.pencil, 0.5 + 1.0j))
     assert state.j == 0 and np.all(state.W == 1.0)
 
 
@@ -362,18 +362,23 @@ def test_solve_keeps_one_factorization_alive(monkeypatch):
     assert report.converged and len(alive) == report.n_factorizations >= 3
 
 
-@pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres"])
+@pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "resmin+Z nd"])
 def test_factorizations_pass_through_the_seams(case, monkeypatch):
     # every counted factorization enters through engine's or resmin's
     # sparse_shifted_factorize with the shift as second positional
-    # argument, and each costs one MMD_AT_PLUS_A linalg.splu (plus one
-    # for M's LU)
+    # argument, and each costs one linalg.splu (plus one for M's LU):
+    # ordered by SuperLU's minimum degree below the nested-dissection
+    # size, factored as ordered by the problem's pencil from it on
     if case == "resmin+Z":
         A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
     elif case == "resmin+EK+M":
         (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
-    else:
+    elif case == "Z(4)+Hres":
         A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
+    else:
+        A, M, s, text = gen_cd2d(32), None, 1, "resmin+Z(8)+gn"
+    nd = A.shape[0] >= linalg._ND_MIN_N
+    assert nd == (case == "resmin+Z nd")
     shifts, lus = [], []
 
     def seam(build):
@@ -384,7 +389,7 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
         return counted
 
     def counted_splu(*args, **kwargs):
-        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["permc_spec"] == ("NATURAL" if nd else "MMD_AT_PLUS_A")
         lus.append(None)
         return splu(*args, **kwargs)
 

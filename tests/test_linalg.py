@@ -4,22 +4,25 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from lradi import linalg
 from lradi.engine import LyapunovProblem
 from lradi.linalg import (
     MatrixMarketError,
+    ShiftedPencil,
     SingularShiftError,
     block_orth,
     dense_eig_hermitian,
     dense_schur,
     matrix_market_read,
     matrix_market_write,
+    nested_dissection_order,
     sparse_shifted_factorize,
     spectral_norm_small,
 )
-from lradi.problems import gen_cd3d
+from lradi.problems import gen_cd2d, gen_cd3d
 
 
 @pytest.fixture
@@ -39,7 +42,7 @@ def test_shifted_factorization_real():
     rng = np.random.default_rng(0)
     A = sp.csr_matrix(rng.standard_normal((15, 15)) - 20 * np.eye(15))
     alpha = -3.5
-    fact = sparse_shifted_factorize(A, alpha)
+    fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)
     rhs = rng.standard_normal((15, 2))
     x = fact.solve(rhs)
     assert not fact.is_complex
@@ -54,7 +57,7 @@ def test_shifted_factorization_real():
 def test_shifted_factorization_dtype_follows_shift(alpha, dtype, recorded_lu):
     rng = np.random.default_rng(14)
     A = sp.csr_matrix(rng.standard_normal((15, 15)) - 20 * np.eye(15))
-    fact = sparse_shifted_factorize(A, alpha)
+    fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)
     lu, = recorded_lu
     assert lu.solve(np.ones(15)).dtype == dtype
     assert fact.is_complex == (dtype == np.complex128)
@@ -69,7 +72,7 @@ def test_shifted_factorization_complex_and_mass():
     A = sp.csr_matrix(rng.standard_normal((12, 12)) - 15 * np.eye(12))
     M = sp.csr_matrix(np.diag(rng.random(12) + 0.5))
     alpha = -2.0 + 1.5j
-    fact = sparse_shifted_factorize(A, alpha, M=M)
+    fact = sparse_shifted_factorize(ShiftedPencil(A, M), alpha)
     assert fact.is_complex
     rhs = rng.standard_normal(12)
     x = fact.solve(rhs)
@@ -79,16 +82,15 @@ def test_shifted_factorization_complex_and_mass():
 def test_shifted_factorization_singular():
     A = sp.identity(4, format="csr")
     with pytest.raises(SingularShiftError):
-        sparse_shifted_factorize(A, -1.0)
+        sparse_shifted_factorize(ShiftedPencil(A), -1.0)
 
 
 def test_shifted_factorization_rejects_nonsquare():
     with pytest.raises(ValueError):
-        sparse_shifted_factorize(sp.csr_matrix(np.ones((3, 4))), -1.0)
+        ShiftedPencil(sp.csr_matrix(np.ones((3, 4))))
 
 
-@pytest.mark.parametrize("alpha", [-2.0, -2.0 + 1.5j])
-def test_shifted_factorization_pivots_off_diagonal(alpha, recorded_lu):
+def _check_off_diagonal_pivots(alpha, recorded_lu):
     # structurally nonsymmetric K = A + alpha*M with exact zeros on part of
     # its diagonal: symmetric mode must fall back to off-diagonal pivots
     n = 40
@@ -107,12 +109,17 @@ def test_shifted_factorization_pivots_off_diagonal(alpha, recorded_lu):
     K = (A + alpha * M).toarray()
     assert np.all(K[zero, zero] == 0.0)
     assert (K != 0).sum() != ((K != 0) & (K.T != 0)).sum()  # pattern not symmetric
-    fact = sparse_shifted_factorize(A, alpha, M=M)
+    fact = sparse_shifted_factorize(ShiftedPencil(A, M), alpha)
     lu, = recorded_lu
     assert not np.array_equal(lu.perm_r, lu.perm_c)  # rows swapped off the diagonal
     b = rng.standard_normal((n, 2))
     x = fact.solve(b)
     assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -2.0 + 1.5j])
+def test_shifted_factorization_pivots_off_diagonal(alpha, recorded_lu):
+    _check_off_diagonal_pivots(alpha, recorded_lu)
 
 
 @pytest.mark.parametrize("alpha", [-3.0, -3.0 + 2.0j])
@@ -124,8 +131,8 @@ def test_shifted_factorization_near_singular(alpha):
     S = sp.diags([d, np.ones(n - 1)], [0, 1], format="csr", dtype=np.result_type(alpha))
     A = S - alpha * sp.identity(n, format="csr")
     with pytest.raises(SingularShiftError, match="numerically singular"):
-        sparse_shifted_factorize(A, alpha)
-    fact = sparse_shifted_factorize(A, alpha - 0.5)  # a shift away: regular
+        sparse_shifted_factorize(ShiftedPencil(A), alpha)
+    fact = sparse_shifted_factorize(ShiftedPencil(A), alpha - 0.5)  # a shift away: regular
     assert np.all(np.isfinite(fact.solve(np.ones(n))))
 
 
@@ -153,11 +160,11 @@ def test_factorization_never_forms_L_or_U(monkeypatch):
     rng = np.random.default_rng(12)
     A = sp.csr_matrix(rng.standard_normal((20, 20)) - 25 * np.eye(20))
     for alpha in (-1.5, -1.5 + 4.0j):
-        fact = sparse_shifted_factorize(A, alpha)
+        fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)
         b = rng.standard_normal((20, 3))
         assert_allclose((A + alpha * sp.identity(20)) @ fact.solve(b), b, atol=1e-12)
     with pytest.raises(SingularShiftError):
-        sparse_shifted_factorize(sp.identity(4, format="csr"), -1.0)
+        sparse_shifted_factorize(ShiftedPencil(sp.identity(4, format="csr")), -1.0)
     # the mass-matrix solve shares the factorization helper
     M = sp.diags(rng.random(20) + 0.5, format="csr")
     problem = LyapunovProblem(A, rng.standard_normal((20, 1)), M=M)
@@ -170,10 +177,123 @@ def test_complex_shift_fill_stays_low(recorded_lu):
     # (COLAMD, full partial pivoting); a silent fall-back fails this bound
     A = gen_cd3d(8)
     alpha = -1000.0 + 3000.0j
-    sparse_shifted_factorize(A, alpha)
+    sparse_shifted_factorize(ShiftedPencil(A), alpha)
     lu, = recorded_lu
     K = sp.csc_matrix(A + alpha * sp.identity(A.shape[0]))
     assert lu.nnz <= 0.6 * splu(K).nnz
+
+
+def _tridiagonal(n):
+    return sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1], format="csc")
+
+
+def _disconnected(rng):
+    # a 2-D grid, a path, a random block and three isolated nodes
+    return sp.block_diag([gen_cd2d(9), _tridiagonal(40),
+                          sp.random(50, 50, density=0.1, random_state=rng),
+                          sp.identity(3)], format="csr")
+
+
+@pytest.mark.parametrize("case", ["2d-grid", "3d-grid", "path", "disconnected", "n=1"])
+def test_nested_dissection_is_a_permutation(case):
+    A = {"2d-grid": lambda: gen_cd2d(23), "3d-grid": lambda: gen_cd3d(9),
+         "path": lambda: _tridiagonal(300),
+         "disconnected": lambda: _disconnected(np.random.default_rng(21)),
+         "n=1": lambda: sp.csr_matrix(np.array([[-2.0]]))}[case]()
+    P = abs(A) + abs(A.T)
+    perm = nested_dissection_order(P)
+    assert perm.dtype == np.int64
+    assert np.array_equal(np.sort(perm), np.arange(A.shape[0]))
+
+
+def test_nested_dissection_separates_a_grid():
+    # the last nodes of a 2-D grid's order form a separator: without them
+    # the grid falls apart into two big halves
+    n0 = 30
+    A = gen_cd2d(n0)
+    perm = nested_dissection_order(abs(A) + abs(A.T))
+    for width in range(1, 2 * n0):
+        rest = perm[: A.shape[0] - width]
+        ncomp, lab = connected_components(A[rest][:, rest], directed=False)
+        if ncomp > 1:
+            break
+    assert ncomp == 2
+    assert np.bincount(lab).min() >= 0.25 * A.shape[0]
+
+
+def test_nested_dissection_only_for_large_pencils():
+    assert ShiftedPencil(gen_cd3d(10)).perm is not None  # 1000 unknowns
+    assert ShiftedPencil(gen_cd3d(9)).perm is None
+
+
+@pytest.fixture
+def dissect_all(monkeypatch):
+    """Order every pencil by nested dissection, whatever its size."""
+    monkeypatch.setattr(linalg, "_ND_MIN_N", 0)
+
+
+def test_tridiagonal_pencil_keeps_natural_fill(dissect_all, recorded_lu):
+    # the FEM pair's path graph is ordered end to end: no fill beyond the band
+    n = 2000
+    h = 1.0 / (n + 1)
+    A = -_tridiagonal(n) / h
+    M = sp.diags([np.ones(n - 1), 4.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) * h / 6
+    sparse_shifted_factorize(ShiftedPencil(A, M), -300.0)
+    lu, = recorded_lu
+    K = sp.csc_matrix(A - 300.0 * M)
+    natural = splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
+    assert lu.nnz == natural.nnz
+
+
+@pytest.mark.parametrize("alpha", [-7.0, -7.0 + 30.0j])
+@pytest.mark.parametrize("mass", [None, "diagonal", "unsymmetric"])
+def test_permuted_factorization_solves(alpha, mass, dissect_all, recorded_lu,
+                                       monkeypatch):
+    rng = np.random.default_rng(22)
+    A = gen_cd2d(15) + sp.random(225, 225, density=0.01, random_state=rng)
+    M = None if mass is None else sp.diags(rng.random(225) + 0.5)
+    if mass == "unsymmetric":  # entries above the diagonal only
+        M = M + sp.triu(sp.random(225, 225, density=0.02, random_state=rng), 1)
+    patterns = []
+
+    def recording(P):
+        patterns.append(P)
+        return nested_dissection_order(P)
+
+    monkeypatch.setattr(linalg, "nested_dissection_order", recording)
+    pencil = ShiftedPencil(A, M)
+    assert not np.array_equal(pencil.perm, np.arange(225))
+    P, = patterns  # ordered once, on a symmetric pattern holding A's and M's
+    assert (P != P.T).nnz == 0
+    assert (abs(A) + abs(M if mass else sp.identity(225)) > P).nnz == 0
+    K = A + alpha * (M if mass else sp.identity(225))
+    assert_allclose(pencil.shifted(alpha).toarray(),
+                    K.toarray()[pencil.perm][:, pencil.perm], rtol=0, atol=0)
+    fact = sparse_shifted_factorize(pencil, alpha)
+    lu, = recorded_lu
+    assert np.array_equal(lu.perm_c, np.arange(225))  # factored as ordered
+    assert fact.is_complex == (np.imag(alpha) != 0)
+    for b in (rng.standard_normal(225), rng.standard_normal((225, 3))):
+        x = fact.solve(b)
+        assert x.shape == b.shape
+        assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+    if mass:
+        problem = LyapunovProblem(A, np.ones((225, 1)), M=M)
+        b = rng.standard_normal((225, 2))
+        assert_allclose(M @ problem.solve_M(b), b, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, -2.0 + 1.5j])
+def test_permuted_factorization_pivots_off_diagonal(alpha, dissect_all, recorded_lu):
+    _check_off_diagonal_pivots(alpha, recorded_lu)
+    assert np.array_equal(recorded_lu[0].perm_c, np.arange(40))
+
+
+def test_pencil_rejects_a_mismatched_mass_matrix():
+    with pytest.raises(ValueError, match="shape"):
+        ShiftedPencil(sp.identity(3, format="csc"), sp.identity(4))
 
 
 def test_dense_schur_reconstructs():

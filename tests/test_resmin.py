@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as spla
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.optimize import least_squares
 
 from conftest import (
     explicit_extended_krylov,
@@ -622,6 +623,23 @@ def test_jacobian_consistent_with_objective_and_fd():
                             atol=1e-6 * max(1.0, np.abs(J).max()))
 
 
+@pytest.mark.parametrize("s, weighted", [(1, False), (2, True)])
+def test_normal_equations_match_stacked_jacobian(s, weighted):
+    rng = np.random.default_rng(24)
+    for g in (1, 3):
+        co = make_objective(rng, s=s, g=g, weighted=weighted)
+        nu, xi = sample_point(co, rng)
+        r, J = nls_residual_jacobian(co, nu, xi)
+        Jr, JJ = nls_residual_jacobian(co, nu, xi, normal=True)
+        assert_allclose(Jr, J.T @ r, rtol=1e-12, atol=1e-14 * np.abs(J.T @ r).max())
+        assert_allclose(JJ, J.T @ J, rtol=1e-12)
+        # on a real-axis box only the nu column is formed
+        Jr1, JJ1 = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
+        assert Jr1.shape == (1,) and JJ1.shape == (1, 1)
+        assert_allclose(Jr1, Jr[:1], rtol=1e-12)
+        assert_allclose(JJ1, JJ[:1, :1], rtol=1e-12)
+
+
 def test_gradient_rejects_coalescent_gram():
     # two identical residual directions make the top Gram eigenvalue double
     H = np.diag([-1.0 + 0j, -1.0 + 0j])
@@ -709,6 +727,72 @@ def test_optimizer_beats_grid_oracle(method):
         assert info["value"] <= 1.05 * grid_min + 1e-14
 
 
+def _edge_objectives():
+    # psi vanishes at alpha = conj(lambda); each box stops short of it
+    lam = -1.0 + 0.5j
+    H = np.array([[lam]])
+    W = np.array([[1.0 + 0j]])
+    return [
+        # real axis: minimum on nu_minus, gradient pointing out of the box
+        CompressedObjective(H=H.real.astype(complex), Wtil=W,
+                            bounds=Bounds(-0.8, -0.25, 0.0, True)),
+        # complex box: minimum in the corner (nu_plus, 0)
+        CompressedObjective(H=H, Wtil=W, bounds=Bounds(-3.0, -2.0, 1.0, False)),
+        # complex box: minimum on the xi_plus edge, nu free inside
+        CompressedObjective(H=np.array([[-1.0 + 3.0j]]), Wtil=W,
+                            bounds=Bounds(-2.0, -0.5, 1.0, False)),
+    ]
+
+
+@pytest.mark.parametrize("method", ["gauss-newton", "newton-trust"])
+@pytest.mark.parametrize("case", [0, 1, 2])
+def test_polish_converges_on_the_box_edge(method, case):
+    co = _edge_objectives()[case]
+    b = co.bounds
+    alpha, info = optimize_shift(co, method=method)
+    on_edge = [alpha.real in (b.nu_minus, b.nu_plus),
+               alpha.imag in (0.0, b.xi_plus)]
+    assert any(on_edge)
+    assert info["converged"] and info["stop"] == "gradient"
+    assert info["iterations"] <= 5
+    assert len(info["stops"]) == info["n_starts"]
+    # nothing inside the box does better than the edge point
+    nus = np.linspace(b.nu_minus, b.nu_plus, 101)
+    xis = [0.0] if b.real_axis else np.linspace(0.0, b.xi_plus, 101)
+    assert info["value"] <= min(eval_objective(co, nu, xi) for nu in nus for xi in xis)
+
+
+def test_polish_matches_bounded_least_squares():
+    # SciPy's reflective trust-region least squares (Coleman-Li) as an
+    # oracle for the Gauss-Newton polish from the same start, also in
+    # boxes cut short so that minima land on their edges
+    rng = np.random.default_rng(25)
+    for trial in range(12):
+        co = make_objective(rng, k=int(rng.integers(3, 7)), g=1 + trial % 2,
+                            weighted=bool(trial % 3 == 1))
+        b = co.bounds
+        if trial % 2:
+            b = Bounds(b.nu_minus, 0.5 * (b.nu_minus + b.nu_plus), 0.3 * b.xi_plus,
+                       b.real_axis)
+            co = replace(co, bounds=b)
+        nvar = 1 if b.real_axis else 2
+        lo = np.array([b.nu_minus, 0.0])[:nvar]
+        hi = np.array([b.nu_plus, b.xi_plus])[:nvar]
+        x0 = lo + rng.random(nvar) * (hi - lo)
+
+        def point(v):
+            return v[0], (v[1] if nvar == 2 else 0.0)
+
+        oracle = least_squares(
+            lambda v: nls_residual_jacobian(co, *point(v))[0], x0,
+            jac=lambda v: nls_residual_jacobian(co, *point(v))[1][:, :nvar],
+            bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], b)
+        assert stop in ("gradient", "step")
+        assert fx <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2 = psi
+        assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
+
+
 def test_optimizer_real_spectrum_stays_real():
     rng = np.random.default_rng(21)
     co = make_objective(rng, real_spectrum=True)
@@ -773,7 +857,7 @@ def test_resmin_never_worse_than_guess():
         # optimizing the compressed objective also improves the exact one
         # at least at the initial guess it polished
         assert dense_psi(a, state.W) <= dense_psi(info["guess"], state.W) * (1 + 1e-6)
-        fact = sparse_shifted_factorize(problem.A, a)
+        fact = sparse_shifted_factorize(problem.pencil, a)
         run_multistep_group(state, fact, 1)
 
 
