@@ -36,19 +36,12 @@ import numpy as np
 from .engine import LyapunovProblem, lr_adi_solve
 from .linalg import MatrixMarketError, SingularShiftError, matrix_market_read
 from .problems import gen_cd2d, gen_cd3d, gen_rhs
+from .resmin import OPTIMIZERS
 from .strategies import StrategyConfig, make_strategy
 
 
 class ConfigError(ValueError):
     """Invalid config file, strategy string, or option combination."""
-
-
-_OPTIMIZERS = {
-    "gn": "gauss-newton",
-    "gauss-newton": "gauss-newton",
-    "nt": "newton-trust",
-    "newton-trust": "newton-trust",
-}
 
 
 def parse_strategy(text):
@@ -88,21 +81,16 @@ def parse_strategy(text):
         kind = {"heur": "zheur", "conv": "zconv", "hres": "zhres"}[m.group(2)]
         return StrategyConfig(kind=kind, h=h)
 
-    m = re.fullmatch(r"resmin\+z\((\d+)\)\+([a-z-]+)", s)
+    m = re.fullmatch(r"resmin\+(?:z\((\d+)\)|ek\((\d+),(\d+)\))\+([a-z-]+)", s)
     if m:
-        opt = _OPTIMIZERS.get(m.group(2))
-        if opt is None:
-            raise ConfigError(f"unknown optimizer {m.group(2)!r}")
-        return StrategyConfig(kind="resmin", subspace="Z", h=int(m.group(1)),
-                              optimizer=opt, g=g)
-
-    m = re.fullmatch(r"resmin\+ek\((\d+),(\d+)\)\+([a-z-]+)", s)
-    if m:
-        opt = _OPTIMIZERS.get(m.group(3))
-        if opt is None:
-            raise ConfigError(f"unknown optimizer {m.group(3)!r}")
-        return StrategyConfig(kind="resmin", subspace="EK", p=int(m.group(1)),
-                              m=int(m.group(2)), optimizer=opt, g=g)
+        h, p, mm, opt = m.groups()
+        if opt not in OPTIMIZERS:
+            raise ConfigError(f"unknown optimizer {opt!r}")
+        if h is not None:
+            space = dict(subspace="Z", h=int(h))
+        else:
+            space = dict(subspace="EK", p=int(p), m=int(mm))
+        return StrategyConfig(kind="resmin", optimizer=OPTIMIZERS[opt], g=g, **space)
 
     raise ConfigError(f"unrecognized strategy string {text!r}")
 

@@ -190,6 +190,16 @@ def scaled_residual(W, b_norm2):
     return spectral_norm_small(W) / b_norm2
 
 
+def _residual_update(state, V, c):
+    """(W + c M V, W_m + c V): the residual factor and M^{-1} times it after
+    a step whose solve gave V; without a mass matrix both are W + c V."""
+    problem = state.problem
+    if problem.M is None:
+        W = state.W + c * V
+        return W, W
+    return state.W + c * problem.apply_M(V), state.W_m + c * V
+
+
 def adi_real_step(state, fact):
     """One ADI step with a real negative shift; appends one Z block.
 
@@ -200,15 +210,9 @@ def adi_real_step(state, fact):
     alpha = float(np.real(fact.alpha))
     if not alpha < 0.0:
         raise ValueError(f"shift must have negative real part, got {alpha}")
-    problem = state.problem
     V = fact.solve(state.W)
     gamma = np.sqrt(-2.0 * alpha)
-    if problem.M is None:
-        state.W = state.W - 2.0 * alpha * V
-        state.W_m = state.W
-    else:
-        state.W = state.W - 2.0 * alpha * problem.apply_M(V)
-        state.W_m = state.W_m - 2.0 * alpha * V
+    state.W, state.W_m = _residual_update(state, V, -2.0 * alpha)
     res = scaled_residual(state.W, state.b_norm2)
     state._push(gamma * V, [ShiftRecord(alpha, gamma, "real")], [res])
     return state
@@ -232,23 +236,17 @@ def adi_double_step(state, fact):
     beta, delta = alpha.real, alpha.imag
     if not (beta < 0.0 and delta > 0.0):
         raise ValueError(f"need Re<0, Im>0, got {alpha}")
-    problem = state.problem
     c = beta / delta
     q = np.sqrt(c * c + 1.0)
     gamma = np.sqrt(-2.0 * beta)
 
     V = fact.solve(state.W)
     # residual factor after the half step (complex intermediate)
-    W_mid = state.W - 2.0 * beta * (problem.apply_M(V) if problem.M is not None else V)
+    W_mid, _ = _residual_update(state, V, -2.0 * beta)
     res_mid = scaled_residual(W_mid, state.b_norm2)
 
     Vr = V.real + c * V.imag
-    if problem.M is None:
-        state.W = state.W - 4.0 * beta * Vr
-        state.W_m = state.W
-    else:
-        state.W = state.W - 4.0 * beta * problem.apply_M(Vr)
-        state.W_m = state.W_m - 4.0 * beta * Vr
+    state.W, state.W_m = _residual_update(state, Vr, -4.0 * beta)
     res = scaled_residual(state.W, state.b_norm2)
 
     block = np.empty((state.n, 2 * state.s))

@@ -6,7 +6,10 @@ factor Wt, built either from a window of recent Z columns or from a
 recycled extended Krylov space that reuses the seed basis built once up
 front (new basis directions come from the accumulated factor Z, without
 further solves with A). The Compressor here supplies that model to every
-adaptive strategy; the strategies module adds the heuristic pickers.
+adaptive strategy, which strategies.AdaptiveStrategy pairs with a picker:
+one of the heuristic pickers of the strategies module, the projected
+residual Hamiltonian shift, or the residual-minimizing picker
+(resmin_next_shift).
 
 The residual-minimizing picker chooses the next shift by minimizing the
 norm of the ADI residual factor after one (or g) hypothetical steps,
@@ -28,7 +31,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .engine import ShiftProposal, real_SG
+from .engine import real_SG
 from .linalg import (
     block_orth,
     dense_eig_hermitian,
@@ -44,7 +47,6 @@ __all__ = [
     "CompressedObjective",
     "Compressor",
     "Bounds",
-    "DerivativeWorkspace",
     "ShiftObjectiveError",
     "build_seed",
     "seed_compressed",
@@ -56,6 +58,7 @@ __all__ = [
     "recycle_krylov",
     "eval_objective",
     "grid_objective",
+    "eval_derivatives",
     "eval_gradient",
     "eval_hessian",
     "nls_residual_jacobian",
@@ -64,7 +67,7 @@ __all__ = [
     "optimize_shift",
     "hamiltonian_residual_shift",
     "resmin_next_shift",
-    "ResminStrategy",
+    "OPTIMIZERS",
 ]
 
 
@@ -78,13 +81,8 @@ class ShiftObjectiveError(RuntimeError):
 
 def _staircase_pivots(R, k0):
     """Map each basis column added by block_orth to the input column that
-    created it: returns a list over added rows of pivot column indices."""
-    kadd = R.shape[0] - k0
-    piv = []
-    for i in range(kadd):
-        nz = np.nonzero(np.abs(R[k0 + i]) > 0.0)[0]
-        piv.append(int(nz[0]))
-    return piv
+    created it: the first nonzero of each added row of R, as an array."""
+    return np.argmax(np.abs(R[k0:]) > 0.0, axis=1)
 
 
 def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
@@ -653,33 +651,6 @@ def grid_objective(co, nus, xis):
     return vals
 
 
-@dataclass
-class DerivativeWorkspace:
-    """Shared quantities for gradient/Hessian/Jacobian at one point.
-
-    Holds the repeated triangular solves S_i = L^{-i} Wt, the (weighted)
-    mapped residual Psi = T C^g Wt and its first and second partial
-    derivatives in (nu, xi), plus the eigendecomposition of the Gram
-    matrix Psi^* Psi (eigenvalues descending). The objective value is
-    theta[0].
-    """
-
-    nu: float
-    xi: float
-    Psi: object
-    Psi_nu: object
-    Psi_xi: object
-    theta: object
-    U: object
-    Psi_nunu: object = None
-    Psi_nuxi: object = None
-    Psi_xixi: object = None
-
-    @property
-    def value(self):
-        return float(self.theta[0])
-
-
 def _psi_derivatives(co, nu, xi, order, with_xi=True):
     """Psi = T C^g Wt and its partial derivatives in (nu, xi), weighted.
 
@@ -719,14 +690,6 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     return out
 
 
-def make_workspace(co, nu, xi=0.0, order=2):
-    """Build the derivative workspace at (nu, xi); order 1 skips the
-    second derivatives. Raises ShiftObjectiveError at singular points."""
-    Psi, Psi_nu, Psi_xi, *second = _psi_derivatives(co, nu, xi, order)
-    theta, U = dense_eig_hermitian(Psi.conj().T @ Psi)
-    return DerivativeWorkspace(nu, xi, Psi, Psi_nu, Psi_xi, theta, U, *second)
-
-
 def _check_gap(theta, how):
     top = max(theta[0], 1e-300)
     if theta.size > 1:
@@ -742,31 +705,34 @@ def _check_gap(theta, how):
             )
 
 
-def _gradient_from_ws(ws):
-    _check_gap(ws.theta, "top")
-    u1 = ws.U[:, 0]
-    gnu = 2.0 * np.real(u1.conj() @ (ws.Psi.conj().T @ (ws.Psi_nu @ u1)))
-    gxi = 2.0 * np.real(u1.conj() @ (ws.Psi.conj().T @ (ws.Psi_xi @ u1)))
-    return np.array([gnu, gxi])
+def eval_derivatives(co, nu, xi=0.0, order=2):
+    """Objective value, gradient and (with order 2) Hessian at (nu, xi).
 
-
-def _hessian_from_ws(ws):
-    _check_gap(ws.theta, "all")
-    theta, U = ws.theta, ws.U
+    psi is the largest eigenvalue theta_1 of the Gram matrix Psi^* Psi
+    with Psi = T C^g Wt; its derivatives follow from the eigenvector u1
+    and, for the Hessian, the perturbation sum over the other eigenpairs.
+    Returns (value, [d psi/d nu, d psi/d xi], 2 x 2 Hessian), the Hessian
+    None with order 1. The gradient requires a simple dominant Gram
+    eigenvalue, the Hessian all Gram eigenvalues (relatively) distinct;
+    raises ShiftObjectiveError otherwise and at singular points.
+    """
+    out = _psi_derivatives(co, nu, xi, order)
+    P, first = out[0], out[1:3]
+    theta, U = dense_eig_hermitian(P.conj().T @ P)
+    _check_gap(theta, "top")
     u1 = U[:, 0]
-    P, Pn, Px = ws.Psi, ws.Psi_nu, ws.Psi_xi
-    second = {
-        ("nu", "nu"): ws.Psi_nunu,
-        ("nu", "xi"): ws.Psi_nuxi,
-        ("xi", "xi"): ws.Psi_xixi,
-    }
-    first = {"nu": Pn, "xi": Px}
-    A = {x: first[x].conj().T @ P + P.conj().T @ first[x] for x in ("nu", "xi")}
+    grad = np.array([2.0 * np.real(u1.conj() @ (P.conj().T @ (F @ u1))) for F in first])
+    if order < 2:
+        return float(theta[0]), grad, None
+    _check_gap(theta, "all")
+    Pnn, Pnx, Pxx = out[3:]
+    second = [[Pnn, Pnx], [Pnx, Pxx]]
+    A = [F.conj().T @ P + P.conj().T @ F for F in first]
 
     def entry(x, y):
         h = 2.0 * np.real(
             u1.conj() @ ((first[x].conj().T @ (first[y] @ u1))
-                         + P.conj().T @ (second[(x, y)] @ u1))
+                         + P.conj().T @ (second[x][y] @ u1))
         )
         for k in range(1, theta.size):
             uk = U[:, k]
@@ -775,21 +741,20 @@ def _hessian_from_ws(ws):
             ) / (theta[0] - theta[k])
         return h
 
-    H = np.array([[entry("nu", "nu"), entry("nu", "xi")],
-                  [entry("nu", "xi"), entry("xi", "xi")]])
-    return H
+    hess = np.array([[entry(0, 0), entry(0, 1)], [entry(0, 1), entry(1, 1)]])
+    return float(theta[0]), grad, hess
 
 
 def eval_gradient(co, nu, xi=0.0):
     """Analytic gradient [d psi/d nu, d psi/d xi] of the compressed
     objective. Requires the dominant Gram eigenvalue to be simple."""
-    return _gradient_from_ws(make_workspace(co, nu, xi, order=1))
+    return eval_derivatives(co, nu, xi, order=1)[1]
 
 
 def eval_hessian(co, nu, xi=0.0):
     """Analytic symmetric 2x2 Hessian of the compressed objective.
     Requires all Gram eigenvalues to be (relatively) distinct."""
-    return _hessian_from_ws(make_workspace(co, nu, xi, order=2))
+    return eval_derivatives(co, nu, xi, order=2)[2]
 
 
 def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):
@@ -1001,9 +966,7 @@ def _polish_newton_trust(co, x, b):
     reduced_retry = False
     for it in range(100):
         try:
-            ws = make_workspace(co, x[0], x[1], order=2)
-            g2 = _gradient_from_ws(ws)
-            H2 = _hessian_from_ws(ws)
+            value, g2, H2 = eval_derivatives(co, x[0], x[1])
         except ShiftObjectiveError:
             if not reduced_retry and co.Wtil.shape[1] > 1:
                 co = tangential_reduce(co)
@@ -1013,7 +976,7 @@ def _polish_newton_trust(co, x, b):
             break
         g = g2[:nvar]
         Hm = H2[:nvar, :nvar]
-        if np.abs(g[_free(x, g, b)]).max(initial=0.0) <= 1e-8 * (1.0 + abs(ws.value)):
+        if np.abs(g[_free(x, g, b)]).max(initial=0.0) <= 1e-8 * (1.0 + abs(value)):
             stop = "gradient"
             break
         d = _trust_region_step(g, Hm, delta)
@@ -1044,11 +1007,12 @@ def _polish_newton_trust(co, x, b):
     return x, fx, it + 1, stop
 
 
-_BACKENDS = {
-    "gauss-newton": _polish_gauss_newton,
-    "gn": _polish_gauss_newton,
-    "newton-trust": _polish_newton_trust,
-    "nt": _polish_newton_trust,
+# optimizer names and their short aliases, each mapped to its canonical name
+OPTIMIZERS = {
+    "gauss-newton": "gauss-newton",
+    "gn": "gauss-newton",
+    "newton-trust": "newton-trust",
+    "nt": "newton-trust",
 }
 
 
@@ -1073,12 +1037,14 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     method
         "gauss-newton" (stacked-residual Levenberg iteration) or
         "newton-trust" (trust-region Newton with analytic derivatives;
-        block residuals are reduced tangentially first).
+        block residuals are reduced tangentially first), or an alias
+        from OPTIMIZERS.
     """
-    if method not in _BACKENDS:
+    if method not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {method!r}")
     b = co.bounds if co.bounds is not None else derive_bounds(np.diag(co.H))
-    polish = _BACKENDS[method]
+    polish = (_polish_gauss_newton if OPTIMIZERS[method] == "gauss-newton"
+              else _polish_newton_trust)
 
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
@@ -1120,7 +1086,7 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
 
 
 # ---------------------------------------------------------------------------
-# shift pickers on a compressed model, and the resmin strategy
+# shift pickers on a compressed model
 # ---------------------------------------------------------------------------
 
 def hamiltonian_residual_shift(H, Wtil):
@@ -1168,28 +1134,3 @@ def resmin_next_shift(co, g=1, method="gauss-newton"):
     info["compression"] = co
     info["guess"] = guess
     return alpha, info
-
-
-class ResminStrategy:
-    """Residual-norm-minimizing shifts, with multistep support.
-
-    ``config.subspace`` selects the compression ("EK" recycles the seed
-    space of orders (config.p, config.m), anything else uses the Z window
-    of size config.h); ``config.g`` makes each shift a multistep group
-    sharing one factorization. ``last_info`` holds the info of the latest
-    shift.
-    """
-
-    def __init__(self, config):
-        self.config = config
-        self.compressor = Compressor(config.subspace, config.h, config.p, config.m)
-        self.last_info = None
-
-    @property
-    def n_factorizations(self):
-        return self.compressor.n_factorizations
-
-    def next_shift(self, state, problem):
-        co = self.compressor(state, problem)
-        alpha, self.last_info = resmin_next_shift(co, self.config.g, self.config.optimizer)
-        return ShiftProposal(alpha, budget=max(1, int(self.config.g)))

@@ -2,11 +2,11 @@
 
 Contains the classical precomputed heuristic (greedy selection on Ritz
 values of an extended Krylov space) and the adaptive strategies. Every
-adaptive strategy pairs the resmin module's Compressor, which supplies a
-small compressed model of the iteration, with a shift picker: recomputed
-greedy heuristic shifts, convex-hull boundary shifts, the projected
-residual Hamiltonian shift, or the residual-norm minimizer
-(ResminStrategy, in the resmin module).
+adaptive strategy is one AdaptiveStrategy: the resmin module's
+Compressor, which supplies a small compressed model of the iteration,
+and a shift picker on that model: recomputed greedy heuristic shifts,
+convex-hull boundary shifts, the projected residual Hamiltonian shift,
+or the residual-norm minimizer (resmin.resmin_next_shift).
 """
 
 import logging
@@ -18,9 +18,9 @@ import numpy as np
 from .engine import ShiftProposal
 from .resmin import (
     Compressor,
-    ResminStrategy,
     build_seed,
     hamiltonian_residual_shift,
+    resmin_next_shift,
     ritz_update,
     schur_stabilize,
 )
@@ -38,7 +38,6 @@ __all__ = [
     "CyclicShifts",
     "PrecomputedHeuristicStrategy",
     "AdaptiveStrategy",
-    "ResminStrategy",
     "make_strategy",
 ]
 
@@ -222,33 +221,42 @@ class PrecomputedHeuristicStrategy:
 
 
 # Each picker maps the current compressed model (and the state, for the
-# shifts used so far) to the next shift. penzl_select appends the partner
-# of a complex pick; the double step runs it, so only the first is taken.
+# shifts used so far) to the next shift and the picker's info (None for
+# these). penzl_select appends the partner of a complex pick; the double
+# step runs it, so only the first is taken.
 _PICKERS = {
-    "zheur": lambda co, state: penzl_select(co.eigenvalues, 1)[0],
-    "zconv": lambda co, state: convex_hull_shift(co.eigenvalues, state.shift_values()),
-    "zhres": lambda co, state: hamiltonian_residual_shift(co.H, co.Wtil),
+    "zheur": lambda co, state: (penzl_select(co.eigenvalues, 1)[0], None),
+    "zconv": lambda co, state: (convex_hull_shift(co.eigenvalues, state.shift_values()), None),
+    "zhres": lambda co, state: (hamiltonian_residual_shift(co.H, co.Wtil), None),
 }
 
 
 class AdaptiveStrategy:
-    """Z(h)+heur|conv|Hres: a fresh window compression per shift, then a picker.
+    """Every adaptive strategy: a compressed model per shift, then a picker.
 
-    ``pick(co, state)`` is one of the pickers above: the greedy heuristic
-    on the Ritz values, the convex-hull boundary point, or the projected
-    residual Hamiltonian shift.
+    ``compressor`` is a resmin.Compressor: the seed compression at j = 0,
+    afterwards the Z window over the last h steps or the recycled extended
+    Krylov space. ``pick(co, state)`` returns ``(alpha, info)`` from that
+    model: one of the pickers above (Z(h)+heur|conv|Hres, info None) or
+    the residual-norm minimizer (resmin+Z|EK, info from
+    resmin.resmin_next_shift). ``budget`` > 1 makes each shift a multistep
+    group sharing one factorization. ``last_info`` holds the info of the
+    latest shift.
     """
 
-    def __init__(self, h, pick):
-        self.compressor = Compressor("Z", h)
+    def __init__(self, compressor, pick, budget=1):
+        self.compressor = compressor
         self.pick = pick
+        self.budget = budget
+        self.last_info = None
 
     @property
     def n_factorizations(self):
         return self.compressor.n_factorizations
 
     def next_shift(self, state, problem):
-        return ShiftProposal(self.pick(self.compressor(state, problem), state))
+        alpha, self.last_info = self.pick(self.compressor(state, problem), state)
+        return ShiftProposal(alpha, budget=self.budget)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +288,11 @@ def make_strategy(config):
     if kind == "heur":
         return PrecomputedHeuristicStrategy(config.J, config.p, config.m)
     if kind in _PICKERS:
-        return AdaptiveStrategy(config.h, _PICKERS[kind])
+        return AdaptiveStrategy(Compressor("Z", config.h), _PICKERS[kind])
     if kind == "resmin":
-        return ResminStrategy(config)
+        def pick(co, state):
+            return resmin_next_shift(co, config.g, config.optimizer)
+
+        compressor = Compressor(config.subspace, config.h, config.p, config.m)
+        return AdaptiveStrategy(compressor, pick, budget=max(1, int(config.g)))
     raise ValueError(f"unknown strategy kind {kind!r}")

@@ -1,4 +1,7 @@
+import ast
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from conftest import (
     random_stable,
     reference_complex_adi,
 )
-from lradi import engine, linalg, resmin
+from lradi import engine, linalg, resmin, strategies
 from lradi.cli import parse_strategy
 from lradi.engine import (
     AdiState,
@@ -402,3 +405,79 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
     assert report.converged
     assert len(shifts) == report.n_factorizations
     assert len(lus) == report.n_factorizations + (M is not None)
+
+
+def _benchmark_patch_points():
+    """(name, owner, attribute) of every attribute perfbench/spans.py rebinds.
+
+    Read from the tuples of its ``points`` list, so a seam added there is
+    covered here too; ``name`` is the owner as spans.py writes it plus
+    the attribute, e.g. "linalg.ShiftedFactorization.solve".
+    """
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    modules = {"engine": engine, "linalg": linalg, "resmin": resmin,
+               "strategies": strategies}
+    points = []
+    for node in ast.walk(ast.parse(source.read_text())):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "points"):
+            for entry in node.value.elts:
+                head, *rest = ast.unparse(entry.elts[0]).split(".")
+                owner = modules[head]
+                for attr in rest:
+                    owner = getattr(owner, attr)
+                attr = entry.elts[1].value
+                points.append((f"{ast.unparse(entry.elts[0])}.{attr}", owner, attr))
+    return points
+
+
+_COMMON_SEAMS = {
+    "linalg.splu", "engine.sparse_shifted_factorize", "resmin.sparse_shifted_factorize",
+    "linalg.ShiftedFactorization.solve", "resmin.block_orth", "engine.scaled_residual",
+    "resmin.build_seed", "resmin.schur_stabilize",
+}
+_OPTIMIZER_SEAMS = {"resmin.optimize_shift", "resmin.eval_objective",
+                    "resmin.nls_residual_jacobian", "resmin.hamiltonian_residual_shift"}
+_WINDOW_SEAMS = {"resmin.compress_zh", "resmin.ritz_update"}
+
+
+# strategies.ritz_update and strategies.schur_stabilize are never entered:
+# nothing calls them through the strategies module
+@pytest.mark.parametrize("case, entered", [
+    ("resmin+Z", _COMMON_SEAMS | _OPTIMIZER_SEAMS | _WINDOW_SEAMS
+     | {"engine.adi_real_step", "engine.adi_double_step"}),
+    ("resmin+EK+M", _COMMON_SEAMS | _OPTIMIZER_SEAMS
+     | {"resmin.recycle_krylov", "engine.adi_real_step"}),
+    ("Z(4)+Hres", _COMMON_SEAMS | _WINDOW_SEAMS
+     | {"strategies.hamiltonian_residual_shift", "engine.adi_double_step"}),
+], ids=["resmin+Z", "resmin+EK+M", "Z(4)+Hres"])
+def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
+    # the benchmark times layers by rebinding module attributes; each
+    # layer a strategy uses must be reached through one of them, and the
+    # factorization seams must see every factorization the report counts
+    if case == "resmin+Z":
+        A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
+    elif case == "resmin+EK+M":
+        (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
+    else:
+        A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
+    points = _benchmark_patch_points()
+    assert len(points) == 20
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner, attr in points:
+        monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    assert report.converged
+    assert set(counts) == entered
+    factorizations = (counts["engine.sparse_shifted_factorize"]
+                      + counts["resmin.sparse_shifted_factorize"])
+    assert factorizations == report.n_factorizations
+    assert counts["linalg.splu"] == report.n_factorizations + (M is not None)

@@ -20,7 +20,6 @@ from lradi.linalg import dense_schur
 from lradi.resmin import (
     Bounds,
     CompressedObjective,
-    ResminStrategy,
     ShiftObjectiveError,
     build_seed,
     compress_zh,
@@ -221,6 +220,20 @@ def test_recycle_matches_direct_extended_krylov():
     lam = np.linalg.eigvals(Qj.conj().T @ A @ Qj)
     gaps = np.abs(np.diag(co.H)[:, None] - lam[None, :]).min(axis=1)
     assert gaps.max() < 1e-9 * np.linalg.norm(A, 2)
+
+
+def test_staircase_pivots_match_row_loop():
+    # the input column behind each added basis column is the first nonzero
+    # of its row of R; dependent columns are dropped and have no row
+    rng = np.random.default_rng(31)
+    basis, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+    x0, x1, x2 = rng.standard_normal((3, 30, 1))
+    block = np.hstack([x0, basis @ rng.standard_normal((4, 1)), x1, x0 + x1, x2])
+    for base, expected in ((None, [0, 1, 2, 4]), (basis, [0, 2, 4])):
+        k0 = 0 if base is None else base.shape[1]
+        _, R = resmin.block_orth(base, block)
+        loop = [int(np.nonzero(np.abs(R[i]) > 0.0)[0][0]) for i in range(k0, R.shape[0])]
+        assert resmin._staircase_pivots(R, k0).tolist() == loop == expected
 
 
 def test_recycle_handles_conjugate_pairs():
@@ -827,7 +840,7 @@ def test_resmin_first_shift_negative_identity():
     B = np.zeros((30, 1))
     B[0, 0] = 1.0
     problem = LyapunovProblem(sp.csr_matrix(-np.eye(30)), B)
-    strat = ResminStrategy(StrategyConfig(kind="resmin", subspace="EK", p=1, m=1))
+    strat = make_strategy(StrategyConfig(kind="resmin", subspace="EK", p=1, m=1))
     alpha = strat.next_shift(AdiState(problem), problem).alpha
     assert alpha == pytest.approx(-1.0, abs=1e-9)
     assert strat.last_info["compression"].source == "seed"
@@ -840,7 +853,7 @@ def test_resmin_never_worse_than_guess():
     A = random_stable(n, rng)
     B = rng.standard_normal((n, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-12, max_iterations=20)
-    strat = ResminStrategy(StrategyConfig(kind="resmin", subspace="EK", p=2, m=1))
+    strat = make_strategy(StrategyConfig(kind="resmin", subspace="EK", p=2, m=1))
     state = AdiState(problem)
     from lradi.engine import normalize_shift, run_multistep_group
     from lradi.linalg import sparse_shifted_factorize
@@ -866,7 +879,7 @@ def test_resmin_strategy_counts_seed_factorization():
     A = random_stable(30, rng)
     B = rng.standard_normal((30, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-8, max_iterations=60)
-    strat = ResminStrategy(StrategyConfig(kind="resmin", subspace="EK", p=2, m=1))
+    strat = make_strategy(StrategyConfig(kind="resmin", subspace="EK", p=2, m=1))
     report = lr_adi_solve(problem, strat)
     assert report.converged
     pairs = sum(1 for a in report.shifts if a.imag > 0)
@@ -878,9 +891,9 @@ def test_resmin_multistep_reuses_factorizations():
     A = random_stable(40, rng)
     B = rng.standard_normal((40, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
-    rep1 = lr_adi_solve(problem, ResminStrategy(
+    rep1 = lr_adi_solve(problem, make_strategy(
         StrategyConfig(kind="resmin", subspace="EK", p=2, m=1, g=1)))
-    rep3 = lr_adi_solve(problem, ResminStrategy(
+    rep3 = lr_adi_solve(problem, make_strategy(
         StrategyConfig(kind="resmin", subspace="EK", p=2, m=1, g=3)))
     assert rep1.converged and rep3.converged
     assert rep3.n_factorizations < rep1.n_factorizations
@@ -894,6 +907,6 @@ def test_resmin_generalized_problem():
     B = rng.standard_normal((n, 1))
     problem = LyapunovProblem(sp.csr_matrix(A), B, M=sp.csr_matrix(M),
                               tol=1e-9, max_iterations=80)
-    report = lr_adi_solve(problem, ResminStrategy(
+    report = lr_adi_solve(problem, make_strategy(
         StrategyConfig(kind="resmin", subspace="EK", p=2, m=1)))
     assert report.converged

@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 import subprocess
@@ -13,8 +14,10 @@ from numpy.testing import assert_allclose
 
 import lradi.strategies
 from conftest import random_stable
+from lradi.cli import parse_strategy
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
 from lradi.linalg import sparse_shifted_factorize
+from lradi.problems import gen_cd2d, gen_rhs
 from lradi.strategies import (
     CyclicShifts,
     StrategyConfig,
@@ -26,6 +29,7 @@ from lradi.strategies import (
     ritz_update,
     schur_stabilize,
 )
+from test_acceptance import _fem_pair
 from test_engine import run_shifts
 
 
@@ -324,6 +328,29 @@ def test_all_strategies_solve_small_problem(kind):
     cfg = StrategyConfig(kind=kind, J=6, p=4, m=2, h=3)
     report = lr_adi_solve(problem, make_strategy(cfg))
     assert report.converged, f"{kind} failed: {report.final_residual:.2e}"
+
+
+# shift sequences and counts of every strategy kind on small inputs, recorded
+# when each adaptive kind still had its own strategy class; a refactor of
+# shift generation must reproduce them
+PINNED = json.loads((Path(__file__).parent / "pinned_shifts.json").read_text())
+
+
+@pytest.mark.parametrize("text", list(PINNED))
+def test_strategy_kinds_reproduce_pinned_shifts(text):
+    # cd2d(12) with s = 1, or the fem pair with n = 200 and s = 2 for EK;
+    # shifts to 1e-12 relative, counts exact
+    if text.startswith("resmin+EK"):
+        (A, M), s = _fem_pair(200), 2
+    else:
+        A, M, s = gen_cd2d(12), None, 1
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    pinned = PINNED[text]
+    assert report.iterations == pinned["iterations"]
+    assert report.n_factorizations == pinned["factorizations"]
+    expected = np.array([complex(x, y) for x, y in pinned["shifts"]])
+    assert_allclose(np.array(report.shifts), expected, rtol=1e-12, atol=0.0)
 
 
 def test_make_strategy_rejects_unknown_kind():
