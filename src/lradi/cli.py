@@ -97,7 +97,12 @@ def parse_strategy(text):
 
 @dataclasses.dataclass
 class RunConfig:
-    """One benchmark run: problem + strategy + run parameters."""
+    """One benchmark run: problem + strategy + run parameters.
+
+    The fields are the config keys with their types and defaults; the
+    ``strategy`` key's text is kept in ``strategy_text``, and ``label``
+    defaults to the config file's stem.
+    """
 
     problem: str
     strategy_text: str
@@ -117,16 +122,14 @@ class RunConfig:
     label: str = "run"
 
     def problem_key(self):
-        """Identity of the problem data + run parameters (for compare)."""
-        return (self.problem, self.n0, self.s, self.seed, self.cx, self.cy,
-                self.cz, self.a_file, self.m_file, self.b_file, self.tol,
-                self.max_iter)
+        """Identity of the problem data + run parameters (for compare):
+        every field but the strategy, the output directory and the label."""
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self)
+                     if f.name not in ("strategy_text", "strategy", "out_dir", "label"))
 
 
-_INT_KEYS = {"n0", "s", "seed", "max_iter"}
-_FLOAT_KEYS = {"cx", "cy", "cz", "tol"}
-_STR_KEYS = {"problem", "strategy", "a_file", "m_file", "b_file", "out_dir",
-             "label"}
+# config key -> RunConfig field (the strategy key is read as text)
+_KEYS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "strategy_text"}
 
 
 def _read_pairs(path):
@@ -143,7 +146,7 @@ def _read_pairs(path):
             raise ConfigError(f"{path}:{i}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         value = value.strip("\"'")
-        if key not in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{i}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"{path}:{i}: duplicate key {key!r}")
@@ -158,43 +161,22 @@ def parse_config(path, overrides=None):
         if value is not None:
             pairs[key] = str(value)
 
-    def get(key, default=None):
-        if key not in pairs:
-            if default is None:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return default
-        value = pairs[key]
-        try:
-            if key in _INT_KEYS:
-                return int(value)
-            if key in _FLOAT_KEYS:
-                return float(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key}: {value!r}") from exc
-        return value
-
-    problem = get("problem").lower()
-    if problem not in ("cd2d", "cd3d", "mm"):
-        raise ConfigError(f"{path}: unknown problem {problem!r}")
-    strategy_text = get("strategy")
-    cfg = RunConfig(
-        problem=problem,
-        strategy_text=strategy_text,
-        strategy=parse_strategy(strategy_text),
-        n0=get("n0", 0),
-        s=get("s", 1),
-        seed=get("seed", 0),
-        cx=get("cx", 100.0),
-        cy=get("cy", 1000.0),
-        cz=get("cz", 10.0),
-        a_file=get("a_file", ""),
-        m_file=get("m_file", ""),
-        b_file=get("b_file", ""),
-        tol=get("tol", 1e-8),
-        max_iter=get("max_iter", 150),
-        out_dir=get("out_dir", "."),
-        label=get("label", Path(path).stem),
-    )
+    values = {"label": Path(path).stem}
+    for key, f in _KEYS.items():
+        if key in pairs:
+            value = pairs[key]
+            try:
+                values[key] = f.type(value) if f.type in (int, float) else value
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad value for {key}: {value!r}") from exc
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    values["problem"] = values["problem"].lower()
+    if values["problem"] not in ("cd2d", "cd3d", "mm"):
+        raise ConfigError(f"{path}: unknown problem {values['problem']!r}")
+    values["strategy_text"] = values["strategy"]
+    values["strategy"] = parse_strategy(values["strategy"])
+    cfg = RunConfig(**values)
     if not 0.0 < cfg.tol < 1.0:
         raise ConfigError(f"{path}: tol must be in (0, 1), got {cfg.tol}")
     if cfg.max_iter < 1:
@@ -208,10 +190,8 @@ def parse_config(path, overrides=None):
     # files are relative to the config's directory, so configs stay portable
     base = Path(path).resolve().parent
     for attr in ("a_file", "m_file", "b_file"):
-        value = getattr(cfg, attr)
-        if value:
-            setattr(cfg, attr, str((base / value) if not Path(value).is_absolute()
-                                   else Path(value)))
+        if getattr(cfg, attr):  # an absolute path stays as it is
+            setattr(cfg, attr, str(base / getattr(cfg, attr)))
     return cfg
 
 

@@ -92,7 +92,7 @@ class LyapunovProblem:
 
         M is factorized once, lazily, in the order of ``pencil``; that
         factorization is not a shifted one and is not counted in
-        ``n_factorizations``.
+        ``pencil.n_factorizations``.
         """
         if self.M is None:
             return np.array(rhs, copy=True)
@@ -292,18 +292,14 @@ def run_multistep_group(state, fact, budget):
     """
     problem = state.problem
     before = state.j
-    alpha = complex(fact.alpha)
-    if alpha.imag == 0.0:
-        for _ in range(budget):
-            if state.current_residual <= problem.tol or state.j >= problem.max_iterations:
-                break
-            adi_real_step(state, fact)
+    if complex(fact.alpha).imag == 0.0:
+        step, repeats = adi_real_step, budget
     else:
-        pairs = int(np.ceil(budget / 2.0))
-        for _ in range(pairs):
-            if state.current_residual <= problem.tol or state.j >= problem.max_iterations:
-                break
-            adi_double_step(state, fact)
+        step, repeats = adi_double_step, (budget + 1) // 2
+    for _ in range(repeats):
+        if state.current_residual <= problem.tol or state.j >= problem.max_iterations:
+            break
+        step(state, fact)
     return state.j - before
 
 
@@ -314,9 +310,9 @@ class SolveReport:
     ``iterations`` counts logical ADI steps (pair halves count separately;
     the last pair may overshoot max_iterations by one). ``residuals`` and
     ``shifts`` have one entry per logical step; the cumulative timing
-    arrays line up with them. ``n_factorizations`` counts every sparse
-    shifted factorization built for the run, including any the shift
-    strategy built for seed spaces.
+    arrays line up with them. ``n_factorizations`` counts the shifted
+    factorizations built on the problem's pencil during the run, by the
+    engine (one per shift) or by the strategy (seed spaces, say).
     """
 
     status: str
@@ -349,10 +345,10 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     problem
         LyapunovProblem instance.
     strategy
-        Shift source: an object with ``next_shift(state, problem) ->
-        ShiftProposal``. Strategies that factorize on their own report it
-        via an ``n_factorizations`` attribute, which is folded into the
-        report.
+        Shift source: an object with ``next_shift(state) ->
+        ShiftProposal``; the problem is ``state.problem``. The report
+        counts the change in ``problem.pencil.n_factorizations`` over the
+        solve, so the LUs a strategy builds there are counted too.
     return_state
         Also return the final AdiState (for Z and the residual factor).
     on_step
@@ -367,7 +363,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     state = AdiState(problem)
     t0 = time.monotonic()
     t_shift = 0.0
-    n_fact = 0
+    n_fact0 = problem.pencil.n_factorizations
     t_total_cum, t_shift_cum = [], []
 
     while True:
@@ -378,11 +374,10 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
             status = "max_iterations"
             break
         ts = time.monotonic()
-        proposal = strategy.next_shift(state, problem)
+        proposal = strategy.next_shift(state)
         t_shift += time.monotonic() - ts
         alpha = normalize_shift(proposal.alpha)
         fact = sparse_shifted_factorize(problem.pencil, alpha)
-        n_fact += 1
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
         fact = None  # release this LU before the next one is built
         if done == 0:  # budget exhausted by the cap before any step ran
@@ -407,7 +402,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         t_shift=t_shift,
         t_total_cum=t_total_cum,
         t_shift_cum=t_shift_cum,
-        n_factorizations=n_fact + int(getattr(strategy, "n_factorizations", 0)),
+        n_factorizations=problem.pencil.n_factorizations - n_fact0,
         n=problem.n,
         s=problem.s,
         tol=problem.tol,

@@ -203,7 +203,8 @@ class ShiftedPencil:
     solution back, unless that order is the given one. A's and M's values
     are laid out once on the CSC pattern of their union, so a shifted
     matrix costs one axpy on the values: no sparse sum and no format
-    conversion.
+    conversion. ``n_factorizations`` counts the shifted LUs built on the
+    pencil that passed their singularity test; M's LU is not counted.
     """
 
     def __init__(self, A, M=None):
@@ -214,6 +215,7 @@ class ShiftedPencil:
         self.A, self.M = A, M
         self.n = A.shape[0]
         self._m_lu = None
+        self.n_factorizations = 0
 
     @cached_property
     def _layout(self):
@@ -345,6 +347,7 @@ class ShiftedFactorization:
                 f"A + ({alpha})*M is numerically singular "
                 f"(condition number >= {cond:.2e})"
             )
+        pencil.n_factorizations += 1
         self._pencil = pencil
         self.alpha = alpha
         self.n = n

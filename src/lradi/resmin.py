@@ -158,8 +158,7 @@ class KrylovSeed:
     case) with the first s columns spanning the starting block; ``P`` holds
     the images A Q so later restrictions need no further products with A;
     ``H = Q^* P`` is the seed restriction and ``eta`` reproduces the
-    starting block as Q[:, :s] @ eta. ``p_eff``/``m_eff`` record the orders
-    actually reached (smaller than requested on early breakdown).
+    starting block as Q[:, :s] @ eta; ``p``, ``m`` are the requested orders.
     ``MQ_Q``, ``MQ_R`` are the thin QR factors of M Q (None without a mass
     matrix): the weights of the seed and recycled compressions start from
     them, so a recycled basis applies M and factors only its new columns.
@@ -171,10 +170,7 @@ class KrylovSeed:
     eta: object
     p: int
     m: int
-    p_eff: int
-    m_eff: int
     B_m: object
-    n_factorizations: int = 0
     MQ_Q: object = None
     MQ_R: object = None
 
@@ -197,11 +193,9 @@ def build_seed(problem, p, m, B=None):
     """
     Braw = problem.B if B is None else np.atleast_2d(np.asarray(B, dtype=np.float64))
     Bt = problem.solve_M(Braw) if problem.M is not None else Braw
-    n_fact = 0
     solve_op = None
     if m >= 1:
         fact = sparse_shifted_factorize(problem.pencil, 0.0)
-        n_fact = 1
         if problem.M is None:
             solve_op = fact.solve
         else:
@@ -229,8 +223,7 @@ def build_seed(problem, p, m, B=None):
         # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
         MQ_Q, MQ_R = np.linalg.qr(np.asfortranarray(problem.apply_M(Q)))
     return KrylovSeed(
-        Q=Q, P=P, H=H, eta=eta, p=p, m=m, p_eff=p_eff, m_eff=m_eff,
-        B_m=Bt, n_factorizations=n_fact, MQ_Q=MQ_Q, MQ_R=MQ_R,
+        Q=Q, P=P, H=H, eta=eta, p=p, m=m, B_m=Bt, MQ_Q=MQ_Q, MQ_R=MQ_R,
     )
 
 
@@ -359,13 +352,13 @@ def _compress(H, Wt_raw, weight_r, **fields):
     )
 
 
-def seed_compressed(seed, problem):
+def seed_compressed(seed):
     """Compressed objective at iteration zero, straight from the seed."""
     return _compress(seed.H, seed.Q.conj().T @ seed.B_m, seed.MQ_R, Q=seed.Q,
                      source="seed")
 
 
-def ritz_update(state, h, problem=None):
+def ritz_update(state, h):
     """Restrict onto the span of the last h logical steps' Z columns.
 
     The window is widened by one step when it would split a conjugate
@@ -379,7 +372,7 @@ def ritz_update(state, h, problem=None):
 
     Returns a CompressedObjective. Requires state.j >= 1.
     """
-    problem = problem if problem is not None else state.problem
+    problem = state.problem
     s, j = state.s, state.j
     if j < 1:
         raise ValueError("ritz_update needs at least one completed step")
@@ -417,13 +410,13 @@ def ritz_update(state, h, problem=None):
                      used_fallback=used_fallback, window_start=start)
 
 
-def compress_zh(state, h, problem=None):
+def compress_zh(state, h):
     """Window compression: the restriction onto the last h steps.
 
     The Compressor's entry to the Z window; the work is ritz_update's.
     Requires at least one completed step.
     """
-    return ritz_update(state, h, problem)
+    return ritz_update(state, h)
 
 
 def history_krylov_basis(shifts, p, m):
@@ -443,7 +436,7 @@ def history_krylov_basis(shifts, p, m):
     return q, S, g
 
 
-def recycle_krylov(seed, state, problem=None):
+def recycle_krylov(seed, state):
     """Compressed objective from the recycled extended Krylov space.
 
     The extended Krylov space of (A, W_j) is contained in the seed space
@@ -464,12 +457,9 @@ def recycle_krylov(seed, state, problem=None):
     weight factor of M Qj comes from its Gram matrix (_extend_qr_r), so
     the weighted norms carry a relative error of order eps cond(M)^2.
 
-    Returns a CompressedObjective over the extended basis.
+    Returns a CompressedObjective over the extended basis (the seed's at j = 0).
     """
-    problem = problem if problem is not None else state.problem
     s, j = state.s, state.j
-    if j < 1:
-        return seed_compressed(seed, problem)
     if j <= seed.p + seed.m:
         S, g = real_SG(state.shifts, 1)
         q = np.eye(j)  # short history: extend by all of Z
@@ -498,8 +488,8 @@ def recycle_krylov(seed, state, problem=None):
         trsm = spla.get_blas_funcs("trsm", (T_tri, rhs))
         H = np.hstack([H, trsm(1.0, T_tri, rhs, side=1)])
     MQ_r = None
-    if problem.M is not None:
-        MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, problem.apply_M(Qj[:, k0:]))
+    if state.problem.M is not None:
+        MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, state.problem.apply_M(Qj[:, k0:]))
     return _compress(H, QjH @ state.W_m, MQ_r, Q=Qj,
                      source=f"EK({seed.p},{seed.m})")
 
@@ -537,9 +527,9 @@ def _extend_qr_r(Q0, R0, X):
 class Compressor:
     """Source of the compressed model for every adaptive strategy.
 
-    Builds the extended Krylov seed once, on the first call (orders (p, m)
-    for the recycled space, (1, 1) for the Z window), and adds its
-    factorization to ``n_factorizations``. Each call returns the seed
+    Called with the iteration state, its only input: builds the extended
+    Krylov seed of ``state.problem`` on the first call (orders (p, m) for
+    the recycled space, (1, 1) for the Z window), then returns the seed
     compression at j = 0, afterwards the window over the last h steps
     (``subspace`` "Z") or the recycled extended Krylov space ("EK").
     """
@@ -549,17 +539,15 @@ class Compressor:
         self.h = h
         self.orders = (p, m) if subspace == "EK" else (1, 1)
         self.seed = None
-        self.n_factorizations = 0
 
-    def __call__(self, state, problem):
+    def __call__(self, state):
         if self.seed is None:
-            self.seed = build_seed(problem, *self.orders)
-            self.n_factorizations += self.seed.n_factorizations
+            self.seed = build_seed(state.problem, *self.orders)
         if state.j == 0:
-            return seed_compressed(self.seed, problem)
+            return seed_compressed(self.seed)
         if self.subspace == "EK":
-            return recycle_krylov(self.seed, state, problem)
-        return compress_zh(state, self.h, problem)
+            return recycle_krylov(self.seed, state)
+        return compress_zh(state, self.h)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ adaptive strategy is one AdaptiveStrategy: the resmin module's
 Compressor, which supplies a small compressed model of the iteration,
 and a shift picker on that model: recomputed greedy heuristic shifts,
 convex-hull boundary shifts, the projected residual Hamiltonian shift,
-or the residual-norm minimizer (resmin.resmin_next_shift).
+or the residual-norm minimizer (resmin.resmin_next_shift). Every
+strategy answers ``next_shift(state)`` with an engine.ShiftProposal: the
+iteration state, its problem included, is its only input.
 """
 
 import logging
@@ -111,8 +113,7 @@ def precomputed_heuristic(problem, J, p, m):
             RuntimeWarning,
         )
         J = ritz.size
-    shifts = penzl_select(ritz, J)
-    return shifts, seed.n_factorizations
+    return penzl_select(ritz, J)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,6 @@ class CyclicShifts:
             raise ValueError("empty shift list")
         self.shifts = [complex(a) for a in shifts]
         self._pos = 0
-        self.n_factorizations = 0
 
     def _pop(self):
         a = self.shifts[self._pos % len(self.shifts)]
@@ -200,7 +200,7 @@ class CyclicShifts:
                 self._pos += 1  # partner handled by the double step
         return a
 
-    def next_shift(self, state, problem):
+    def next_shift(self, state):
         return ShiftProposal(self._pop())
 
 
@@ -210,14 +210,12 @@ class PrecomputedHeuristicStrategy:
     def __init__(self, J, p, m):
         self.J, self.p, self.m = J, p, m
         self._cycle = None
-        self.n_factorizations = 0
 
-    def next_shift(self, state, problem):
+    def next_shift(self, state):
         if self._cycle is None:
-            shifts, nf = precomputed_heuristic(problem, self.J, self.p, self.m)
-            self.n_factorizations = nf
-            self._cycle = CyclicShifts(shifts)
-        return self._cycle.next_shift(state, problem)
+            self._cycle = CyclicShifts(
+                precomputed_heuristic(state.problem, self.J, self.p, self.m))
+        return self._cycle.next_shift(state)
 
 
 # Each picker maps the current compressed model (and the state, for the
@@ -250,12 +248,8 @@ class AdaptiveStrategy:
         self.budget = budget
         self.last_info = None
 
-    @property
-    def n_factorizations(self):
-        return self.compressor.n_factorizations
-
-    def next_shift(self, state, problem):
-        alpha, self.last_info = self.pick(self.compressor(state, problem), state)
+    def next_shift(self, state):
+        alpha, self.last_info = self.pick(self.compressor(state), state)
         return ShiftProposal(alpha, budget=self.budget)
 
 

@@ -148,7 +148,7 @@ def test_c3_recycled_extended_krylov_angles():
                     else:
                         adi_double_step(state, fact)
                 assert state.j == j
-                co = recycle_krylov(seed, state, problem)
+                co = recycle_krylov(seed, state)
                 Q_ref = explicit_extended_krylov(A, state.W, p, m)
                 worst = max(worst, max_principal_angle(Q_ref, co.Q))
                 cases += 1
@@ -382,7 +382,7 @@ def test_c9_generalized_path():
     scale = np.linalg.norm(Bs @ Bs.T, 2)
     worst = 0.0
     for _ in range(80):
-        prop = strategy.next_shift(state, problem)
+        prop = strategy.next_shift(state)
         alpha = normalize_shift(prop.alpha)
         fact = sparse_shifted_factorize(problem.pencil, alpha)
         run_multistep_group(state, fact, prop.budget)

@@ -287,6 +287,20 @@ def test_compare_deduplicates_labels(tmp_path):
     assert (out / "same-2.csv").exists()
 
 
+def test_compare_counts_each_runs_factorizations(tmp_path):
+    # compare shares one problem, and so its pencil's count of LUs, across
+    # runs; each summary counts what a standalone run of it counts
+    out = tmp_path / "cmp5"
+    text = run_cfg_text(out, strategy="resmin+EK(2,1)+gn", extra="cx = 10\ncy = 10\n")
+    for label in ("solo", "fa", "fb"):
+        write_cfg(tmp_path, f"{label}.cfg", text + f"label = {label}\n")
+    assert main(["run", str(tmp_path / "solo.cfg")]) == 0
+    assert main(["compare", str(tmp_path / "fa.cfg"), str(tmp_path / "fb.cfg")]) == 0
+    counts = [json.loads((out / f"{label}.json").read_text())["n_factorizations"]
+              for label in ("solo", "fa", "fb")]
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
 def test_compare_same_strategy_reproduces_itself(tmp_path):
     out = tmp_path / "cmp4"
     pa = write_cfg(tmp_path, "ra.cfg",

@@ -365,6 +365,30 @@ def test_solve_keeps_one_factorization_alive(monkeypatch):
     assert report.converged and len(alive) == report.n_factorizations >= 3
 
 
+def test_report_counts_factorizations_a_strategy_builds_itself():
+    # the pencil counts every shifted LU built on it, so a strategy that
+    # factorizes on its own needs no count of its own to be reported
+    class Probing:
+        def __init__(self):
+            self.cycle = CyclicShifts([-1.0, -3.0 + 2.0j, -10.0])
+
+        def next_shift(self, state):
+            sparse_shifted_factorize(state.problem.pencil, -0.5)
+            return self.cycle.next_shift(state)
+
+    rng = np.random.default_rng(16)
+    problem = LyapunovProblem(sp.csr_matrix(random_stable(20, rng)),
+                              rng.standard_normal((20, 2)), tol=1e-9)
+    strategy = Probing()
+    report = lr_adi_solve(problem, strategy)
+    assert report.converged and not hasattr(strategy, "n_factorizations")
+    # one LU per real step or pair, and the strategy's one per shift
+    pairs = sum(1 for a in report.shifts if a.imag > 0)
+    assert report.n_factorizations == 2 * (report.iterations - pairs)
+    # a second solve of the same problem counts its own LUs only
+    assert lr_adi_solve(problem, Probing()).n_factorizations == report.n_factorizations
+
+
 @pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "resmin+Z nd"])
 def test_factorizations_pass_through_the_seams(case, monkeypatch):
     # every counted factorization enters through engine's or resmin's
@@ -474,10 +498,12 @@ def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
     for name, owner, attr in points:
         monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
     problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
+    before = problem.pencil.n_factorizations
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert report.converged
     assert set(counts) == entered
     factorizations = (counts["engine.sparse_shifted_factorize"]
                       + counts["resmin.sparse_shifted_factorize"])
     assert factorizations == report.n_factorizations
+    assert factorizations == problem.pencil.n_factorizations - before
     assert counts["linalg.splu"] == report.n_factorizations + (M is not None)
