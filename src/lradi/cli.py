@@ -259,9 +259,9 @@ def _run_one(cfg, problem=None):
         "final_residual": report.final_residual,
         "status": report.status,
         "n_factorizations": report.n_factorizations,
-        "n": report.n,
-        "s": report.s,
-        "tol": report.tol,
+        "n": problem.n,
+        "s": problem.s,
+        "tol": problem.tol,
         "strategy": cfg.strategy_text,
     }
     json_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -10,17 +10,18 @@ factor W that the iteration carries along (the residual is exactly W W^*
 at every step).
 """
 
+import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import ShiftedPencil, sparse_shifted_factorize, spectral_norm_small
 
+logger = logging.getLogger(__name__)
+
 __all__ = [
     "LyapunovProblem",
-    "ShiftRecord",
     "ShiftProposal",
     "AdiState",
     "SolveReport",
@@ -110,20 +111,6 @@ class LyapunovProblem:
 
 
 @dataclass
-class ShiftRecord:
-    """One executed logical ADI step: shift value and column scaling.
-
-    ``kind`` is "real" for a single real step and "pair" for either half of
-    a conjugate double step (the half with positive imaginary part comes
-    first).
-    """
-
-    alpha: complex
-    gamma: float
-    kind: str = "real"
-
-
-@dataclass
 class ShiftProposal:
     """A strategy's answer: the next shift and how many steps to spend on it.
 
@@ -137,7 +124,13 @@ class ShiftProposal:
 
 
 class AdiState:
-    """Mutable iteration state: factor blocks, residual factors, history."""
+    """Mutable iteration state: factor blocks, residual factors, history.
+
+    ``shifts`` is the executed history, one Python complex per logical
+    step: a real step's shift has imaginary part +0.0, and a conjugate
+    pair is stored as alpha, conj(alpha) with Im alpha > 0 first.
+    ``res_history`` holds the scaled residual after each logical step.
+    """
 
     def __init__(self, problem):
         self.problem = problem
@@ -150,11 +143,19 @@ class AdiState:
         self.b_norm2 = spectral_norm_small(problem.B)
         if self.b_norm2 == 0.0:
             raise ValueError("B must be nonzero")
-        self.j = 0
         self.shifts = []
         self.res_history = []
-        self.current_residual = 1.0
         self._zbuf = np.empty((n, 0), order="F")
+
+    @property
+    def j(self):
+        """Number of executed logical steps."""
+        return len(self.shifts)
+
+    @property
+    def current_residual(self):
+        """Scaled residual after the last step (1.0 before the first)."""
+        return self.res_history[-1] if self.res_history else 1.0
 
     @property
     def Z(self):
@@ -168,7 +169,7 @@ class AdiState:
         Z.flags.writeable = False
         return Z
 
-    def _push(self, block, records, residuals):
+    def _push(self, block, shifts, residuals):
         k, w = self.j * self.s, block.shape[1]
         if k + w > self._zbuf.shape[1]:
             # doubling keeps the total copy cost linear in the final size
@@ -176,13 +177,8 @@ class AdiState:
             buf[:, :k] = self._zbuf[:, :k]
             self._zbuf = buf
         self._zbuf[:, k : k + w] = block
-        self.shifts.extend(records)
+        self.shifts.extend(shifts)
         self.res_history.extend(residuals)
-        self.j += len(records)
-        self.current_residual = residuals[-1]
-
-    def shift_values(self):
-        return [r.alpha for r in self.shifts]
 
 
 def scaled_residual(W, b_norm2):
@@ -214,7 +210,7 @@ def adi_real_step(state, fact):
     gamma = np.sqrt(-2.0 * alpha)
     state.W, state.W_m = _residual_update(state, V, -2.0 * alpha)
     res = scaled_residual(state.W, state.b_norm2)
-    state._push(gamma * V, [ShiftRecord(alpha, gamma, "real")], [res])
+    state._push(gamma * V, [complex(alpha)], [res])
     return state
 
 
@@ -252,11 +248,7 @@ def adi_double_step(state, fact):
     block = np.empty((state.n, 2 * state.s))
     block[:, : state.s] = np.sqrt(2.0) * gamma * Vr
     block[:, state.s :] = np.sqrt(2.0) * gamma * q * V.imag
-    records = [
-        ShiftRecord(alpha, gamma, "pair"),
-        ShiftRecord(np.conj(alpha), gamma, "pair"),
-    ]
-    state._push(block, records, [res_mid, res])
+    state._push(block, [alpha, alpha.conjugate()], [res_mid, res])
     return state
 
 
@@ -274,10 +266,7 @@ def normalize_shift(alpha):
     if alpha.imag != 0.0 and alpha.imag <= 1e-8 * abs(alpha.real):
         alpha = complex(alpha.real, 0.0)
     if alpha.real >= 0.0:
-        warnings.warn(
-            f"shift {alpha} has nonnegative real part; using the reflection",
-            RuntimeWarning,
-        )
+        logger.warning("shift %s has nonnegative real part; using the reflection", alpha)
         alpha = complex(-alpha.real if alpha.real > 0.0 else -1e-8, alpha.imag)
     return alpha
 
@@ -324,9 +313,6 @@ class SolveReport:
     t_total_cum: list = field(default_factory=list)
     t_shift_cum: list = field(default_factory=list)
     n_factorizations: int = 0
-    n: int = 0
-    s: int = 0
-    tol: float = 0.0
 
     @property
     def final_residual(self):
@@ -387,9 +373,8 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         t_total_cum.extend([now] * done)
         t_shift_cum.extend([t_shift] * done)
         if on_step is not None:
-            shifts = state.shift_values()
             for k in range(state.j - done, state.j):
-                on_step(k + 1, state.res_history[k], shifts[k],
+                on_step(k + 1, state.res_history[k], state.shifts[k],
                         t_shift_cum[k], t_total_cum[k])
 
     t_total = time.monotonic() - t0
@@ -397,15 +382,12 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         status=status,
         iterations=state.j,
         residuals=list(state.res_history),
-        shifts=state.shift_values(),
+        shifts=list(state.shifts),
         t_total=t_total,
         t_shift=t_shift,
         t_total_cum=t_total_cum,
         t_shift_cum=t_shift_cum,
         n_factorizations=problem.pencil.n_factorizations - n_fact0,
-        n=problem.n,
-        s=problem.s,
-        tol=problem.tol,
     )
     if return_state:
         return report, state
@@ -415,30 +397,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
 # ---------------------------------------------------------------------------
 # structured factors of the ADI relation
 # ---------------------------------------------------------------------------
-
-def _pair_spans(shifts):
-    """Group the shift history into singles and conjugate pairs.
-
-    Returns a list of (start, length) with length 1 for real steps and 2
-    for double-step pairs. Raises if the history is inconsistent.
-    """
-    spans = []
-    i = 0
-    while i < len(shifts):
-        r = shifts[i]
-        if r.kind == "pair":
-            if i + 1 >= len(shifts) or shifts[i + 1].kind != "pair":
-                raise ValueError(f"dangling conjugate pair at position {i}")
-            a, b = complex(r.alpha), complex(shifts[i + 1].alpha)
-            if abs(b - np.conj(a)) > 1e-12 * max(abs(a), 1.0):
-                raise ValueError(f"records {i},{i+1} are not a conjugate pair")
-            spans.append((i, 2))
-            i += 2
-        else:
-            spans.append((i, 1))
-            i += 1
-    return spans
-
 
 def real_SG(shifts, s):
     """Real structured factors of the ADI relation for the engine's real Z.
@@ -461,7 +419,9 @@ def real_SG(shifts, s):
     Parameters
     ----------
     shifts
-        List of ShiftRecord with pair structure recorded.
+        Executed shifts as stored in AdiState.shifts: an entry with
+        positive imaginary part starts a pair and must be followed by its
+        conjugate. Raises ValueError for a history that breaks this.
     s
         Number of right-hand-side columns.
     """
@@ -469,19 +429,26 @@ def real_SG(shifts, s):
     S = np.zeros((j, j))
     g = np.zeros(j)
     span = np.empty(j, dtype=int)
-    for k, (start, length) in enumerate(_pair_spans(shifts)):
-        alpha = complex(shifts[start].alpha)
+    i = k = 0
+    while i < j:
+        alpha = complex(shifts[i])
         gamma = np.sqrt(-2.0 * alpha.real)
-        span[start : start + length] = k
-        if length == 1:
-            S[start, start] = -alpha.real
-            g[start] = gamma
+        if alpha.imag == 0.0:
+            S[i, i] = -alpha.real
+            g[i] = gamma
+            span[i] = k
+            i += 1
         else:
-            S[start : start + 2, start : start + 2] = [
+            if alpha.imag < 0.0 or i + 1 >= j or complex(shifts[i + 1]) != alpha.conjugate():
+                raise ValueError(f"shift {i} does not start a conjugate pair: {alpha}")
+            S[i : i + 2, i : i + 2] = [
                 [-2.0 * alpha.real, -abs(alpha)],
                 [abs(alpha), 0.0],
             ]
-            g[start] = np.sqrt(2.0) * gamma
+            g[i] = np.sqrt(2.0) * gamma
+            span[i : i + 2] = k
+            i += 2
+        k += 1
     S += np.where(span[:, None] < span[None, :], np.outer(g, g), 0.0)
     I_s = np.eye(s)
     return np.kron(S, I_s), np.kron(g[:, None], I_s)

@@ -1,7 +1,7 @@
 """Shared linear algebra kernels.
 
 Sparse shifted factorizations, small dense decompositions, incremental
-block orthonormalization and a small Matrix Market reader/writer. All
+block orthonormalization and a small Matrix Market reader. All
 higher-level modules build on these; nothing here knows about Lyapunov
 equations.
 """
@@ -150,28 +150,6 @@ def nested_dissection_order(P):
     return perm
 
 
-def sparse_lu(K, ordered=False):
-    """SuperLU factorization of a sparse square matrix in symmetric mode.
-
-    With ``ordered``, K is already in a fill-reducing symmetric order (a
-    ShiftedPencil's nested dissection) and is factored as it stands
-    (``permc_spec="NATURAL"``); otherwise SuperLU orders it by minimum
-    degree on the pattern of K + K^T (``MMD_AT_PLUS_A``), applied
-    symmetrically. The diagonal entry is the pivot unless it is below 0.1
-    times the largest entry of its column, in which case SuperLU pivots
-    off the diagonal. The ADI shifted matrices and mass matrices here have
-    symmetric patterns, where this gives about half the fill of column
-    ordering with full partial pivoting. Returns SciPy's ``SuperLU``
-    object.
-    """
-    return splu(
-        K if sp.isspmatrix_csc(K) else sp.csc_matrix(K),
-        permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-        diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-        options=dict(SymmetricMode=True),
-    )
-
-
 class _Layout(NamedTuple):
     ordered: bool  # in nested-dissection order: factored as it stands
     perm: object  # that order, None when it is the given one (no gathers)
@@ -196,9 +174,9 @@ class ShiftedPencil:
     Prepared on first use, not on construction: a pencil of at least 1000
     unknowns gets one nested-dissection ordering of P + P^T with
     P = |A| + |M| (M = I when absent), and every LU of it (each shifted
-    matrix, and M's) factors the permuted matrix with
-    ``sparse_lu(..., ordered=True)``; a smaller pencil keeps
-    its order and each LU is ordered by SuperLU's minimum degree. Solves
+    matrix, and M's) factors the permuted matrix as it stands (see
+    ``lu``); a smaller pencil keeps its order and each LU is ordered by
+    SuperLU's minimum degree. Solves
     gather the right-hand side into the pencil's order and scatter the
     solution back, unless that order is the given one. A's and M's values
     are laid out once on the CSC pattern of their union, so a shifted
@@ -271,8 +249,24 @@ class ShiftedPencil:
         return K
 
     def lu(self, K):
-        """``sparse_lu`` of a matrix in the pencil's order."""
-        return sparse_lu(K, ordered=self._layout.ordered)
+        """SuperLU factorization of a CSC matrix in the pencil's order.
+
+        SuperLU runs in symmetric mode. A pencil in nested-dissection
+        order is factored as it stands (``permc_spec="NATURAL"``);
+        otherwise SuperLU orders K by minimum degree on the pattern of
+        K + K^T (``MMD_AT_PLUS_A``), applied symmetrically. The diagonal
+        entry is the pivot unless it is below 0.1 times the largest entry
+        of its column, in which case SuperLU pivots off the diagonal. The
+        ADI shifted matrices and mass matrices here have symmetric
+        patterns, where this gives about half the fill of column ordering
+        with full partial pivoting. Returns SciPy's ``SuperLU`` object.
+        """
+        return splu(
+            K,
+            permc_spec="NATURAL" if self._layout.ordered else "MMD_AT_PLUS_A",
+            diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+            options=dict(SymmetricMode=True),
+        )
 
     def solve(self, lu, rhs):
         """x with K x = rhs, for an LU of K in the pencil's order.
@@ -310,8 +304,8 @@ class ShiftedFactorization:
         so a real A (and M) gives a float64 factorization; only a shift
         with nonzero imaginary part pays for complex128 arithmetic.
 
-    K is assembled by the pencil in its order and factored by
-    ``sparse_lu`` in symmetric mode with diagonal pivot threshold 0.1: as
+    K is assembled by the pencil in its order and factored by the
+    pencil's ``lu`` in symmetric mode with diagonal pivot threshold 0.1: as
     it stands after a nested-dissection ordering (1000 unknowns or more),
     otherwise ordered by minimum degree on K + K^T. Singularity is tested
     without forming the L and U factors: one solve K x = b with a fixed
@@ -584,16 +578,3 @@ def matrix_market_read(path):
     A = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
     return A.tocsc()
 
-
-def matrix_market_write(path, A):
-    """Write a sparse matrix as 'matrix coordinate real general'.
-
-    Values are written with repr-roundtrip precision so read-after-write is
-    bitwise faithful.
-    """
-    A = sp.coo_matrix(A)
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-        for i, j, v in zip(A.row, A.col, A.data):
-            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")

@@ -24,7 +24,6 @@ with analytic first and second derivatives.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -59,8 +58,6 @@ __all__ = [
     "eval_objective",
     "grid_objective",
     "eval_derivatives",
-    "eval_gradient",
-    "eval_hessian",
     "nls_residual_jacobian",
     "tangential_reduce",
     "derive_bounds",
@@ -157,8 +154,9 @@ class KrylovSeed:
     ``Q`` spans EK_{p,m}(A, B) (of M^{-1}A and M^{-1}B in the generalized
     case) with the first s columns spanning the starting block; ``P`` holds
     the images A Q so later restrictions need no further products with A;
-    ``H = Q^* P`` is the seed restriction and ``eta`` reproduces the
-    starting block as Q[:, :s] @ eta; ``p``, ``m`` are the requested orders.
+    ``H = Q^* P`` is the seed restriction; ``p``, ``m`` are the requested
+    orders and ``B_m`` is the starting block (M^{-1} B in the generalized
+    case).
     ``MQ_Q``, ``MQ_R`` are the thin QR factors of M Q (None without a mass
     matrix): the weights of the seed and recycled compressions start from
     them, so a recycled basis applies M and factors only its new columns.
@@ -167,7 +165,6 @@ class KrylovSeed:
     Q: object
     P: object
     H: object
-    eta: object
     p: int
     m: int
     B_m: object
@@ -209,21 +206,18 @@ def build_seed(problem, p, m, B=None):
                     p, m, p_eff, m_eff)
     P = problem.apply_Atilde(Q)
     H = Q.conj().T @ P
-    s = Bt.shape[1]
-    eta = Q[:, :s].conj().T @ Bt
-    resid = np.linalg.norm(Q[:, :s] @ eta - Bt)
-    if resid > 1e-8 * max(np.linalg.norm(Bt), 1e-300):
-        warnings.warn(
-            "starting block is rank deficient; eta computed by least squares",
-            RuntimeWarning,
-        )
-        eta = np.linalg.lstsq(Q[:, :s], Bt, rcond=None)[0]
+    # block_orth may drop a nearly dependent column of the starting block
+    Q1 = Q[:, : Bt.shape[1]]
+    resid = np.linalg.norm(Q1 @ (Q1.conj().T @ Bt) - Bt) / max(np.linalg.norm(Bt), 1e-300)
+    if resid > 1e-8:
+        logger.warning("starting block is not in the seed space "
+                       "(relative residual %.1e)", resid)
     MQ_Q = MQ_R = None
     if problem.M is not None:
         # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
         MQ_Q, MQ_R = np.linalg.qr(np.asfortranarray(problem.apply_M(Q)))
     return KrylovSeed(
-        Q=Q, P=P, H=H, eta=eta, p=p, m=m, B_m=Bt, MQ_Q=MQ_Q, MQ_R=MQ_R,
+        Q=Q, P=P, H=H, p=p, m=m, B_m=Bt, MQ_Q=MQ_Q, MQ_R=MQ_R,
     )
 
 
@@ -377,11 +371,7 @@ def ritz_update(state, h):
     if j < 1:
         raise ValueError("ritz_update needs at least one completed step")
     start = max(0, j - h)
-    if (
-        start > 0
-        and state.shifts[start].kind == "pair"
-        and complex(state.shifts[start].alpha).imag < 0
-    ):
+    if start > 0 and state.shifts[start].imag < 0:
         start -= 1  # never split a conjugate pair
     Zw = state.Z[:, start * s :]
     Q, R = np.linalg.qr(Zw)
@@ -731,18 +721,6 @@ def eval_derivatives(co, nu, xi=0.0, order=2):
 
     hess = np.array([[entry(0, 0), entry(0, 1)], [entry(0, 1), entry(1, 1)]])
     return float(theta[0]), grad, hess
-
-
-def eval_gradient(co, nu, xi=0.0):
-    """Analytic gradient [d psi/d nu, d psi/d xi] of the compressed
-    objective. Requires the dominant Gram eigenvalue to be simple."""
-    return eval_derivatives(co, nu, xi, order=1)[1]
-
-
-def eval_hessian(co, nu, xi=0.0):
-    """Analytic symmetric 2x2 Hessian of the compressed objective.
-    Requires all Gram eigenvalues to be (relatively) distinct."""
-    return eval_derivatives(co, nu, xi, order=2)[2]
 
 
 def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):

@@ -12,7 +12,6 @@ iteration state, its problem included, is its only input.
 """
 
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +106,8 @@ def precomputed_heuristic(problem, J, p, m):
         logger.info("mirroring %d unstable Ritz values", int(unstable.sum()))
         ritz[unstable] = -ritz[unstable]
     if J > ritz.size:
-        warnings.warn(
-            f"requested {J} shifts but only {ritz.size} Ritz values are "
-            f"available; truncating",
-            RuntimeWarning,
-        )
+        logger.warning("requested %d shifts but only %d Ritz values are "
+                       "available; truncating", J, ritz.size)
         J = ritz.size
     return penzl_select(ritz, J)
 
@@ -224,7 +220,7 @@ class PrecomputedHeuristicStrategy:
 # step runs it, so only the first is taken.
 _PICKERS = {
     "zheur": lambda co, state: (penzl_select(co.eigenvalues, 1)[0], None),
-    "zconv": lambda co, state: (convex_hull_shift(co.eigenvalues, state.shift_values()), None),
+    "zconv": lambda co, state: (convex_hull_shift(co.eigenvalues, state.shifts), None),
     "zhres": lambda co, state: (hamiltonian_residual_shift(co.H, co.Wtil), None),
 }
 

@@ -5,7 +5,8 @@ residuals are formed densely from the definition, the reference ADI runs
 in complex arithmetic with no realification or factor bookkeeping, and
 the extended Krylov oracle builds explicit power/inverse-power blocks.
 They exist so the package code is checked against something it shares no
-code with.
+code with. ``matrix_market_write`` writes the files that the package's
+Matrix Market reader is tested on.
 
 BLAS is pinned to one thread before NumPy is first imported: the package's
 small dense kernels oversubscribe the cores with threaded BLAS, and one
@@ -119,3 +120,17 @@ def dense_lyap_solve(A, B, M=None):
         A = np.linalg.solve(Md, A)
         B = np.linalg.solve(Md, B)
     return spla.solve_continuous_lyapunov(A, -B @ B.T)
+
+
+def matrix_market_write(path, A):
+    """Write a sparse matrix as 'matrix coordinate real general'.
+
+    Values are written with repr-roundtrip precision so read-after-write is
+    bitwise faithful.
+    """
+    A = sp.coo_matrix(A)
+    with open(path, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
+        for i, j, v in zip(A.row, A.col, A.data):
+            fh.write(f"{i + 1} {j + 1} {float(v)!r}\n")

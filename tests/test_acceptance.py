@@ -33,8 +33,7 @@ from lradi.resmin import (
     ShiftObjectiveError,
     build_seed,
     derive_bounds,
-    eval_gradient,
-    eval_hessian,
+    eval_derivatives,
     eval_objective,
     nls_residual_jacobian,
     optimize_shift,
@@ -207,7 +206,7 @@ def test_c4_derivative_correctness():
             co = _random_objective(rng, k, int(rng.integers(1, 4)), g)
             nu, xi = _sample_point(co, rng)
             try:
-                grad = eval_gradient(co, nu, xi)
+                grad = eval_derivatives(co, nu, xi, order=1)[1]
             except ShiftObjectiveError:
                 grad = None
             if grad is not None:
@@ -221,7 +220,7 @@ def test_c4_derivative_correctness():
             co = _random_objective(rng, k, int(rng.integers(1, 3)), g)
             nu, xi = _sample_point(co, rng)
             try:
-                Hm = eval_hessian(co, nu, xi)
+                Hm = eval_derivatives(co, nu, xi)[2]
             except ShiftObjectiveError:
                 Hm = None
             if Hm is not None:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import matrix_market_write
 from lradi.cli import ConfigError, main, parse_config, parse_strategy
-from lradi.linalg import matrix_market_write
 
 
 def write_cfg(tmp_path, name, text):

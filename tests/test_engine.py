@@ -1,7 +1,11 @@
 import ast
+import logging
+import math
 import weakref
 from collections import Counter
+from itertools import cycle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,12 +133,14 @@ def test_solution_matches_dense_reference():
                     atol=1e-10 * np.linalg.norm(X, 2))
 
 
-def test_normalize_shift_conjugates_and_reflects():
-    assert normalize_shift(-1.0 - 2.0j) == -1.0 + 2.0j
-    with pytest.warns(RuntimeWarning):
+def test_normalize_shift_conjugates_and_reflects(caplog):
+    with caplog.at_level(logging.WARNING, logger="lradi.engine"):
+        assert normalize_shift(-1.0 - 2.0j) == -1.0 + 2.0j
+        assert not caplog.records
         assert normalize_shift(3.0) == -3.0
-    with pytest.warns(RuntimeWarning):
         assert normalize_shift(1.0 + 1.0j) == -1.0 + 1.0j
+    messages = [r.message for r in caplog.records]
+    assert len(messages) == 2 and all("reflection" in m for m in messages)
 
 
 def test_normalize_shift_snaps_noise_imaginary():
@@ -221,6 +227,34 @@ def test_lr_adi_solve_on_step_callback():
     assert_allclose([r[1] for r in rows], report.residuals, rtol=0)
 
 
+def test_history_is_one_complex_shift_per_step():
+    # a real step, a multistep group of two conjugate pairs, a real group
+    rng = np.random.default_rng(12)
+    A = random_stable(20, rng)
+    B = rng.standard_normal((20, 2))
+    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
+    proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
+                       ShiftProposal(-10.0, budget=3)])
+    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    report, state = lr_adi_solve(problem, strategy, return_state=True)
+    assert report.converged
+    assert state.shifts[:8] == [-1.0, -3.0 + 2.0j, -3.0 - 2.0j, -3.0 + 2.0j,
+                                -3.0 - 2.0j, -10.0, -10.0, -10.0]
+    assert state.j == len(state.shifts) == report.iterations
+    assert report.shifts == state.shifts
+    i = 0
+    while i < state.j:
+        alpha = state.shifts[i]
+        assert type(alpha) is complex
+        if alpha.imag == 0.0:
+            assert math.copysign(1.0, alpha.imag) == 1.0  # +0.0, never -0.0
+            i += 1
+        else:
+            assert alpha.imag > 0.0 and type(state.shifts[i + 1]) is complex
+            assert state.shifts[i + 1] == alpha.conjugate()
+            i += 2
+
+
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("shifts", [
     [-1.5, -2.0 + 1.5j, -7.0],
@@ -241,6 +275,16 @@ def test_realified_factors_match_engine_blocks(shifts, s):
     Str = Sr - Gr @ Gr.T
     assert_allclose(Str, -Sr.T, atol=1e-12)
     assert_allclose(A @ state.Z, state.Z @ Str + state.W @ Gr.T, atol=1e-10)
+
+
+@pytest.mark.parametrize("shifts", [
+    [-1.0, -2.0 + 1.0j],
+    [-2.0 - 1.0j, -2.0 + 1.0j],
+    [-2.0 + 1.0j, -2.0 - 1.5j, -1.0],
+], ids=["lone-half", "negative-first", "not-conjugate"])
+def test_real_SG_rejects_broken_pairs(shifts):
+    with pytest.raises(ValueError, match="conjugate pair"):
+        real_SG(shifts, 1)
 
 
 def test_factor_buffer_grows_without_copying_views(monkeypatch):

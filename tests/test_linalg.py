@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
+from conftest import matrix_market_write
 from lradi import linalg
 from lradi.engine import LyapunovProblem
 from lradi.linalg import (
@@ -17,7 +18,6 @@ from lradi.linalg import (
     dense_eig_hermitian,
     dense_schur,
     matrix_market_read,
-    matrix_market_write,
     nested_dissection_order,
     sparse_shifted_factorize,
     spectral_norm_small,

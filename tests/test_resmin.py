@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import (
 )
 from lradi import resmin
 from lradi.cli import parse_strategy
-from lradi.engine import AdiState, LyapunovProblem, ShiftRecord, lr_adi_solve, real_SG
+from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve, real_SG
 from lradi.linalg import dense_schur
 from lradi.resmin import (
     Bounds,
@@ -24,8 +25,7 @@ from lradi.resmin import (
     build_seed,
     compress_zh,
     derive_bounds,
-    eval_gradient,
-    eval_hessian,
+    eval_derivatives,
     eval_objective,
     nls_residual_jacobian,
     optimize_shift,
@@ -101,8 +101,22 @@ def test_build_seed_invariants():
     assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-10)
     assert_allclose(seed.P, A @ Q, atol=1e-10)  # stored images are exact
     assert_allclose(seed.H, Q.conj().T @ A @ Q, atol=1e-10)
-    assert_allclose(Q[:, :s] @ seed.eta, B, atol=1e-10)  # span contains B
+    Q1 = Q[:, :s]
+    assert_allclose(Q1 @ (Q1.T @ B), B, atol=1e-10)  # span contains B
     assert problem.pencil.n_factorizations == 1  # one solve operator for m >= 1
+
+
+def test_build_seed_logs_starting_block_outside_seed_space(caplog):
+    # block_orth scales its drop tolerance by the largest column of
+    # [B, A^{-1} B], here about 1e6, so the second column of B, independent
+    # of the first only to 1e-6, is dropped from the seed space
+    rng = np.random.default_rng(0)
+    A = sp.diags(np.r_[-1e-6, -np.linspace(1.0, 10.0, 49)]).tocsr()
+    b, r = rng.standard_normal((2, 50))
+    problem = LyapunovProblem(A, np.column_stack([b, b + 1e-6 * r]))
+    with caplog.at_level(logging.WARNING, logger="lradi.resmin"):
+        build_seed(problem, p=1, m=1)
+    assert any("not in the seed space" in rec.message for rec in caplog.records)
 
 
 def test_build_seed_matches_explicit_basis():
@@ -318,16 +332,11 @@ def test_recycle_generalized_weight_and_ritz_values(shifts, monkeypatch):
 
 
 def shift_history(shifts):
-    """ShiftRecords of an executed history (a complex entry is a whole pair)."""
-    records = []
-    for alpha in shifts:
-        gamma = np.sqrt(-2.0 * np.real(alpha))
-        if np.imag(alpha) == 0:
-            records.append(ShiftRecord(complex(alpha), gamma, "real"))
-        else:
-            records += [ShiftRecord(complex(alpha), gamma, "pair"),
-                        ShiftRecord(np.conj(complex(alpha)), gamma, "pair")]
-    return records
+    """An executed history as AdiState stores it (a complex entry is a whole pair)."""
+    history = []
+    for alpha in map(complex, shifts):
+        history += [alpha] if alpha.imag == 0 else [alpha, alpha.conjugate()]
+    return history
 
 
 HISTORIES = {
@@ -570,7 +579,7 @@ def test_gradient_matches_finite_differences():
         co = make_objective(rng, s=s, g=g, weighted=bool(rng.integers(2)))
         nu, xi = sample_point(co, rng)
         try:
-            grad = eval_gradient(co, nu, xi)
+            grad = eval_derivatives(co, nu, xi, order=1)[1]
         except ShiftObjectiveError:
             continue
         ref = fd_gradient(co, nu, xi)
@@ -585,7 +594,7 @@ def test_gradient_xi_component_vanishes_for_real_symmetric():
     co = CompressedObjective(H=H.astype(complex),
                              Wtil=rng.standard_normal((k, 1)).astype(complex),
                              bounds=derive_bounds(np.diag(H)))
-    grad = eval_gradient(co, -1.0, 0.0)
+    grad = eval_derivatives(co, -1.0, 0.0, order=1)[1]
     assert grad[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -611,7 +620,7 @@ def test_hessian_matches_finite_differences():
         co = make_objective(rng, s=s, g=g)
         nu, xi = sample_point(co, rng)
         try:
-            Hm = eval_hessian(co, nu, xi)
+            Hm = eval_derivatives(co, nu, xi)[2]
         except ShiftObjectiveError:
             continue
         assert_allclose(Hm, Hm.T, atol=0)  # exactly symmetric
@@ -658,7 +667,7 @@ def test_gradient_rejects_coalescent_gram():
     H = np.diag([-1.0 + 0j, -1.0 + 0j])
     co = CompressedObjective(H=H, Wtil=np.eye(2, dtype=complex))
     with pytest.raises(ShiftObjectiveError):
-        eval_gradient(co, -0.5, 0.0)
+        eval_derivatives(co, -0.5, 0.0, order=1)
 
 
 # ---------------------------------------------------------------------------

@@ -118,12 +118,13 @@ def test_precomputed_exact_spectrum():
                     atol=1e-8)
 
 
-def test_precomputed_truncates_large_J():
+def test_precomputed_truncates_large_J(caplog):
     A = sp.csr_matrix(np.diag([-1.0, -2.0, -3.0]))
     problem = LyapunovProblem(A, np.ones((3, 1)))
-    with pytest.warns(RuntimeWarning, match="truncating"):
+    with caplog.at_level(logging.WARNING, logger="lradi.strategies"):
         shifts = precomputed_heuristic(problem, J=50, p=3, m=0)
     assert len(shifts) <= 3
+    assert any("truncating" in r.message for r in caplog.records)
 
 
 def test_precomputed_mirrors_unstable_ritz(caplog):
