@@ -38,6 +38,11 @@ __all__ = [
 class LyapunovProblem:
     """Problem data for the low-rank Lyapunov solve.
 
+    The problem is data: A, B, M, tol, max_iterations, ``n``, ``s`` and
+    ``pencil``, the ShiftedPencil of (A, M) that every factorization of
+    the solve is built on. Code that needs M writes ``problem.M @ X`` and
+    ``problem.pencil.solve_M(X)`` under its own ``problem.M`` test.
+
     Parameters
     ----------
     A
@@ -63,22 +68,21 @@ class LyapunovProblem:
     max_iterations: int = 150
 
     def __post_init__(self):
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
-        if self.B.shape[0] == 1 and self.A.shape[0] != 1:
-            self.B = self.B.T
-        if self.A.shape[0] != self.A.shape[1]:
-            raise ValueError(f"A must be square, got {self.A.shape}")
         # B, W and Z are real throughout: complex data would be truncated
         for name, X in (("A", self.A), ("M", self.M)):
             if np.iscomplexobj(X):
                 raise ValueError(f"{name} must be real, got dtype {X.dtype}")
+        # A and M as every factorization and M-solve of the solve sees
+        # them; the pencil checks their shapes, and its ordering is
+        # computed on first use, inside the solve
+        self.pencil = ShiftedPencil(self.A, self.M)
+        self.B = np.atleast_2d(np.asarray(self.B, dtype=np.float64))
+        if self.B.shape[0] == 1 and self.A.shape[0] != 1:
+            self.B = self.B.T
         if self.B.shape[0] != self.A.shape[0]:
             raise ValueError(
                 f"B has {self.B.shape[0]} rows, A is {self.A.shape[0]} x {self.A.shape[1]}"
             )
-        # A and M as every factorization of the solve sees them; the
-        # ordering is computed on first use, inside the solve
-        self.pencil = ShiftedPencil(self.A, self.M)
 
     @property
     def n(self):
@@ -87,27 +91,6 @@ class LyapunovProblem:
     @property
     def s(self):
         return self.B.shape[1]
-
-    def solve_M(self, rhs):
-        """M^{-1} rhs (identity when no mass matrix).
-
-        M is factorized once, lazily, in the order of ``pencil``; that
-        factorization is not a shifted one and is not counted in
-        ``pencil.n_factorizations``.
-        """
-        if self.M is None:
-            return np.array(rhs, copy=True)
-        return self.pencil.solve_M(rhs)
-
-    def apply_M(self, X):
-        """M @ X (identity when no mass matrix)."""
-        if self.M is None:
-            return np.array(X, copy=True)
-        return self.M @ X
-
-    def apply_Atilde(self, X):
-        """M^{-1} A X — the operator the iteration effectively works with."""
-        return self.solve_M(self.A @ X)
 
 
 @dataclass
@@ -139,7 +122,7 @@ class AdiState:
         self.W = problem.B.copy()
         # W_m = M^{-1} W is carried alongside in the generalized case; the
         # compressed restrictions need it and it is cheap to update in step.
-        self.W_m = problem.solve_M(problem.B) if problem.M is not None else self.W
+        self.W_m = self.W if problem.M is None else problem.pencil.solve_M(problem.B)
         self.b_norm2 = spectral_norm_small(problem.B)
         if self.b_norm2 == 0.0:
             raise ValueError("B must be nonzero")
@@ -193,7 +176,7 @@ def _residual_update(state, V, c):
     if problem.M is None:
         W = state.W + c * V
         return W, W
-    return state.W + c * problem.apply_M(V), state.W_m + c * V
+    return state.W + c * (problem.M @ V), state.W_m + c * V
 
 
 def adi_real_step(state, fact):
@@ -238,7 +221,8 @@ def adi_double_step(state, fact):
 
     V = fact.solve(state.W)
     # residual factor after the half step (complex intermediate)
-    W_mid, _ = _residual_update(state, V, -2.0 * beta)
+    M = state.problem.M
+    W_mid = state.W - 2.0 * beta * (V if M is None else M @ V)
     res_mid = scaled_residual(W_mid, state.b_norm2)
 
     Vr = V.real + c * V.imag

@@ -90,7 +90,8 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
     the orthonormalized sub-blocks (never from explicit power blocks, which
     would be numerically useless for larger p). Rank-deficient blocks
     shrink the streams; if a stream dries up the corresponding effective
-    order stops growing.
+    order stops growing. B keeps every direction it has on its own scale,
+    however large A^{-1} B is.
 
     Parameters
     ----------
@@ -113,14 +114,17 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
         raise ValueError("backward order m must be >= 0")
     B = np.atleast_2d(np.asarray(B))
     sB = B.shape[1]
-    if m >= 1:
-        X0 = np.hstack([B, solve_op(B)])
-    else:
-        X0 = B
+    X0 = np.hstack([B, solve_op(B)]) if m >= 1 else B
     Q, R = block_orth(None, X0, drop_tol)
-    piv = _staircase_pivots(R, 0)
-    f_idx = [i for i, col in enumerate(piv) if col < sB]
-    b_idx = [i for i, col in enumerate(piv) if col >= sB]
+    f_idx = [i for i, col in enumerate(_staircase_pivots(R, 0)) if col < sB]
+    if m >= 1 and len(f_idx) < sB:
+        # the joint drop scale is the largest column of [B, A^{-1}B]; when
+        # A^{-1}B dwarfs B, that drops directions B has on its own scale
+        QB, _ = block_orth(None, B, drop_tol)
+        if QB.shape[1] > len(f_idx):
+            Q, _ = block_orth(QB, X0[:, sB:], drop_tol)
+            f_idx = list(range(QB.shape[1]))
+    b_idx = [i for i in range(Q.shape[1]) if i not in f_idx]
     p_eff, m_eff = 1, (1 if m >= 1 else 0)
 
     while (p_eff < p and f_idx) or (m_eff < m and b_idx):
@@ -188,34 +192,37 @@ def build_seed(problem, p, m, B=None):
 
     Returns KrylovSeed.
     """
+    A, M, pencil = problem.A, problem.M, problem.pencil
     Braw = problem.B if B is None else np.atleast_2d(np.asarray(B, dtype=np.float64))
-    Bt = problem.solve_M(Braw) if problem.M is not None else Braw
+    if M is None:
+        Bt = Braw
+        apply_op = lambda X: A @ X
+    else:
+        Bt = pencil.solve_M(Braw)
+        apply_op = lambda X: pencil.solve_M(A @ X)
     solve_op = None
     if m >= 1:
-        fact = sparse_shifted_factorize(problem.pencil, 0.0)
-        if problem.M is None:
-            solve_op = fact.solve
-        else:
-            solve_op = lambda X: fact.solve(problem.apply_M(X))
-    Q, p_eff, m_eff = extended_krylov_basis(problem.apply_Atilde, solve_op, Bt, p, m)
+        fact = sparse_shifted_factorize(pencil, 0.0)
+        solve_op = fact.solve if M is None else lambda X: fact.solve(M @ X)
+    Q, p_eff, m_eff = extended_krylov_basis(apply_op, solve_op, Bt, p, m)
     # row-major: SciPy's sparse products (A Q here, M Q later) copy a
     # column-major operand into this layout first
     Q = np.ascontiguousarray(Q)
     if p_eff < p or m_eff < m:
         logger.info("seed orders reduced by breakdown: (%d, %d) -> (%d, %d)",
                     p, m, p_eff, m_eff)
-    P = problem.apply_Atilde(Q)
+    P = apply_op(Q)
     H = Q.conj().T @ P
-    # block_orth may drop a nearly dependent column of the starting block
+    # guards extended_krylov_basis's promise that Q's first columns span Bt
     Q1 = Q[:, : Bt.shape[1]]
     resid = np.linalg.norm(Q1 @ (Q1.conj().T @ Bt) - Bt) / max(np.linalg.norm(Bt), 1e-300)
     if resid > 1e-8:
         logger.warning("starting block is not in the seed space "
                        "(relative residual %.1e)", resid)
     MQ_Q = MQ_R = None
-    if problem.M is not None:
+    if M is not None:
         # numpy's QR of a row-major MQ is slower than a column-major copy plus QR
-        MQ_Q, MQ_R = np.linalg.qr(np.asfortranarray(problem.apply_M(Q)))
+        MQ_Q, MQ_R = np.linalg.qr(np.asfortranarray(M @ Q))
     return KrylovSeed(
         Q=Q, P=P, H=H, p=p, m=m, B_m=Bt, MQ_Q=MQ_Q, MQ_R=MQ_R,
     )
@@ -379,7 +386,7 @@ def ritz_update(state, h):
     QW = Q.conj().T @ state.W
 
     generalized = problem.M is not None
-    N = Q.conj().T @ problem.apply_M(Q) if generalized else None
+    N = Q.conj().T @ (problem.M @ Q) if generalized else None
     if used_fallback:
         logger.warning("window QR factor ill-conditioned; used explicit restriction")
         Ht = Q.conj().T @ (problem.A @ Q)
@@ -479,7 +486,7 @@ def recycle_krylov(seed, state):
         H = np.hstack([H, trsm(1.0, T_tri, rhs, side=1)])
     MQ_r = None
     if state.problem.M is not None:
-        MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, state.problem.apply_M(Qj[:, k0:]))
+        MQ_r = _extend_qr_r(seed.MQ_Q, seed.MQ_R, state.problem.M @ Qj[:, k0:])
     return _compress(H, QjH @ state.W_m, MQ_r, Q=Qj,
                      source=f"EK({seed.p},{seed.m})")
 

@@ -1,10 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import matrix_market_write
+import lradi
 from lradi.cli import ConfigError, main, parse_config, parse_strategy
 
 
@@ -312,3 +316,17 @@ def test_compare_same_strategy_reproduces_itself(tmp_path):
     assert main(["compare", pa, pb]) == 0
     assert (nontiming_columns(out / "one.csv")
             == nontiming_columns(out / "two.csv"))
+
+
+def test_import_leaves_heavy_scipy_modules_unloaded():
+    # importing the package and its CLI is most of a run's setup time; the
+    # modules below are imported where they are used, never at top level
+    src = str(Path(lradi.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lradi, lradi.cli; "
+            "print('\\n'.join(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    loaded = out.stdout.split()
+    assert "scipy.sparse" in loaded
+    for heavy in ("scipy.sparse.csgraph", "scipy.spatial", "scipy.optimize", "scipy.io"):
+        assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")], heavy

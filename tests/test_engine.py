@@ -372,6 +372,17 @@ def test_problem_rejects_complex_matrices(name):
         LyapunovProblem(**data)
 
 
+@pytest.mark.parametrize("A, M, B, match", [
+    (sp.csr_matrix(np.ones((3, 4))), None, np.ones((3, 1)), "square"),
+    (-sp.identity(4, format="csr"), sp.identity(3, format="csr"), np.ones((4, 1)), "shape"),
+    (-sp.identity(4, format="csr"), None, np.ones((3, 1)), "rows"),
+])
+def test_problem_rejects_mismatched_shapes(A, M, B, match):
+    # the pencil checks A and M, the problem checks B against A
+    with pytest.raises(ValueError, match=match):
+        LyapunovProblem(A, B, M=M)
+
+
 def test_only_conjugate_pairs_factor_in_complex(monkeypatch):
     made = []
 

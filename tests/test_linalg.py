@@ -169,7 +169,7 @@ def test_factorization_never_forms_L_or_U(monkeypatch):
     M = sp.diags(rng.random(20) + 0.5, format="csr")
     problem = LyapunovProblem(A, rng.standard_normal((20, 1)), M=M)
     rhs = rng.standard_normal((20, 2))
-    assert_allclose(M @ problem.solve_M(rhs), rhs, atol=1e-12)
+    assert_allclose(M @ problem.pencil.solve_M(rhs), rhs, atol=1e-12)
 
 
 def test_complex_shift_fill_stays_low(recorded_lu):
@@ -282,7 +282,7 @@ def test_permuted_factorization_solves(alpha, mass, dissect_all, recorded_lu,
     if mass:
         problem = LyapunovProblem(A, np.ones((225, 1)), M=M)
         b = rng.standard_normal((225, 2))
-        assert_allclose(M @ problem.solve_M(b), b, atol=1e-12)
+        assert_allclose(M @ problem.pencil.solve_M(b), b, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [-2.0, -2.0 + 1.5j])

@@ -106,17 +106,20 @@ def test_build_seed_invariants():
     assert problem.pencil.n_factorizations == 1  # one solve operator for m >= 1
 
 
-def test_build_seed_logs_starting_block_outside_seed_space(caplog):
-    # block_orth scales its drop tolerance by the largest column of
-    # [B, A^{-1} B], here about 1e6, so the second column of B, independent
-    # of the first only to 1e-6, is dropped from the seed space
+def test_build_seed_keeps_starting_block_dwarfed_by_its_inverse_image(caplog):
+    # the largest column of [B, A^{-1} B] is about 1e6 here, so one block
+    # orthogonalization of both would drop the second column of B,
+    # independent of the first only to 1e-6, from the seed space
     rng = np.random.default_rng(0)
     A = sp.diags(np.r_[-1e-6, -np.linspace(1.0, 10.0, 49)]).tocsr()
     b, r = rng.standard_normal((2, 50))
-    problem = LyapunovProblem(A, np.column_stack([b, b + 1e-6 * r]))
+    B = np.column_stack([b, b + 1e-6 * r])
+    problem = LyapunovProblem(A, B)
     with caplog.at_level(logging.WARNING, logger="lradi.resmin"):
-        build_seed(problem, p=1, m=1)
-    assert any("not in the seed space" in rec.message for rec in caplog.records)
+        seed = build_seed(problem, p=1, m=1)
+    Q1 = seed.Q[:, :2]
+    assert np.linalg.norm(Q1 @ (Q1.T @ B) - B) <= 1e-12 * np.linalg.norm(B)
+    assert not caplog.records
 
 
 def test_build_seed_matches_explicit_basis():

@@ -17,7 +17,7 @@ from conftest import random_stable
 from lradi.cli import parse_strategy
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
 from lradi.linalg import sparse_shifted_factorize
-from lradi.problems import gen_cd2d, gen_rhs
+from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
 from lradi.strategies import (
     CyclicShifts,
     StrategyConfig,
@@ -348,6 +348,31 @@ def test_strategy_kinds_reproduce_pinned_shifts(text):
     problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     pinned = PINNED[text]
+    assert report.iterations == pinned["iterations"]
+    assert report.n_factorizations == pinned["factorizations"]
+    expected = np.array([complex(x, y) for x, y in pinned["shifts"]])
+    assert_allclose(np.array(report.shifts), expected, rtol=1e-12, atol=0.0)
+
+
+# the benchmark's three strategies at sizes of 1000 unknowns or more, so that
+# the pinned runs take the nested-dissection path of every benchmark workload
+PINNED_BENCHMARK = json.loads(
+    (Path(__file__).parent / "pinned_benchmark_shifts.json").read_text())
+BENCHMARK_INPUTS = {
+    "resmin+Z(8)+gauss-newton": (lambda: (gen_cd2d(40), None), 1, 7, 1e-8),
+    "Z(4)+Hres": (lambda: (gen_cd3d(11), None), 1, 7, 1e-8),
+    "resmin+EK(3,1)+gauss-newton, g=5": (lambda: _fem_pair(2048), 4, 0, 1e-10),
+}
+
+
+@pytest.mark.parametrize("text", list(PINNED_BENCHMARK))
+def test_benchmark_strategies_reproduce_pinned_shifts(text):
+    make_pencil, s, seed, tol = BENCHMARK_INPUTS[text]
+    A, M = make_pencil()
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, seed), M=M, tol=tol)
+    assert problem.n >= 1000
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    pinned = PINNED_BENCHMARK[text]
     assert report.iterations == pinned["iterations"]
     assert report.n_factorizations == pinned["factorizations"]
     expected = np.array([complex(x, y) for x, y in pinned["shifts"]])
