@@ -639,9 +639,10 @@ def grid_objective(co, nus, xis):
 def _psi_derivatives(co, nu, xi, order, with_xi=True):
     """Psi = T C^g Wt and its partial derivatives in (nu, xi), weighted.
 
-    Returns [Psi, Psi_nu, Psi_xi], and with order 2 also [Psi_nunu,
-    Psi_nuxi, Psi_xixi]; without ``with_xi`` (order 1 only) Psi_xi is
-    None and never formed. Raises ShiftObjectiveError at singular points.
+    Returns [Psi] with order 0, [Psi, Psi_nu, Psi_xi] with order 1, and
+    with order 2 also [Psi_nunu, Psi_nuxi, Psi_xixi]; without ``with_xi``
+    (order 1 only) Psi_xi is None and never formed. Raises
+    ShiftObjectiveError at singular points.
     """
     alpha = complex(nu, xi)
     L = _shift_matrix(co, alpha)
@@ -649,7 +650,7 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
         raise ShiftObjectiveError(f"H + alpha I singular at alpha = {alpha}")
     g = co.g
     S = [co.Wtil.astype(np.complex128, copy=False)]
-    for _ in range(4 if order >= 2 else 2):  # S[3], S[4] enter only second derivatives
+    for _ in range(2 * order):  # S[3], S[4] enter only second derivatives
         S.append(_solve_L(L, S[-1]))
 
     def C_pow(X, times):
@@ -658,8 +659,10 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
             X = X - 2.0 * nu * _solve_L(L, X)
         return X
 
-    out = [C_pow(S[0], g), -2.0 * g * C_pow(S[1] - nu * S[2], g - 1),
-           2.0j * nu * g * C_pow(S[2], g - 1) if with_xi else None]
+    out = [C_pow(S[0], g)]
+    if order >= 1:
+        out += [-2.0 * g * C_pow(S[1] - nu * S[2], g - 1),
+                2.0j * nu * g * C_pow(S[2], g - 1) if with_xi else None]
     if order >= 2:
         Psi_nunu = 4.0 * g * C_pow(S[2] - nu * S[3], g - 1)
         Psi_nuxi = 2.0j * g * C_pow(S[2] - 2.0 * nu * S[3], g - 1)
@@ -734,9 +737,10 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):
     """Stacked real residual and Jacobian for Gauss-Newton.
 
     r stacks sqrt(2) * [Re vec(T C^g Wt); Im vec(...)] so that
-    0.5 ||r||^2 equals the objective for a single column (and the
-    Frobenius surrogate of it otherwise); J holds the corresponding
-    (nu, xi) columns from the analytic derivatives.
+    0.5 ||r||^2 is the Frobenius surrogate ||Psi||_F^2, which equals the
+    objective for a single column; J holds the corresponding (nu, xi)
+    columns from the analytic derivatives. The Gauss-Newton polish both
+    steps and accepts its steps on this surrogate.
 
     With ``normal`` the Gauss-Newton normal equations (J^T r, J^T J) are
     returned instead, in closed form: the columns of J stack Psi_nu and
@@ -828,17 +832,33 @@ def _levenberg_step(g, JJ, lam, free):
 _CONVERGED = ("gradient", "step")
 
 
+def _frobenius_objective(co, nu, xi):
+    """||Psi||_F^2 = 0.5 ||r||^2 of nls_residual_jacobian's residual.
+
+    Returns +inf where H + alpha I is numerically singular. For a single
+    column it is eval_objective's expression on the same Psi.
+    """
+    try:
+        (Psi,) = _psi_derivatives(co, nu, xi, 0)
+    except ShiftObjectiveError:
+        return np.inf
+    return float(np.vdot(Psi, Psi).real)
+
+
 def _polish_gauss_newton(co, x, b):
     """Levenberg-Marquardt on the stacked residual, inside the box.
 
-    Stationarity is tested on the projected gradient and the step is taken
-    over the free variables only (see _free), so a minimum on the box's
-    edge converges like an interior one. Returns (x, f(x), iterations,
-    stop) with stop one of "gradient", "step" (converged), "rejected" (no
-    decrease found), "singular" (H + alpha I singular) or
-    "max_iterations".
+    Each step is modelled on, and accepted by, one objective: the
+    Frobenius surrogate ||Psi||_F^2 = 0.5 ||r||^2 (the spectral objective
+    itself for a single column). Stationarity is tested on its projected
+    gradient and the step is taken over the free variables only (see
+    _free), so a minimum on the box's edge converges like an interior
+    one. Returns (x, psi(x), iterations, stop), psi the spectral
+    objective eval_objective, with stop one of "gradient", "step"
+    (converged), "rejected" (no decrease found), "singular" (H + alpha I
+    singular) or "max_iterations".
     """
-    fx = eval_objective(co, x[0], x[1])
+    fx = _frobenius_objective(co, x[0], x[1])
     lam = 1e-3
     diam = max(_box_diam(b), 1e-300)
     stop = "max_iterations"
@@ -861,7 +881,7 @@ def _polish_gauss_newton(co, x, b):
                 lam = max(lam, 1e-8) * 10.0
                 continue
             xn = _box_clip(x + d, b)
-            fn = eval_objective(co, xn[0], xn[1])
+            fn = _frobenius_objective(co, xn[0], xn[1])
             if fn < fx:
                 step = xn - x
                 x, fx = xn, fn
@@ -876,7 +896,7 @@ def _polish_gauss_newton(co, x, b):
         if np.linalg.norm(step) <= 1e-10 * diam:
             stop = "step"
             break
-    return x, fx, it + 1, stop
+    return x, eval_objective(co, x[0], x[1]), it + 1, stop
 
 
 def _trust_region_step(g, H, delta):
@@ -995,7 +1015,10 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     A deterministic coarse grid presearch (24 x 12 points, 48 on the real
     axis, evaluated in one batch by grid_objective) seeds the chosen
     backend from the three best grid points; a provided initial guess is
-    always polished too and wins ties.
+    always polished too and wins ties. The grid and the choice among the
+    polished starts use the spectral objective psi = ||Psi||_2^2; the
+    Gauss-Newton backend steps on the Frobenius surrogate ||Psi||_F^2
+    (the same for a single column) and reports psi at its end point.
     Returns (alpha, info) with alpha = nu + i xi the best point found and
     info carrying the final value, the chosen start's iteration count,
     ``converged`` and stop reason (``stop``), and every start's stop

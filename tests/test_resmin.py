@@ -790,10 +790,12 @@ def test_polish_converges_on_the_box_edge(method, case):
 def test_polish_matches_bounded_least_squares():
     # SciPy's reflective trust-region least squares (Coleman-Li) as an
     # oracle for the Gauss-Newton polish from the same start, also in
-    # boxes cut short so that minima land on their edges
+    # boxes cut short so that minima land on their edges; for block
+    # residuals the polish minimizes the stacked (Frobenius) residual and
+    # reports the spectral objective at its end point
     rng = np.random.default_rng(25)
-    for trial in range(12):
-        co = make_objective(rng, k=int(rng.integers(3, 7)), g=1 + trial % 2,
+    for s, trial in [(s, trial) for s in (1, 2, 3) for trial in range(12)]:
+        co = make_objective(rng, k=int(rng.integers(3, 7)), s=s, g=1 + trial % 2,
                             weighted=bool(trial % 3 == 1))
         b = co.bounds
         if trial % 2:
@@ -813,8 +815,14 @@ def test_polish_matches_bounded_least_squares():
             jac=lambda v: nls_residual_jacobian(co, *point(v))[1][:, :nvar],
             bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], b)
-        assert stop in ("gradient", "step")
-        assert fx <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2 = psi
+        # with a large residual Gauss-Newton converges linearly: one block
+        # case (s = 3, trial 1) still creeps along its box's edge toward
+        # the oracle's point after the polish's 100 iterations
+        assert stop in ("gradient", "step") or (s > 1 and stop == "max_iterations"), \
+            (s, trial, stop)
+        r = nls_residual_jacobian(co, x[0], x[1])[0]
+        assert 0.5 * (r @ r) <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2
+        assert fx == eval_objective(co, x[0], x[1])
         assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
 
 
