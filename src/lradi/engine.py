@@ -3,11 +3,11 @@
 Solves A X + X A^* + B B^* = 0, or A X M^* + M X A^* + B B^* = 0 when a
 mass matrix is present, for a low-rank factor Z with X ~ Z Z^T. One
 factorization of A + alpha*M is built per shift, in real arithmetic for a
-real shift, and released before the next one is built; conjugate shift
-pairs are handled by a real double step so Z stays real. The scaled
-residual norm ||W^* W||_2 / ||B^* B||_2 is tracked from the residual
-factor W that the iteration carries along (the residual is exactly W W^*
-at every step).
+real shift; it is kept while the next shift is proposed and released just
+before the next one is built. Conjugate shift pairs are handled by a real
+double step so Z stays real. The scaled residual norm
+||W^* W||_2 / ||B^* B||_2 is tracked from the residual factor W that the
+iteration carries along (the residual is exactly W W^* at every step).
 """
 
 import logging
@@ -318,7 +318,8 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         Shift source: an object with ``next_shift(state) ->
         ShiftProposal``; the problem is ``state.problem``. The report
         counts the change in ``problem.pencil.n_factorizations`` over the
-        solve, so the LUs a strategy builds there are counted too.
+        solve, so the LUs a strategy builds there are counted too. The
+        last group's LU is still alive while ``next_shift`` runs.
     return_state
         Also return the final AdiState (for Z and the residual factor).
     on_step
@@ -347,9 +348,12 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         proposal = strategy.next_shift(state)
         t_shift += time.monotonic() - ts
         alpha = normalize_shift(proposal.alpha)
+        # release the last group's LU only now, just before the next one is
+        # built: SuperLU allocates the same sizes at every shift, so the new
+        # LU reuses the old one's memory instead of faulting in fresh pages
+        fact = None
         fact = sparse_shifted_factorize(problem.pencil, alpha)
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
-        fact = None  # release this LU before the next one is built
         if done == 0:  # budget exhausted by the cap before any step ran
             status = "max_iterations"
             break

@@ -234,6 +234,12 @@ class ShiftedPencil:
         return _Layout(ordered, perm, iperm, union.indptr.astype(np.intc),
                        union.indices.astype(np.intc), values(A), values(M), M)
 
+    @cached_property
+    def probe(self):
+        """The fixed pseudo-random +-1 vector of the singularity test, drawn
+        once per pencil."""
+        return np.where(np.random.default_rng(0).random(self.n) < 0.5, -1.0, 1.0)
+
     @property
     def perm(self):
         """The pencil's order (perm[k] is the k-th unknown), or None when
@@ -308,8 +314,9 @@ class ShiftedFactorization:
     pencil's ``lu`` in symmetric mode with diagonal pivot threshold 0.1: as
     it stands after a nested-dissection ordering (1000 unknowns or more),
     otherwise ordered by minimum degree on K + K^T. Singularity is tested
-    without forming the L and U factors: one solve K x = b with a fixed
-    +-1 vector b, and SingularShiftError when x is not finite or
+    without forming the L and U factors: one solve K x = b with the
+    pencil's fixed +-1 vector b (``probe``, drawn once per pencil), and
+    SingularShiftError when x is not finite or
     ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a lower bound
     of the condition number kappa_inf(K).
 
@@ -330,9 +337,8 @@ class ShiftedFactorization:
                 f"factorization of A + ({alpha})*M failed: {exc}"
             ) from exc
         # splu can succeed on a nearly singular K: bound its condition from
-        # below with one solve against a fixed pseudo-random +-1 vector
-        b = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
-        x = self._lu.solve(b.astype(K.dtype))
+        # below with one solve against the pencil's pseudo-random +-1 vector
+        x = self._lu.solve(pencil.probe.astype(K.dtype))
         with np.errstate(all="ignore"):
             row_sums = np.bincount(K.indices, np.abs(K.data), minlength=n)
             cond = row_sums.max(initial=0.0) * np.max(np.abs(x), initial=0.0)

@@ -175,6 +175,12 @@ class KrylovSeed:
     MQ_Q: object = None
     MQ_R: object = None
 
+    @cached_property
+    def Q_cols(self):
+        """Column-major copy of the row-major Q, made once: every recycled
+        basis starts with Q, which block_orth lays out column-major."""
+        return np.asfortranarray(self.Q)
+
 
 def build_seed(problem, p, m, B=None):
     """Build the extended Krylov seed for a problem.
@@ -470,7 +476,7 @@ def recycle_krylov(seed, state):
     omega, ZSq = ZX[:, :w], ZX[:, w:]
 
     k0 = seed.Q.shape[1]
-    Qj, R = block_orth(seed.Q, omega)
+    Qj, R = block_orth(seed.Q_cols, omega)
     kadd = Qj.shape[1] - k0
     QjH = Qj.conj().T
     H = np.vstack([seed.H, QjH[k0:] @ seed.P])  # Qj^* P for the seed columns

@@ -402,22 +402,53 @@ def test_only_conjugate_pairs_factor_in_complex(monkeypatch):
 
 
 def test_solve_keeps_one_factorization_alive(monkeypatch):
-    # the engine drops each shifted LU before it requests the next one
-    alive = []
-    build = engine.sparse_shifted_factorize
+    # the engine keeps each group's LU while the strategy proposes the next
+    # shift and drops it just before the next LU is built, which takes over
+    # its memory: no two shifted LUs are ever alive at once, counting the
+    # seed LU that resmin+EK builds inside its first next_shift
+    alive, builders = [], []
 
-    def tracking(*args, **kwargs):
-        assert all(ref() is None for ref in alive), "previous LU still alive"
-        fact = build(*args, **kwargs)
-        alive.append(weakref.ref(fact))
-        return fact
+    def tracking(module):
+        build = module.sparse_shifted_factorize
 
-    monkeypatch.setattr(engine, "sparse_shifted_factorize", tracking)
+        def factorize(*args, **kwargs):
+            assert all(ref() is None for ref in alive), "an earlier LU is still alive"
+            fact = build(*args, **kwargs)
+            alive.append(weakref.ref(fact))
+            builders.append(module)
+            return fact
+        return factorize
+
+    for module in (engine, resmin):
+        monkeypatch.setattr(module, "sparse_shifted_factorize", tracking(module))
+
+    def handover(strategy):
+        propose = strategy.next_shift
+
+        def next_shift(state):
+            if state.j:  # the last LU built is the previous group's
+                assert alive[-1]() is not None, "the last group's LU was released early"
+            return propose(state)
+
+        strategy.next_shift = next_shift
+        return strategy
+
     rng = np.random.default_rng(15)
     problem = LyapunovProblem(sp.csr_matrix(random_stable(20, rng)),
                               rng.standard_normal((20, 2)), tol=1e-9)
-    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]))
+    report = lr_adi_solve(problem, handover(CyclicShifts([-1.0, -3.0 + 2.0j, -10.0])))
     assert report.converged and len(alive) == report.n_factorizations >= 3
+    assert set(builders) == {engine}
+
+    alive.clear()
+    builders.clear()
+    A, M = _fem_pair(200)
+    problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
+    strategy = make_strategy(parse_strategy("resmin+EK(3,1)+gn, g=5"))
+    report = lr_adi_solve(problem, handover(strategy))
+    assert report.converged and len(alive) == report.n_factorizations >= 3
+    # the seed's LU comes first, then one per multistep group
+    assert builders[0] is resmin and set(builders[1:]) == {engine}
 
 
 def test_report_counts_factorizations_a_strategy_builds_itself():

@@ -172,6 +172,40 @@ def test_factorization_never_forms_L_or_U(monkeypatch):
     assert_allclose(M @ problem.pencil.solve_M(rhs), rhs, atol=1e-12)
 
 
+class _ProbedLU(_NoFactorsLU):
+    """SuperLU stand-in that records the right-hand side of each solve."""
+
+    def __init__(self, lu, rhs):
+        super().__init__(lu)
+        self._rhs = rhs
+
+    def solve(self, rhs, trans="N"):
+        self._rhs.append(np.array(rhs))
+        return super().solve(rhs, trans)
+
+
+def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
+    # the +-1 vector of the singularity test is the draw each LU used to
+    # make for itself, now made once per pencil and shared by its LUs
+    n = 20
+    draw = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
+    rhs, draws = [], []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: draws.append(a) or default_rng(*a, **k))
+    monkeypatch.setattr(linalg, "splu", lambda *a, **k: _ProbedLU(splu(*a, **k), rhs))
+    A = sp.csr_matrix(default_rng(13).standard_normal((n, n)) - 25 * np.eye(n))
+    pencil = ShiftedPencil(A)
+    for alpha in (-1.5, -1.5 + 4.0j, -2.0):
+        sparse_shifted_factorize(pencil, alpha)
+    assert draws == [(0,)]
+    assert_allclose(pencil.probe, draw, rtol=0, atol=0)  # no solve overwrote it
+    # each LU's first solve is the probe, in the LU's arithmetic
+    assert [r.dtype for r in rhs] == [np.float64, np.complex128, np.float64]
+    for r in rhs:
+        assert_allclose(r, draw, rtol=0, atol=0)
+
+
 def test_complex_shift_fill_stays_low(recorded_lu):
     # the ordering of A + A^T must keep fill well below SciPy's default
     # (COLAMD, full partial pivoting); a silent fall-back fails this bound
