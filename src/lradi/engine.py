@@ -47,8 +47,11 @@ class LyapunovProblem:
     ----------
     A
         Sparse stable real system matrix (n x n). Stability is not verified
-        up front; an unstable matrix typically surfaces as a singular
-        shifted factorization.
+        and no status names an unstable matrix (ROADMAP.md, item 3): the
+        adaptive strategies reflect or negate its unstable values, so a
+        solve usually ends "max_iterations" with a residual that does not
+        fall, and raises SingularShiftError only when a shift lands on the
+        negative of an unstable eigenvalue.
     B
         Dense right-hand-side factor (n x s), s << n.
     M
@@ -221,8 +224,7 @@ def adi_double_step(state, fact):
 
     V = fact.solve(state.W)
     # residual factor after the half step (complex intermediate)
-    M = state.problem.M
-    W_mid = state.W - 2.0 * beta * (V if M is None else M @ V)
+    W_mid, _ = _residual_update(state, V, -2.0 * beta)
     res_mid = scaled_residual(W_mid, state.b_norm2)
 
     Vr = V.real + c * V.imag

@@ -365,7 +365,9 @@ def sparse_shifted_factorize(pencil, alpha):
     """Factorize A + alpha*M of a ShiftedPencil; returns a ShiftedFactorization.
 
     Raises SingularShiftError when the shifted matrix is numerically
-    singular (this is how an unstable input matrix is usually detected).
+    singular. An unstable input matrix reaches this only when a shift lands
+    on the negative of one of its eigenvalues; usually its solve just runs
+    to max_iterations (ROADMAP.md, item 3).
     """
     return ShiftedFactorization(pencil, alpha)
 

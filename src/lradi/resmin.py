@@ -590,25 +590,17 @@ def eval_objective(co, nu, xi=0.0):
     Returns +inf when H + alpha I is numerically singular (the candidate
     hits a compressed eigenvalue). nu -> 0 gives ||T Wt||^2: no progress.
     """
-    alpha = complex(nu, xi)
-    L = _shift_matrix(co, alpha)
-    if L is None:
-        return np.inf
-    X = co.Wtil.astype(np.complex128, copy=True)
-    for _ in range(co.g):
-        X = X - 2.0 * nu * _solve_L(L, X)
-    if co.weight is not None:
-        X = co.weight @ X
-    return spectral_norm_small(X)
+    Psi = _psi(co, nu, xi)
+    return np.inf if Psi is None else spectral_norm_small(Psi)
 
 
 def grid_objective(co, nus, xis):
     """eval_objective at every point of the grid nus x xis (nu-major order).
 
-    The same sums as eval_objective, batched: one back substitution with
+    The sums of _psi_derivatives' Psi, batched: one back substitution with
     H + alpha I runs row by row over all grid shifts at once (k NumPy
     steps per step of the group instead of one LAPACK call per point),
-    and the singular points give +inf by eval_objective's test.
+    and the singular points give +inf by _shift_matrix's test.
     """
     H, d, scale = co._shift_base
     k, s = co.Wtil.shape
@@ -645,6 +637,7 @@ def grid_objective(co, nus, xis):
 def _psi_derivatives(co, nu, xi, order, with_xi=True):
     """Psi = T C^g Wt and its partial derivatives in (nu, xi), weighted.
 
+    The one pointwise evaluator of Psi (grid_objective batches its own).
     Returns [Psi] with order 0, [Psi, Psi_nu, Psi_xi] with order 1, and
     with order 2 also [Psi_nunu, Psi_nuxi, Psi_xixi]; without ``with_xi``
     (order 1 only) Psi_xi is None and never formed. Raises
@@ -682,6 +675,14 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     if co.weight is not None:
         out = [None if X is None else co.weight @ X for X in out]
     return out
+
+
+def _psi(co, nu, xi):
+    """Psi = T C^g Wt at (nu, xi), or None where H + alpha I is singular."""
+    try:
+        return _psi_derivatives(co, nu, xi, 0)[0]
+    except ShiftObjectiveError:
+        return None
 
 
 def _check_gap(theta, how):
@@ -775,9 +776,9 @@ def tangential_reduce(co):
 
     Wt becomes Wt @ t with t the right singular vector of Wt's largest
     singular value; the reduced objective is a lower bound of the full one
-    and coincides with it at rank one. Used to restore smoothness when
-    Gram eigenvalues coalesce (and by default for the trust-region backend
-    with block right-hand sides).
+    and coincides with it at rank one. The trust-region backend reduces
+    every block residual this way before its first derivative, so Gram
+    eigenvalues that coalesce never stop it.
     """
     if co.Wtil.shape[1] == 1:
         return co
@@ -838,19 +839,6 @@ def _levenberg_step(g, JJ, lam, free):
 _CONVERGED = ("gradient", "step")
 
 
-def _frobenius_objective(co, nu, xi):
-    """||Psi||_F^2 = 0.5 ||r||^2 of nls_residual_jacobian's residual.
-
-    Returns +inf where H + alpha I is numerically singular. For a single
-    column it is eval_objective's expression on the same Psi.
-    """
-    try:
-        (Psi,) = _psi_derivatives(co, nu, xi, 0)
-    except ShiftObjectiveError:
-        return np.inf
-    return float(np.vdot(Psi, Psi).real)
-
-
 def _polish_gauss_newton(co, x, b):
     """Levenberg-Marquardt on the stacked residual, inside the box.
 
@@ -864,7 +852,11 @@ def _polish_gauss_newton(co, x, b):
     (converged), "rejected" (no decrease found), "singular" (H + alpha I
     singular) or "max_iterations".
     """
-    fx = _frobenius_objective(co, x[0], x[1])
+    def frobenius(x):  # 0.5 ||r||^2 of nls_residual_jacobian's residual
+        Psi = _psi(co, x[0], x[1])
+        return np.inf if Psi is None else float(np.vdot(Psi, Psi).real)
+
+    fx = frobenius(x)
     lam = 1e-3
     diam = max(_box_diam(b), 1e-300)
     stop = "max_iterations"
@@ -887,7 +879,7 @@ def _polish_gauss_newton(co, x, b):
                 lam = max(lam, 1e-8) * 10.0
                 continue
             xn = _box_clip(x + d, b)
-            fn = _frobenius_objective(co, xn[0], xn[1])
+            fn = frobenius(xn)
             if fn < fx:
                 step = xn - x
                 x, fx = xn, fn
@@ -954,23 +946,17 @@ def _polish_newton_trust(co, x, b):
     "radius" (the trust region collapsed), "singular" or
     "max_iterations".
     """
-    if co.Wtil.shape[1] > 1:
-        co = tangential_reduce(co)
+    co = tangential_reduce(co)
     fx = eval_objective(co, x[0], x[1])
     diam = max(_box_diam(b), 1e-300)
     delta = 0.1 * diam
     nvar = 1 if b.real_axis else 2
     stop = "max_iterations"
     it = 0
-    reduced_retry = False
     for it in range(100):
         try:
             value, g2, H2 = eval_derivatives(co, x[0], x[1])
         except ShiftObjectiveError:
-            if not reduced_retry and co.Wtil.shape[1] > 1:
-                co = tangential_reduce(co)
-                reduced_retry = True
-                continue
             stop = "singular"
             break
         g = g2[:nvar]
@@ -1035,7 +1021,8 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     co
         CompressedObjective with bounds attached.
     x0
-        Optional initial guess, complex or (nu, xi) pair.
+        Optional initial guess, a real or complex number (its imaginary
+        part enters with its absolute value).
     method
         "gauss-newton" (stacked-residual Levenberg iteration) or
         "newton-trust" (trust-region Newton with analytic derivatives;
@@ -1056,10 +1043,8 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
 
     starts = []
     if x0 is not None:
-        if np.iscomplexobj(np.asarray(x0)) or np.isscalar(x0):
-            z = complex(x0)
-            x0 = np.array([z.real, abs(z.imag)])
-        starts.append(_box_clip(np.asarray(x0, dtype=float), b))
+        z = complex(x0)
+        starts.append(_box_clip(np.array([z.real, abs(z.imag)]), b))
     starts.extend(_box_clip(np.array(grid[i]), b) for i in order if np.isfinite(vals[i]))
     if not starts:
         starts = [np.array([0.5 * (b.nu_minus + b.nu_plus), 0.0])]

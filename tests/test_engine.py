@@ -517,6 +517,24 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
     assert len(lus) == report.n_factorizations + (M is not None)
 
 
+def _lradi_owner(path):
+    """The lradi object a dotted path names, e.g. "engine.AdiState"."""
+    head, *rest = path.split(".")
+    owner = {"engine": engine, "linalg": linalg, "resmin": resmin,
+             "strategies": strategies}[head]
+    for attr in rest:
+        owner = getattr(owner, attr)
+    return owner
+
+
+def _assigned(relpath, name):
+    """Every value assigned to ``name`` in a file of this checkout, as AST."""
+    source = Path(__file__).resolve().parents[1] / relpath
+    return [node.value for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Assign) and len(node.targets) == 1
+            and getattr(node.targets[0], "id", None) == name]
+
+
 def _benchmark_patch_points():
     """(name, owner, attribute) of every attribute perfbench/spans.py rebinds.
 
@@ -524,21 +542,22 @@ def _benchmark_patch_points():
     covered here too; ``name`` is the owner as spans.py writes it plus
     the attribute, e.g. "linalg.ShiftedFactorization.solve".
     """
-    source = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    modules = {"engine": engine, "linalg": linalg, "resmin": resmin,
-               "strategies": strategies}
     points = []
-    for node in ast.walk(ast.parse(source.read_text())):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and getattr(node.targets[0], "id", None) == "points"):
-            for entry in node.value.elts:
-                head, *rest = ast.unparse(entry.elts[0]).split(".")
-                owner = modules[head]
-                for attr in rest:
-                    owner = getattr(owner, attr)
-                attr = entry.elts[1].value
-                points.append((f"{ast.unparse(entry.elts[0])}.{attr}", owner, attr))
+    for value in _assigned("perfbench/spans.py", "points"):
+        for entry in value.elts:
+            path, attr = ast.unparse(entry.elts[0]), entry.elts[1].value
+            points.append((f"{path}.{attr}", _lradi_owner(path), attr))
     return points
+
+
+def test_rusage_tool_patch_points_exist():
+    # tools/rusage_layers.py rebinds these lradi attributes by name and no
+    # other test runs it, so a rename in src must fail here
+    (value,) = _assigned("tools/rusage_layers.py", "PATCH_POINTS")
+    points = ast.literal_eval(value)
+    assert len(points) == 5
+    for path, attr, _ in points:
+        assert callable(getattr(_lradi_owner(path), attr)), f"{path}.{attr}"
 
 
 _COMMON_SEAMS = {

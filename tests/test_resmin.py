@@ -673,6 +673,18 @@ def test_gradient_rejects_coalescent_gram():
         eval_derivatives(co, -0.5, 0.0, order=1)
 
 
+def test_trust_polish_reduces_coalescent_block_first():
+    # the trust-region polish reduces a block residual tangentially before
+    # its first derivative, so a double top Gram eigenvalue never stops it
+    H = np.diag([-1.0 + 0j, -1.0 + 0j])
+    co = CompressedObjective(H=H, Wtil=np.eye(2, dtype=complex),
+                             bounds=derive_bounds(np.diag(H)))
+    alpha, info = optimize_shift(co, method="newton-trust")
+    assert info["converged"]
+    assert "singular" not in info["stops"]
+    assert alpha == pytest.approx(-1.0, abs=1e-8)
+
+
 # ---------------------------------------------------------------------------
 # tangential reduction, bounds
 # ---------------------------------------------------------------------------

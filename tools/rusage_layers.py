@@ -31,6 +31,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 USAGE = ("minflt", "stime", "utime")
+# (owner, attribute, layer) of every lradi attribute a sample rebinds; the
+# owner is a dotted path inside the lradi package
+PATCH_POINTS = (
+    ("engine", "sparse_shifted_factorize", "lu"),
+    ("resmin", "sparse_shifted_factorize", "lu"),
+    ("resmin", "build_seed", "seed"),
+    ("resmin", "recycle_krylov", "recycle"),
+    ("engine.AdiState", "_push", "z_push"),
+)
 
 
 def usage():
@@ -43,7 +52,8 @@ def one_sample(workload, seed, src):
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import numpy as np
-    from lradi import LyapunovProblem, engine, lr_adi_solve, resmin
+    import lradi
+    from lradi import LyapunovProblem, lr_adi_solve
     from lradi.cli import parse_strategy
     from lradi.strategies import make_strategy
     from workloads import WORKLOADS, build_inputs
@@ -72,11 +82,10 @@ def one_sample(workload, seed, src):
                         stack[-1][k] += v
         return counted
 
-    for owner, attr, name in ((engine, "sparse_shifted_factorize", "lu"),
-                              (resmin, "sparse_shifted_factorize", "lu"),
-                              (resmin, "build_seed", "seed"),
-                              (resmin, "recycle_krylov", "recycle"),
-                              (engine.AdiState, "_push", "z_push")):
+    for path, attr, name in PATCH_POINTS:
+        owner = lradi
+        for part in path.split("."):
+            owner = getattr(owner, part)
         setattr(owner, attr, wrap(name, getattr(owner, attr)))
     strategy.next_shift = wrap("next_shift", strategy.next_shift)
     solve = wrap("rest", lr_adi_solve)
