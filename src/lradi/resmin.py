@@ -18,9 +18,10 @@ evaluated on the compressed model:
     psi(nu, xi) = || T * C(H, alpha)^g * Wt ||_2^2,
     C(H, alpha) = (H - conj(alpha) I)(H + alpha I)^{-1},  alpha = nu + i xi,
 
-minimized over a spectral bounding box with either a Gauss-Newton
-iteration on the stacked real residual or a trust-region Newton method
-with analytic first and second derivatives.
+minimized over a spectral bounding box by one Levenberg iteration that
+steps on the Frobenius surrogate || T * C(H, alpha)^g * Wt ||_F^2 (psi
+itself for a single column), with either the Gauss-Newton curvature or
+the surrogate's exact curvature.
 """
 
 import logging
@@ -59,7 +60,6 @@ __all__ = [
     "grid_objective",
     "eval_derivatives",
     "nls_residual_jacobian",
-    "tangential_reduce",
     "derive_bounds",
     "optimize_shift",
     "hamiltonian_residual_shift",
@@ -640,7 +640,7 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     The one pointwise evaluator of Psi (grid_objective batches its own).
     Returns [Psi] with order 0, [Psi, Psi_nu, Psi_xi] with order 1, and
     with order 2 also [Psi_nunu, Psi_nuxi, Psi_xixi]; without ``with_xi``
-    (order 1 only) Psi_xi is None and never formed. Raises
+    Psi_xi is None and never formed (second derivatives all are). Raises
     ShiftObjectiveError at singular points.
     """
     alpha = complex(nu, xi)
@@ -691,12 +691,11 @@ def _check_gap(theta, how):
         if how == "top" and (theta[0] - theta[1]) <= 1e-10 * top:
             raise ShiftObjectiveError(
                 "dominant Gram eigenvalue is not simple; objective not "
-                "differentiable here (reduce tangentially)"
+                "differentiable here"
             )
         if how == "all" and np.min(theta[:-1] - theta[1:]) <= 1e-10 * top:
             raise ShiftObjectiveError(
-                "Gram eigenvalues coalesce; second derivatives unavailable "
-                "(reduce tangentially)"
+                "Gram eigenvalues coalesce; second derivatives unavailable"
             )
 
 
@@ -740,27 +739,36 @@ def eval_derivatives(co, nu, xi=0.0, order=2):
     return float(theta[0]), grad, hess
 
 
-def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):
+def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
+                          exact=False):
     """Stacked real residual and Jacobian for Gauss-Newton.
 
     r stacks sqrt(2) * [Re vec(T C^g Wt); Im vec(...)] so that
     0.5 ||r||^2 is the Frobenius surrogate ||Psi||_F^2, which equals the
     objective for a single column; J holds the corresponding (nu, xi)
-    columns from the analytic derivatives. The Gauss-Newton polish both
-    steps and accepts its steps on this surrogate.
+    columns from the analytic derivatives. The polish both steps and
+    accepts its steps on this surrogate.
 
-    With ``normal`` the Gauss-Newton normal equations (J^T r, J^T J) are
-    returned instead, in closed form: the columns of J stack Psi_nu and
-    Psi_xi like r stacks Psi, so each product is 2 Re vdot of two blocks.
-    With ``normal``, ``real_axis`` keeps only the nu column (1 x 1
-    equations) and never forms Psi_xi; the stacked (r, J) always has both
-    columns.
+    With ``normal`` the normal equations (J^T r, J^T J) are returned
+    instead, in closed form: the columns of J stack Psi_nu and Psi_xi like
+    r stacks Psi, so each product is 2 Re vdot of two blocks. With
+    ``normal``, ``real_axis`` keeps only the nu column (1 x 1 equations)
+    and never forms Psi_xi; the stacked (r, J) always has both columns.
+    With ``normal``, ``exact`` adds the residual's own curvature
+    2 Re <Psi, Psi_ab> to J^T J, which gives the exact Hessian of
+    ||Psi||_F^2 from the second derivatives of Psi.
     """
     real_axis = normal and real_axis
-    Psi, P_nu, P_xi = _psi_derivatives(co, nu, xi, 1, with_xi=not real_axis)
+    exact = normal and exact
+    out = _psi_derivatives(co, nu, xi, 2 if exact else 1, with_xi=not real_axis)
+    Psi, P_nu, P_xi = out[:3]
     if normal:
         cols = [P_nu] if real_axis else [P_nu, P_xi]
         JJ = np.array([[2.0 * np.vdot(a, c).real for c in cols] for a in cols])
+        if exact:
+            second = [[out[3], out[4]], [out[4], out[5]]]
+            JJ += np.array([[2.0 * np.vdot(Psi, second[i][j]).real
+                             for j in range(len(cols))] for i in range(len(cols))])
         return np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ
     rt2 = np.sqrt(2.0)
 
@@ -771,24 +779,8 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False):
     return stack(Psi), np.column_stack([stack(P_nu), stack(P_xi)])
 
 
-def tangential_reduce(co):
-    """Replace the compressed residual by its dominant direction.
-
-    Wt becomes Wt @ t with t the right singular vector of Wt's largest
-    singular value; the reduced objective is a lower bound of the full one
-    and coincides with it at rank one. The trust-region backend reduces
-    every block residual this way before its first derivative, so Gram
-    eigenvalues that coalesce never stop it.
-    """
-    if co.Wtil.shape[1] == 1:
-        return co
-    _, _, Vh = np.linalg.svd(co.Wtil)
-    t = Vh[0].conj()
-    return replace(co, Wtil=co.Wtil @ t[:, None])
-
-
 # ---------------------------------------------------------------------------
-# optimization backends
+# the polish
 # ---------------------------------------------------------------------------
 
 def _box_clip(x, b):
@@ -812,9 +804,10 @@ def _free(x, g, b):
 
 
 def _levenberg_step(g, JJ, lam, free):
-    """Solve (J^T J + lam I) d = -g over the free variables, in closed form.
+    """Solve (JJ + lam I) d = -g over the free variables, in closed form.
 
-    Fixed variables get a zero step. Returns the (nu, xi) step, or None
+    JJ is the model's curvature, J^T J or the exact Hessian. Fixed
+    variables get a zero step. Returns the (nu, xi) step, or None
     when the 1 x 1 or 2 x 2 system is not numerically positive definite.
     """
     d = np.zeros(2)
@@ -839,18 +832,20 @@ def _levenberg_step(g, JJ, lam, free):
 _CONVERGED = ("gradient", "step")
 
 
-def _polish_gauss_newton(co, x, b):
+def _polish_gauss_newton(co, x, b, exact=False):
     """Levenberg-Marquardt on the stacked residual, inside the box.
 
     Each step is modelled on, and accepted by, one objective: the
     Frobenius surrogate ||Psi||_F^2 = 0.5 ||r||^2 (the spectral objective
-    itself for a single column). Stationarity is tested on its projected
-    gradient and the step is taken over the free variables only (see
-    _free), so a minimum on the box's edge converges like an interior
-    one. Returns (x, psi(x), iterations, stop), psi the spectral
-    objective eval_objective, with stop one of "gradient", "step"
-    (converged), "rejected" (no decrease found), "singular" (H + alpha I
-    singular) or "max_iterations".
+    itself for a single column). The model's curvature is J^T J, or with
+    ``exact`` the surrogate's exact Hessian (see nls_residual_jacobian);
+    where that is not positive definite, the damping grows until it is.
+    Stationarity is tested on the projected gradient and the step is
+    taken over the free variables only (see _free), so a minimum on the
+    box's edge converges like an interior one. Returns (x, psi(x),
+    iterations, stop), psi the spectral objective eval_objective, with
+    stop one of "gradient", "step" (converged), "rejected" (no decrease
+    found), "singular" (H + alpha I singular) or "max_iterations".
     """
     def frobenius(x):  # 0.5 ||r||^2 of nls_residual_jacobian's residual
         Psi = _psi(co, x[0], x[1])
@@ -864,7 +859,7 @@ def _polish_gauss_newton(co, x, b):
     for it in range(100):
         try:
             g, JJ = nls_residual_jacobian(co, x[0], x[1], normal=True,
-                                          real_axis=b.real_axis)
+                                          real_axis=b.real_axis, exact=exact)
         except ShiftObjectiveError:
             stop = "singular"
             break
@@ -897,101 +892,6 @@ def _polish_gauss_newton(co, x, b):
     return x, eval_objective(co, x[0], x[1]), it + 1, stop
 
 
-def _trust_region_step(g, H, delta):
-    """Exact solution of min g^T d + 0.5 d^T H d, ||d|| <= delta (dim <= 2)."""
-    w, Q = np.linalg.eigh(H)
-    gt = Q.T @ g
-    if w.min() > 0.0:
-        d = Q @ (-gt / w)
-        if np.linalg.norm(d) <= delta:
-            return d
-    lam_lo = max(0.0, -w.min())
-
-    def norm_at(lam):
-        den = w + lam
-        den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-        return np.linalg.norm(gt / den)
-
-    # hard case: gradient orthogonal to the bottom eigenvector
-    eps = 1e-12 * max(1.0, np.abs(w).max())
-    if norm_at(lam_lo + eps) < delta:
-        i = int(np.argmin(w))
-        den = w + lam_lo
-        d = np.zeros_like(g)
-        mask = np.abs(den) > eps
-        d[mask] = -gt[mask] / den[mask]
-        rem = delta**2 - d @ d
-        d = Q @ (d + np.sqrt(max(rem, 0.0)) * np.eye(len(g))[:, i])
-        return d
-    lo, hi = lam_lo + eps, lam_lo + eps
-    while norm_at(hi) > delta:
-        hi = 2.0 * hi + 1.0
-        if hi > 1e18:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if norm_at(mid) > delta:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    return Q @ (-gt / (w + lam))
-
-
-def _polish_newton_trust(co, x, b):
-    """Trust-region Newton inside the box; returns (x, f(x), iterations, stop).
-
-    Stationarity is tested on the projected gradient, as in the
-    Gauss-Newton polish; stop is "gradient" or "step" (converged),
-    "radius" (the trust region collapsed), "singular" or
-    "max_iterations".
-    """
-    co = tangential_reduce(co)
-    fx = eval_objective(co, x[0], x[1])
-    diam = max(_box_diam(b), 1e-300)
-    delta = 0.1 * diam
-    nvar = 1 if b.real_axis else 2
-    stop = "max_iterations"
-    it = 0
-    for it in range(100):
-        try:
-            value, g2, H2 = eval_derivatives(co, x[0], x[1])
-        except ShiftObjectiveError:
-            stop = "singular"
-            break
-        g = g2[:nvar]
-        Hm = H2[:nvar, :nvar]
-        if np.abs(g[_free(x, g, b)]).max(initial=0.0) <= 1e-8 * (1.0 + abs(value)):
-            stop = "gradient"
-            break
-        d = _trust_region_step(g, Hm, delta)
-        full = np.array([d[0], 0.0]) if nvar == 1 else d
-        xn = _box_clip(x + full, b)
-        dd = xn - x
-        pred = -(g @ dd[:nvar] + 0.5 * dd[:nvar] @ (Hm @ dd[:nvar]))
-        fn = eval_objective(co, xn[0], xn[1])
-        if pred <= 0.0 or not np.isfinite(fn):
-            delta *= 0.25
-            if delta <= 1e-14 * diam:
-                stop = "radius"
-                break
-            continue
-        rho = (fx - fn) / pred
-        if rho < 0.25:
-            delta *= 0.25
-        elif rho > 0.75 and np.linalg.norm(dd) >= 0.99 * delta:
-            delta = min(2.0 * delta, diam)
-        if fn < fx:
-            x, fx = xn, fn
-        if np.linalg.norm(dd) <= 1e-10 * diam:
-            stop = "step"
-            break
-        if delta <= 1e-14 * diam:
-            stop = "radius"
-            break
-    return x, fx, it + 1, stop
-
-
 # optimizer names and their short aliases, each mapped to its canonical name
 OPTIMIZERS = {
     "gauss-newton": "gauss-newton",
@@ -1005,16 +905,16 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     """Minimize the compressed objective over its spectral box.
 
     A deterministic coarse grid presearch (24 x 12 points, 48 on the real
-    axis, evaluated in one batch by grid_objective) seeds the chosen
-    backend from the three best grid points; a provided initial guess is
-    always polished too and wins ties. The grid and the choice among the
+    axis, evaluated in one batch by grid_objective) seeds the polish
+    from the three best grid points; a provided initial guess is always
+    polished too and wins ties. The grid and the choice among the
     polished starts use the spectral objective psi = ||Psi||_2^2; the
-    Gauss-Newton backend steps on the Frobenius surrogate ||Psi||_F^2
-    (the same for a single column) and reports psi at its end point.
-    Returns (alpha, info) with alpha = nu + i xi the best point found and
-    info carrying the final value, the chosen start's iteration count,
-    ``converged`` and stop reason (``stop``), and every start's stop
-    reason in start order (``stops``; see the backends for the reasons).
+    polish steps on the Frobenius surrogate ||Psi||_F^2 (the same for a
+    single column) and reports psi at its end point. Returns (alpha,
+    info) with alpha = nu + i xi the best point found and info carrying
+    the final value, the chosen start's iteration count, ``converged``
+    and stop reason (``stop``), and every start's stop reason in start
+    order (``stops``; see _polish_gauss_newton for the reasons).
 
     Parameters
     ----------
@@ -1024,16 +924,15 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         Optional initial guess, a real or complex number (its imaginary
         part enters with its absolute value).
     method
-        "gauss-newton" (stacked-residual Levenberg iteration) or
-        "newton-trust" (trust-region Newton with analytic derivatives;
-        block residuals are reduced tangentially first), or an alias
-        from OPTIMIZERS.
+        The polish's curvature: "gauss-newton" (J^T J) or "newton-trust"
+        (the exact Hessian of ||Psi||_F^2, from the second derivatives of
+        Psi), or an alias from OPTIMIZERS. Both run the same Levenberg
+        iteration.
     """
     if method not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {method!r}")
     b = co.bounds if co.bounds is not None else derive_bounds(np.diag(co.H))
-    polish = (_polish_gauss_newton if OPTIMIZERS[method] == "gauss-newton"
-              else _polish_newton_trust)
+    exact = OPTIMIZERS[method] == "newton-trust"
 
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
@@ -1052,7 +951,7 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     best = None
     runs = []
     for k, st in enumerate(starts):
-        x, fx, iters, stop = polish(co, st.copy(), b)
+        x, fx, iters, stop = _polish_gauss_newton(co, st.copy(), b, exact)
         runs.append((fx, iters, stop))
         if best is None or fx < best[1]:
             best = (x, fx, k)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import least_squares
 
 from conftest import (
@@ -31,7 +31,6 @@ from lradi.resmin import (
     optimize_shift,
     recycle_krylov,
     seed_compressed,
-    tangential_reduce,
 )
 from lradi.strategies import StrategyConfig, make_strategy
 from test_acceptance import _fem_pair
@@ -648,7 +647,7 @@ def test_jacobian_consistent_with_objective_and_fd():
                             atol=1e-6 * max(1.0, np.abs(J).max()))
 
 
-@pytest.mark.parametrize("s, weighted", [(1, False), (2, True)])
+@pytest.mark.parametrize("s, weighted", [(1, False), (2, True), (3, False)])
 def test_normal_equations_match_stacked_jacobian(s, weighted):
     rng = np.random.default_rng(24)
     for g in (1, 3):
@@ -663,6 +662,21 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
         assert Jr1.shape == (1,) and JJ1.shape == (1, 1)
         assert_allclose(Jr1, Jr[:1], rtol=1e-12)
         assert_allclose(JJ1, JJ[:1, :1], rtol=1e-12)
+        # the exact curvature is the Jacobian of J^T r, on and off the real axis
+        d = 1e-6 * max(abs(nu), 1.0)
+        for x in (0.0, xi):
+            Jr_x = nls_residual_jacobian(co, nu, x, normal=True)[0]
+            g2, H2 = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
+            assert_array_equal(g2, Jr_x)
+            fd = np.column_stack([
+                (nls_residual_jacobian(co, nu + dn, x + dx, normal=True)[0]
+                 - nls_residual_jacobian(co, nu - dn, x - dx, normal=True)[0]) / (2 * d)
+                for dn, dx in [(d, 0.0), (0.0, d)]])
+            assert_allclose(H2, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+            g1, H1 = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
+                                           exact=True)
+            assert_array_equal(g1, Jr_x[:1])
+            assert_allclose(H1, H2[:1, :1], rtol=1e-12)
 
 
 def test_gradient_rejects_coalescent_gram():
@@ -673,9 +687,9 @@ def test_gradient_rejects_coalescent_gram():
         eval_derivatives(co, -0.5, 0.0, order=1)
 
 
-def test_trust_polish_reduces_coalescent_block_first():
-    # the trust-region polish reduces a block residual tangentially before
-    # its first derivative, so a double top Gram eigenvalue never stops it
+def test_exact_curvature_polish_converges_on_coalescent_block():
+    # the polish steps on ||Psi||_F^2, which stays smooth where the top Gram
+    # eigenvalue is double, so the exact-curvature polish converges there
     H = np.diag([-1.0 + 0j, -1.0 + 0j])
     co = CompressedObjective(H=H, Wtil=np.eye(2, dtype=complex),
                              bounds=derive_bounds(np.diag(H)))
@@ -686,34 +700,8 @@ def test_trust_polish_reduces_coalescent_block_first():
 
 
 # ---------------------------------------------------------------------------
-# tangential reduction, bounds
+# bounds
 # ---------------------------------------------------------------------------
-
-def test_tangential_reduce_rank_one_exact():
-    rng = np.random.default_rng(17)
-    co = make_objective(rng, s=3)
-    u = rng.standard_normal((co.size, 1)) + 1j * rng.standard_normal((co.size, 1))
-    v = rng.standard_normal((1, 3))
-    co = CompressedObjective(H=co.H, Wtil=u @ v, bounds=co.bounds)
-    red = tangential_reduce(co)
-    assert red.Wtil.shape[1] == 1
-    nu, xi = sample_point(co, rng)
-    assert_allclose(eval_objective(red, nu, xi), eval_objective(co, nu, xi),
-                    rtol=1e-10)
-
-
-def test_tangential_reduce_is_lower_bound():
-    rng = np.random.default_rng(18)
-    co = make_objective(rng, s=3)
-    red = tangential_reduce(co)
-    assert_allclose(np.linalg.norm(red.Wtil, 2), np.linalg.norm(co.Wtil, 2),
-                    rtol=1e-12)  # ||Wt t|| = sigma_max
-    for _ in range(1000):
-        nu, xi = sample_point(co, rng)
-        lhs = eval_objective(red, nu, xi)
-        rhs = eval_objective(co, nu, xi)
-        assert lhs <= rhs * (1 + 1e-12) + 1e-15
-
 
 def test_derive_bounds_real_spectrum():
     b = derive_bounds(np.array([-1.0, -10.0]))
@@ -764,6 +752,17 @@ def test_optimizer_beats_grid_oracle(method):
         assert info["value"] <= 1.05 * grid_min + 1e-14
 
 
+@pytest.mark.parametrize("method", ["gauss-newton", "newton-trust"])
+def test_optimizer_reports_psi_at_its_shift(method):
+    # block residuals: the polish steps on ||Psi||_F^2, but the value it
+    # reports is the spectral objective at the shift it returns
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        co = make_objective(rng, k=8, s=3)
+        alpha, info = optimize_shift(co, method=method)
+        assert info["value"] == eval_objective(co, alpha.real, alpha.imag)
+
+
 def _edge_objectives():
     # psi vanishes at alpha = conj(lambda); each box stops short of it
     lam = -1.0 + 0.5j
@@ -801,8 +800,8 @@ def test_polish_converges_on_the_box_edge(method, case):
 
 def test_polish_matches_bounded_least_squares():
     # SciPy's reflective trust-region least squares (Coleman-Li) as an
-    # oracle for the Gauss-Newton polish from the same start, also in
-    # boxes cut short so that minima land on their edges; for block
+    # oracle for the polish, with either curvature, from the same start,
+    # also in boxes cut short so that minima land on their edges; for block
     # residuals the polish minimizes the stacked (Frobenius) residual and
     # reports the spectral objective at its end point
     rng = np.random.default_rng(25)
@@ -826,16 +825,19 @@ def test_polish_matches_bounded_least_squares():
             lambda v: nls_residual_jacobian(co, *point(v))[0], x0,
             jac=lambda v: nls_residual_jacobian(co, *point(v))[1][:, :nvar],
             bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], b)
-        # with a large residual Gauss-Newton converges linearly: one block
-        # case (s = 3, trial 1) still creeps along its box's edge toward
-        # the oracle's point after the polish's 100 iterations
-        assert stop in ("gradient", "step") or (s > 1 and stop == "max_iterations"), \
-            (s, trial, stop)
-        r = nls_residual_jacobian(co, x[0], x[1])[0]
-        assert 0.5 * (r @ r) <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2
-        assert fx == eval_objective(co, x[0], x[1])
-        assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
+        for exact in (False, True):
+            x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], b,
+                                                         exact)
+            # with a large residual Gauss-Newton converges linearly: one block
+            # case (s = 3, trial 1) still creeps along its box's edge toward
+            # the oracle's point after the polish's 100 iterations; the exact
+            # curvature converges on every case
+            assert stop in ("gradient", "step") or (
+                s > 1 and not exact and stop == "max_iterations"), (s, trial, stop)
+            r = nls_residual_jacobian(co, x[0], x[1])[0]
+            assert 0.5 * (r @ r) <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2
+            assert fx == eval_objective(co, x[0], x[1])
+            assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
 
 
 def test_optimizer_real_spectrum_stays_real():
