@@ -44,6 +44,12 @@ class ConfigError(ValueError):
     """Invalid config file, strategy string, or option combination."""
 
 
+def _at_least_one(**params):
+    for name, value in params.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def parse_strategy(text):
     """Parse a strategy string into a StrategyConfig.
 
@@ -54,7 +60,8 @@ def parse_strategy(text):
         resmin+Z(h)+<opt> | resmin+EK(p,m)+<opt>
 
     with ``<opt>`` one of gauss-newton/gn/newton-trust/nt, and an
-    optional ``, g=<int>`` suffix for multistep groups.
+    optional ``, g=<int>`` suffix for multistep groups. J, p, h and g
+    must be at least 1; m may be 0.
     """
     s = re.sub(r"\s+", "", str(text)).lower()
     if not s:
@@ -63,12 +70,12 @@ def parse_strategy(text):
     mg = re.fullmatch(r"(.*),g=(\d+)", s)
     if mg:
         s, g = mg.group(1), int(mg.group(2))
-        if g < 1:
-            raise ConfigError(f"g must be >= 1, got {g}")
+        _at_least_one(g=g)
 
     m = re.fullmatch(r"heur\((\d+),(\d+),(\d+)\)", s)
     if m:
         J, p, mm = map(int, m.groups())
+        _at_least_one(J=J, p=p)
         if g != 1:
             raise ConfigError("g > 1 is only supported with resmin strategies")
         return StrategyConfig(kind="heur", J=J, p=p, m=mm)
@@ -76,6 +83,7 @@ def parse_strategy(text):
     m = re.fullmatch(r"z\((\d+)\)\+(heur|conv|hres)", s)
     if m:
         h = int(m.group(1))
+        _at_least_one(h=h)
         if g != 1:
             raise ConfigError("g > 1 is only supported with resmin strategies")
         kind = {"heur": "zheur", "conv": "zconv", "hres": "zhres"}[m.group(2)]
@@ -88,8 +96,10 @@ def parse_strategy(text):
             raise ConfigError(f"unknown optimizer {opt!r}")
         if h is not None:
             space = dict(subspace="Z", h=int(h))
+            _at_least_one(h=space["h"])
         else:
             space = dict(subspace="EK", p=int(p), m=int(mm))
+            _at_least_one(p=space["p"])
         return StrategyConfig(kind="resmin", optimizer=OPTIMIZERS[opt], g=g, **space)
 
     raise ConfigError(f"unrecognized strategy string {text!r}")

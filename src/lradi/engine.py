@@ -12,7 +12,7 @@ iteration carries along (the residual is exactly W W^* at every step).
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -284,10 +284,12 @@ class SolveReport:
 
     ``iterations`` counts logical ADI steps (pair halves count separately;
     the last pair may overshoot max_iterations by one). ``residuals`` and
-    ``shifts`` have one entry per logical step; the cumulative timing
-    arrays line up with them. ``n_factorizations`` counts the shifted
-    factorizations built on the problem's pencil during the run, by the
-    engine (one per shift) or by the strategy (seed spaces, say).
+    ``shifts`` have one entry per logical step. ``t_total`` is the solve's
+    wall time and ``t_shift`` the part spent proposing shifts; their
+    values after each step reach ``lr_adi_solve``'s ``on_step`` only.
+    ``n_factorizations`` counts the shifted factorizations built on the
+    problem's pencil during the run, by the engine (one per shift) or by
+    the strategy (seed spaces, say).
     """
 
     status: str
@@ -296,8 +298,6 @@ class SolveReport:
     shifts: list
     t_total: float
     t_shift: float
-    t_total_cum: list = field(default_factory=list)
-    t_shift_cum: list = field(default_factory=list)
     n_factorizations: int = 0
 
     @property
@@ -327,7 +327,8 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     on_step
         Optional callback ``on_step(i, res, shift, t_shift, t_total)``
         invoked once per completed logical step (1-based index), so
-        progress survives a mid-run solver error.
+        progress survives a mid-run solver error; ``t_shift`` and
+        ``t_total`` are the times spent so far when the step's group ended.
 
     Returns
     -------
@@ -337,7 +338,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     t0 = time.monotonic()
     t_shift = 0.0
     n_fact0 = problem.pencil.n_factorizations
-    t_total_cum, t_shift_cum = [], []
 
     while True:
         if state.current_residual <= problem.tol:
@@ -359,13 +359,10 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         if done == 0:  # budget exhausted by the cap before any step ran
             status = "max_iterations"
             break
-        now = time.monotonic() - t0
-        t_total_cum.extend([now] * done)
-        t_shift_cum.extend([t_shift] * done)
         if on_step is not None:
+            now = time.monotonic() - t0
             for k in range(state.j - done, state.j):
-                on_step(k + 1, state.res_history[k], state.shifts[k],
-                        t_shift_cum[k], t_total_cum[k])
+                on_step(k + 1, state.res_history[k], state.shifts[k], t_shift, now)
 
     t_total = time.monotonic() - t0
     report = SolveReport(
@@ -375,8 +372,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         shifts=list(state.shifts),
         t_total=t_total,
         t_shift=t_shift,
-        t_total_cum=t_total_cum,
-        t_shift_cum=t_shift_cum,
         n_factorizations=problem.pencil.n_factorizations - n_fact0,
     )
     if return_state:

@@ -1,9 +1,9 @@
 """Shared linear algebra kernels.
 
-Sparse shifted factorizations, small dense decompositions, incremental
-block orthonormalization and a small Matrix Market reader. All
-higher-level modules build on these; nothing here knows about Lyapunov
-equations.
+Sparse shifted factorizations, the 2-norm of a tall-skinny block from
+its Gram matrix, incremental block orthonormalization and a small
+Matrix Market reader. All higher-level modules build on these; nothing
+here knows about Lyapunov equations.
 """
 
 from functools import cached_property
@@ -326,7 +326,6 @@ class ShiftedFactorization:
     """
 
     def __init__(self, pencil, alpha):
-        n = pencil.n
         if np.imag(alpha) == 0.0:
             alpha = float(np.real(alpha))
         K = pencil.shifted(alpha)
@@ -340,7 +339,7 @@ class ShiftedFactorization:
         # below with one solve against the pencil's pseudo-random +-1 vector
         x = self._lu.solve(pencil.probe.astype(K.dtype))
         with np.errstate(all="ignore"):
-            row_sums = np.bincount(K.indices, np.abs(K.data), minlength=n)
+            row_sums = np.bincount(K.indices, np.abs(K.data), minlength=pencil.n)
             cond = row_sums.max(initial=0.0) * np.max(np.abs(x), initial=0.0)
         if not cond < _COND_LIMIT:  # also true for nan
             raise SingularShiftError(
@@ -350,7 +349,6 @@ class ShiftedFactorization:
         pencil.n_factorizations += 1
         self._pencil = pencil
         self.alpha = alpha
-        self.n = n
         self.is_complex = np.iscomplexobj(K)
 
     def solve(self, rhs):
@@ -373,41 +371,8 @@ def sparse_shifted_factorize(pencil, alpha):
 
 
 # ---------------------------------------------------------------------------
-# small dense decompositions
+# the 2-norm of a tall-skinny block
 # ---------------------------------------------------------------------------
-
-def dense_schur(H):
-    """Complex Schur decomposition of a small dense matrix.
-
-    Returns (T, Q) with H = Q T Q^*, T upper triangular with the
-    eigenvalues on its diagonal and Q unitary.
-    """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    try:
-        T, Q = spla.schur(H.astype(np.complex128), output="complex")
-    except spla.LinAlgError as exc:  # pragma: no cover - rare non-convergence
-        raise RuntimeError(f"Schur iteration failed on a {H.shape} block: {exc}") from exc
-    return T, Q
-
-
-def dense_eig_hermitian(G):
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
-
-    Symmetrizes tiny departures from Hermitian symmetry; anything beyond
-    rounding-level asymmetry is an error in the caller.
-    """
-    G = np.asarray(G)
-    scale = max(np.linalg.norm(G, np.inf), 1e-300)
-    if np.linalg.norm(G - G.conj().T, np.inf) > 1e-8 * scale:
-        raise ValueError("matrix is not Hermitian to working accuracy")
-    G = 0.5 * (G + G.conj().T)
-    if G.shape == (1, 1):  # closed form: LAPACK's call overhead dominates
-        return G[0].real.copy(), np.ones_like(G)
-    w, U = np.linalg.eigh(G)
-    return w[::-1].copy(), U[:, ::-1].copy()
-
 
 def spectral_norm_small(W):
     """||W||_2^2 = largest eigenvalue of W^* W, for tall-skinny W.

@@ -25,20 +25,14 @@ the surrogate's exact curvature.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
 
 from .engine import real_SG
-from .linalg import (
-    block_orth,
-    dense_eig_hermitian,
-    dense_schur,
-    sparse_shifted_factorize,
-    spectral_norm_small,
-)
+from .linalg import block_orth, sparse_shifted_factorize, spectral_norm_small
 
 logger = logging.getLogger(__name__)
 
@@ -241,12 +235,15 @@ def build_seed(problem, p, m, B=None):
 @dataclass
 class Bounds:
     """Rectangular search box for the shift: Re in [nu_minus, nu_plus],
-    Im in [0, xi_plus]; ``real_axis`` collapses the box onto the axis."""
+    Im in [0, xi_plus]; a box with xi_plus = 0 lies on the real axis."""
 
     nu_minus: float
     nu_plus: float
     xi_plus: float
-    real_axis: bool
+
+    @property
+    def real_axis(self):
+        return self.xi_plus == 0.0
 
 
 def derive_bounds(eigenvalues):
@@ -271,7 +268,7 @@ def derive_bounds(eigenvalues):
     if (nu_p - nu_m) <= 1e-8 * abs(nu_m):
         nu = 0.5 * (nu_m + nu_p)
         nu_m, nu_p = 1.5 * nu, 0.5 * nu
-    return Bounds(nu_m, nu_p, xi_p, xi_p == 0.0)
+    return Bounds(nu_m, nu_p, xi_p)
 
 
 @dataclass
@@ -331,7 +328,7 @@ def schur_stabilize(H):
     with nonnegative real part are replaced by their negatives on the
     diagonal of T.
     """
-    T, U = dense_schur(H)
+    T, U = spla.schur(np.asarray(H, dtype=np.complex128), output="complex")
     d = np.diag(T)
     bad = d.real >= 0.0
     n_flip = int(bad.sum())
@@ -640,8 +637,8 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     The one pointwise evaluator of Psi (grid_objective batches its own).
     Returns [Psi] with order 0, [Psi, Psi_nu, Psi_xi] with order 1, and
     with order 2 also [Psi_nunu, Psi_nuxi, Psi_xixi]; without ``with_xi``
-    Psi_xi is None and never formed (second derivatives all are). Raises
-    ShiftObjectiveError at singular points.
+    no derivative in xi is formed (Psi_xi, Psi_nuxi and Psi_xixi are
+    None). Raises ShiftObjectiveError at singular points.
     """
     alpha = complex(nu, xi)
     L = _shift_matrix(co, alpha)
@@ -663,14 +660,17 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
         out += [-2.0 * g * C_pow(S[1] - nu * S[2], g - 1),
                 2.0j * nu * g * C_pow(S[2], g - 1) if with_xi else None]
     if order >= 2:
+        gg = 4.0 * g * (g - 1)
         Psi_nunu = 4.0 * g * C_pow(S[2] - nu * S[3], g - 1)
-        Psi_nuxi = 2.0j * g * C_pow(S[2] - 2.0 * nu * S[3], g - 1)
-        Psi_xixi = 4.0 * nu * g * C_pow(S[3], g - 1)
         if g >= 2:
-            gg = 4.0 * g * (g - 1)
             Psi_nunu = Psi_nunu + gg * C_pow(S[2] - 2.0 * nu * S[3] + nu * nu * S[4], g - 2)
-            Psi_nuxi = Psi_nuxi - 1.0j * nu * gg * C_pow(S[3] - nu * S[4], g - 2)
-            Psi_xixi = Psi_xixi - nu * nu * gg * C_pow(S[4], g - 2)
+        Psi_nuxi = Psi_xixi = None
+        if with_xi:
+            Psi_nuxi = 2.0j * g * C_pow(S[2] - 2.0 * nu * S[3], g - 1)
+            Psi_xixi = 4.0 * nu * g * C_pow(S[3], g - 1)
+            if g >= 2:
+                Psi_nuxi = Psi_nuxi - 1.0j * nu * gg * C_pow(S[3] - nu * S[4], g - 2)
+                Psi_xixi = Psi_xixi - nu * nu * gg * C_pow(S[4], g - 2)
         out += [Psi_nunu, Psi_nuxi, Psi_xixi]
     if co.weight is not None:
         out = [None if X is None else co.weight @ X for X in out]
@@ -712,7 +712,9 @@ def eval_derivatives(co, nu, xi=0.0, order=2):
     """
     out = _psi_derivatives(co, nu, xi, order)
     P, first = out[0], out[1:3]
-    theta, U = dense_eig_hermitian(P.conj().T @ P)
+    G = P.conj().T @ P
+    theta, U = np.linalg.eigh(0.5 * (G + G.conj().T))
+    theta, U = theta[::-1], U[:, ::-1]  # descending
     _check_gap(theta, "top")
     u1 = U[:, 0]
     grad = np.array([2.0 * np.real(u1.conj() @ (P.conj().T @ (F @ u1))) for F in first])
@@ -753,7 +755,8 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
     instead, in closed form: the columns of J stack Psi_nu and Psi_xi like
     r stacks Psi, so each product is 2 Re vdot of two blocks. With
     ``normal``, ``real_axis`` keeps only the nu column (1 x 1 equations)
-    and never forms Psi_xi; the stacked (r, J) always has both columns.
+    and forms no derivative in xi; the stacked (r, J) always has both
+    columns.
     With ``normal``, ``exact`` adds the residual's own curvature
     2 Re <Psi, Psi_ab> to J^T J, which gives the exact Hessian of
     ||Psi||_F^2 from the second derivatives of Psi.
@@ -967,8 +970,8 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         "grid_best": float(vals[order[0]]) if order.size else np.inf,
         "iterations": runs[which][1],
     }
-    alpha = complex(x[0], 0.0 if b.real_axis else x[1])
-    return alpha, info
+    # _box_clip puts every point of a real-axis box at xi = +0.0
+    return complex(x[0], x[1]), info
 
 
 # ---------------------------------------------------------------------------
@@ -1005,16 +1008,15 @@ def hamiltonian_residual_shift(H, Wtil):
     return z.conjugate() if z.imag < 0 else z
 
 
-def resmin_next_shift(co, g=1, method="gauss-newton"):
+def resmin_next_shift(co, method="gauss-newton"):
     """Residual-minimizing shift on a compressed model.
 
     Takes the projected-Hamiltonian shift of ``co`` as the initial guess
-    and minimizes the objective of ``co`` for a group of g steps over its
-    spectral box with the given optimizer backend. Returns (alpha, info);
-    info also carries the model used ("compression") and the guess.
+    and minimizes the objective of ``co`` (for a group of ``co.g`` steps)
+    over its spectral box with the given optimizer backend. Returns
+    (alpha, info); info also carries the model used ("compression") and
+    the guess.
     """
-    if g != 1:
-        co = replace(co, g=int(g))
     guess = hamiltonian_residual_shift(co.H, co.Wtil)
     alpha, info = optimize_shift(co, x0=guess, method=method)
     info["compression"] = co

@@ -12,7 +12,7 @@ iteration state, its problem included, is its only input.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,8 +234,9 @@ class AdaptiveStrategy:
     model: one of the pickers above (Z(h)+heur|conv|Hres, info None) or
     the residual-norm minimizer (resmin+Z|EK, info from
     resmin.resmin_next_shift). ``budget`` > 1 makes each shift a multistep
-    group sharing one factorization. ``last_info`` holds the info of the
-    latest shift.
+    group sharing one factorization, and the model's ``g`` is set to it:
+    the budget is the one carrier of the group size. ``last_info`` holds
+    the info of the latest shift.
     """
 
     def __init__(self, compressor, pick, budget=1):
@@ -245,7 +246,10 @@ class AdaptiveStrategy:
         self.last_info = None
 
     def next_shift(self, state):
-        alpha, self.last_info = self.pick(self.compressor(state), state)
+        co = self.compressor(state)
+        if self.budget > 1:
+            co = replace(co, g=self.budget)
+        alpha, self.last_info = self.pick(co, state)
         return ShiftProposal(alpha, budget=self.budget)
 
 
@@ -281,7 +285,7 @@ def make_strategy(config):
         return AdaptiveStrategy(Compressor("Z", config.h), _PICKERS[kind])
     if kind == "resmin":
         def pick(co, state):
-            return resmin_next_shift(co, config.g, config.optimizer)
+            return resmin_next_shift(co, config.optimizer)
 
         compressor = Compressor(config.subspace, config.h, config.p, config.m)
         return AdaptiveStrategy(compressor, pick, budget=max(1, int(config.g)))

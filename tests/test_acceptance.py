@@ -8,6 +8,7 @@ condition.
 import time
 
 import numpy as np
+import scipy.linalg as spla
 import scipy.sparse as sp
 
 from conftest import (
@@ -26,7 +27,7 @@ from lradi.engine import (
     normalize_shift,
     run_multistep_group,
 )
-from lradi.linalg import dense_schur, sparse_shifted_factorize
+from lradi.linalg import sparse_shifted_factorize
 from lradi.problems import gen_cd2d, gen_rhs
 from lradi.resmin import (
     CompressedObjective,
@@ -160,7 +161,7 @@ def test_c3_recycled_extended_krylov_angles():
 
 def _random_objective(rng, k, s, g):
     H = random_stable(k, rng)
-    T, _ = dense_schur(H)
+    T, _ = spla.schur(H.astype(np.complex128), output="complex")
     Wt = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
     return CompressedObjective(H=T, Wtil=Wt, g=g,
                                bounds=derive_bounds(np.diag(T)))

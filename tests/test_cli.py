@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -58,6 +59,19 @@ def test_parse_strategy_resmin_forms():
 def test_parse_strategy_rejects(bad):
     with pytest.raises(ConfigError):
         parse_strategy(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "Z(0)+heur", "resmin+Z(0)+gn", "resmin+EK(0,1)+gn", "heur(4,0,0)", "heur(0,2,2)",
+])
+def test_cli_rejects_zero_parameters(tmp_path, capsys, text):
+    # an empty window, Krylov space or shift list is a config error, not a
+    # traceback from inside the solve (or a silent single-shift run)
+    path = write_cfg(tmp_path, "zero.cfg", f"problem = cd2d\nn0 = 6\n"
+                     f"strategy = {text}\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", path]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +330,14 @@ def test_compare_same_strategy_reproduces_itself(tmp_path):
     assert main(["compare", pa, pb]) == 0
     assert (nontiming_columns(out / "one.csv")
             == nontiming_columns(out / "two.csv"))
+
+
+@pytest.mark.parametrize("module", ["lradi", "lradi.engine", "lradi.resmin",
+                                    "lradi.strategies"])
+def test_all_exports_resolve(module):
+    # a stale name in __all__ breaks ``from <module> import *``
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_import_leaves_heavy_scipy_modules_unloaded():

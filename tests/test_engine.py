@@ -191,12 +191,17 @@ def test_lr_adi_solve_report_shapes():
     A = random_stable(20, rng)
     B = rng.standard_normal((20, 2))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
-    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]))
+    rows = []
+    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]),
+                          on_step=lambda *row: rows.append(row))
     assert report.converged
     k = report.iterations
-    assert len(report.residuals) == k == len(report.shifts)
-    assert len(report.t_total_cum) == k == len(report.t_shift_cum)
-    assert all(x <= y for x, y in zip(report.t_total_cum, report.t_total_cum[1:]))
+    assert len(report.residuals) == k == len(report.shifts) == len(rows)
+    # the times on_step receives grow step by step, shift time within total
+    t_shift, t_total = [row[3] for row in rows], [row[4] for row in rows]
+    assert t_shift == sorted(t_shift) and t_total == sorted(t_total)
+    assert all(x <= y for x, y in zip(t_shift, t_total))
+    assert t_total[-1] <= report.t_total
     assert report.t_shift <= report.t_total
     assert report.final_residual <= 1e-9
     # real shifts factor once per step, pairs once per two steps

@@ -15,8 +15,6 @@ from lradi.linalg import (
     ShiftedPencil,
     SingularShiftError,
     block_orth,
-    dense_eig_hermitian,
-    dense_schur,
     matrix_market_read,
     nested_dissection_order,
     sparse_shifted_factorize,
@@ -328,43 +326,6 @@ def test_permuted_factorization_pivots_off_diagonal(alpha, dissect_all, recorded
 def test_pencil_rejects_a_mismatched_mass_matrix():
     with pytest.raises(ValueError, match="shape"):
         ShiftedPencil(sp.identity(3, format="csc"), sp.identity(4))
-
-
-def test_dense_schur_reconstructs():
-    rng = np.random.default_rng(2)
-    H = rng.standard_normal((7, 7))
-    T, Q = dense_schur(H)
-    assert_allclose(Q @ T @ Q.conj().T, H, atol=1e-12)
-    assert_allclose(np.tril(T, -1), 0, atol=1e-12)
-    lam = np.linalg.eigvals(H)
-    gaps = np.abs(lam[:, None] - np.diag(T)[None, :]).min(axis=1)
-    assert gaps.max() < 1e-8
-
-
-def test_dense_eig_hermitian_descending():
-    rng = np.random.default_rng(3)
-    F = rng.standard_normal((6, 6))
-    G = F @ F.T
-    w, U = dense_eig_hermitian(G)
-    assert np.all(np.diff(w) <= 0)
-    assert_allclose(G @ U, U @ np.diag(w), atol=1e-10)
-
-
-def test_dense_eig_hermitian_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        dense_eig_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        dense_eig_hermitian(np.array([[1.0 + 1e-6j]]))
-
-
-@pytest.mark.parametrize("g", [2.5, 3.0 + 1e-12j, -0.0 + 0.0j])
-def test_dense_eig_hermitian_one_by_one_matches_lapack(g):
-    # the closed form must return exactly what eigh returns for 1 x 1
-    G = np.array([[g]])
-    w, U = dense_eig_hermitian(G)
-    w_ref, U_ref = np.linalg.eigh(0.5 * (G + G.conj().T))
-    assert w.dtype == w_ref.dtype and U.dtype == U_ref.dtype
-    assert np.array_equal(w, w_ref) and np.array_equal(U, U_ref)
 
 
 def test_spectral_norm_small():

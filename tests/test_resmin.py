@@ -17,7 +17,6 @@ from conftest import (
 from lradi import resmin
 from lradi.cli import parse_strategy
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve, real_SG
-from lradi.linalg import dense_schur
 from lradi.resmin import (
     Bounds,
     CompressedObjective,
@@ -42,7 +41,7 @@ def make_objective(rng, k=6, s=1, g=1, weighted=False, real_spectrum=False):
     H = random_stable(k, rng)
     if real_spectrum:
         H = np.diag(-rng.random(k) * 5 - 0.5)
-    T, _ = dense_schur(H)
+    T, _ = spla.schur(H.astype(np.complex128), output="complex")
     Wt = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
     weight = None
     if weighted:
@@ -460,7 +459,7 @@ def test_objective_zero_limit():
 def test_objective_exact_annihilation():
     co = CompressedObjective(H=np.array([[-1.0 + 0j]]),
                              Wtil=np.array([[1.0 + 0j]]),
-                             bounds=Bounds(-1.5, -0.5, 0.0, True))
+                             bounds=Bounds(-1.5, -0.5, 0.0))
     assert eval_objective(co, -1.0, 0.0) == pytest.approx(0.0, abs=1e-28)
 
 
@@ -679,6 +678,20 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
             assert_allclose(H1, H2[:1, :1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_real_axis_exact_curvature_forms_no_xi_derivative(g, monkeypatch):
+    # the 1 x 1 exact curvature reads Psi_nunu only: four solves for the
+    # powers of (H + alpha I)^{-1}, g for Psi, g - 1 each for Psi_nu and
+    # Psi_nunu, and g - 2 for Psi_nunu's second term
+    co = make_objective(np.random.default_rng(27), g=g, real_spectrum=True)
+    solve_L, calls = resmin._solve_L, []
+    monkeypatch.setattr(resmin, "_solve_L",
+                        lambda L, X: calls.append(None) or solve_L(L, X))
+    nu = 0.5 * (co.bounds.nu_minus + co.bounds.nu_plus)
+    nls_residual_jacobian(co, nu, 0.0, normal=True, real_axis=True, exact=True)
+    assert len(calls) == 4 + g + 2 * (g - 1) + max(g - 2, 0) == [5, 8, 12][g - 1]
+
+
 def test_gradient_rejects_coalescent_gram():
     # two identical residual directions make the top Gram eigenvalue double
     H = np.diag([-1.0 + 0j, -1.0 + 0j])
@@ -732,7 +745,7 @@ def test_derive_bounds_always_stable_box():
 def test_optimizer_exact_on_scalar(method):
     co = CompressedObjective(H=np.array([[-1.0 + 0j]]),
                              Wtil=np.array([[1.0 + 0j]]),
-                             bounds=Bounds(-2.0, -0.25, 0.0, True))
+                             bounds=Bounds(-2.0, -0.25, 0.0))
     for guess in (None, -0.3, -1.8):
         alpha, info = optimize_shift(co, x0=guess, method=method)
         assert alpha == pytest.approx(-1.0, abs=1e-8)
@@ -771,12 +784,12 @@ def _edge_objectives():
     return [
         # real axis: minimum on nu_minus, gradient pointing out of the box
         CompressedObjective(H=H.real.astype(complex), Wtil=W,
-                            bounds=Bounds(-0.8, -0.25, 0.0, True)),
+                            bounds=Bounds(-0.8, -0.25, 0.0)),
         # complex box: minimum in the corner (nu_plus, 0)
-        CompressedObjective(H=H, Wtil=W, bounds=Bounds(-3.0, -2.0, 1.0, False)),
+        CompressedObjective(H=H, Wtil=W, bounds=Bounds(-3.0, -2.0, 1.0)),
         # complex box: minimum on the xi_plus edge, nu free inside
         CompressedObjective(H=np.array([[-1.0 + 3.0j]]), Wtil=W,
-                            bounds=Bounds(-2.0, -0.5, 1.0, False)),
+                            bounds=Bounds(-2.0, -0.5, 1.0)),
     ]
 
 
@@ -810,8 +823,7 @@ def test_polish_matches_bounded_least_squares():
                             weighted=bool(trial % 3 == 1))
         b = co.bounds
         if trial % 2:
-            b = Bounds(b.nu_minus, 0.5 * (b.nu_minus + b.nu_plus), 0.3 * b.xi_plus,
-                       b.real_axis)
+            b = Bounds(b.nu_minus, 0.5 * (b.nu_minus + b.nu_plus), 0.3 * b.xi_plus)
             co = replace(co, bounds=b)
         nvar = 1 if b.real_axis else 2
         lo = np.array([b.nu_minus, 0.0])[:nvar]
@@ -879,6 +891,28 @@ def test_resmin_first_shift_negative_identity():
     assert alpha == pytest.approx(-1.0, abs=1e-9)
     assert strat.last_info["compression"].source == "seed"
     assert problem.pencil.n_factorizations == 1
+
+
+@pytest.mark.parametrize("g", [0, 1, 3])
+def test_resmin_model_has_the_budget_as_group_size(g):
+    # the budget is the one carrier of the group size: every model the
+    # optimizer sees has g = budget, also for g = 0 (budget 1)
+    rng = np.random.default_rng(28)
+    A = random_stable(30, rng)
+    problem = LyapunovProblem(sp.csr_matrix(A), rng.standard_normal((30, 1)),
+                              tol=1e-14, max_iterations=8)
+    strat = make_strategy(StrategyConfig(kind="resmin", h=2, g=g))
+    pick, sizes = strat.pick, []
+
+    def recording(co, state):
+        alpha, info = pick(co, state)
+        sizes.append(info["compression"].g)
+        return alpha, info
+
+    strat.pick = recording
+    lr_adi_solve(problem, strat)
+    assert strat.budget == max(g, 1)
+    assert len(sizes) >= 2 and set(sizes) == {strat.budget}
 
 
 def test_resmin_never_worse_than_guess():

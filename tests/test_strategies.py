@@ -148,6 +148,12 @@ def test_schur_stabilize_flips_unstable():
     lam = np.diag(T)
     assert np.all(lam.real < 0)
     assert_allclose(sorted(np.abs(lam)), [2.0, 3.0], atol=1e-12)
+    # a stable H keeps its Schur form: nothing flipped, U T U^* = H
+    H = random_stable(7, np.random.default_rng(2))
+    T, U, n_flip = schur_stabilize(H)
+    assert n_flip == 0
+    assert_allclose(U @ T @ U.conj().T, H, atol=1e-12)
+    assert_allclose(np.tril(T, -1), 0, atol=1e-12)
 
 
 def test_ritz_update_matches_explicit_restriction():
