@@ -71,21 +71,19 @@ def parse_strategy(text):
     if mg:
         s, g = mg.group(1), int(mg.group(2))
         _at_least_one(g=g)
+    if g != 1 and not s.startswith("resmin+"):
+        raise ConfigError("g > 1 is only supported with resmin strategies")
 
     m = re.fullmatch(r"heur\((\d+),(\d+),(\d+)\)", s)
     if m:
         J, p, mm = map(int, m.groups())
         _at_least_one(J=J, p=p)
-        if g != 1:
-            raise ConfigError("g > 1 is only supported with resmin strategies")
         return StrategyConfig(kind="heur", J=J, p=p, m=mm)
 
     m = re.fullmatch(r"z\((\d+)\)\+(heur|conv|hres)", s)
     if m:
         h = int(m.group(1))
         _at_least_one(h=h)
-        if g != 1:
-            raise ConfigError("g > 1 is only supported with resmin strategies")
         kind = {"heur": "zheur", "conv": "zconv", "hres": "zhres"}[m.group(2)]
         return StrategyConfig(kind=kind, h=h)
 
@@ -109,14 +107,13 @@ def parse_strategy(text):
 class RunConfig:
     """One benchmark run: problem + strategy + run parameters.
 
-    The fields are the config keys with their types and defaults; the
-    ``strategy`` key's text is kept in ``strategy_text``, and ``label``
-    defaults to the config file's stem.
+    The fields are the config keys with their types and defaults;
+    ``strategy`` is the strategy string, and ``label`` defaults to the
+    config file's stem.
     """
 
     problem: str
-    strategy_text: str
-    strategy: StrategyConfig
+    strategy: str
     n0: int = 0
     s: int = 1
     seed: int = 0
@@ -135,11 +132,11 @@ class RunConfig:
         """Identity of the problem data + run parameters (for compare):
         every field but the strategy, the output directory and the label."""
         return tuple(getattr(self, f.name) for f in dataclasses.fields(self)
-                     if f.name not in ("strategy_text", "strategy", "out_dir", "label"))
+                     if f.name not in ("strategy", "out_dir", "label"))
 
 
-# config key -> RunConfig field (the strategy key is read as text)
-_KEYS = {f.name: f for f in dataclasses.fields(RunConfig) if f.name != "strategy_text"}
+# config key -> RunConfig field
+_KEYS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
 def _read_pairs(path):
@@ -184,8 +181,7 @@ def parse_config(path, overrides=None):
     values["problem"] = values["problem"].lower()
     if values["problem"] not in ("cd2d", "cd3d", "mm"):
         raise ConfigError(f"{path}: unknown problem {values['problem']!r}")
-    values["strategy_text"] = values["strategy"]
-    values["strategy"] = parse_strategy(values["strategy"])
+    parse_strategy(values["strategy"])
     cfg = RunConfig(**values)
     if not 0.0 < cfg.tol < 1.0:
         raise ConfigError(f"{path}: tol must be in (0, 1), got {cfg.tol}")
@@ -219,18 +215,17 @@ def build_problem(cfg):
                 M = matrix_market_read(cfg.m_file)
         except (OSError, MatrixMarketError) as exc:
             raise ConfigError(f"cannot load matrix: {exc}") from exc
-    n = A.shape[0]
     if cfg.b_file:
         try:
             B = matrix_market_read(cfg.b_file).toarray()
         except (OSError, MatrixMarketError) as exc:
             raise ConfigError(f"cannot load rhs: {exc}") from exc
-        if B.shape[0] != n:
-            raise ConfigError(
-                f"rhs has {B.shape[0]} rows, matrix has {n}")
     else:
-        B = gen_rhs(n, cfg.s, cfg.seed)
-    return LyapunovProblem(A, B, M=M, tol=cfg.tol, max_iterations=cfg.max_iter)
+        B = gen_rhs(A.shape[0], cfg.s, cfg.seed)
+    try:
+        return LyapunovProblem(A, B, M=M, tol=cfg.tol, max_iterations=cfg.max_iter)
+    except ValueError as exc:
+        raise ConfigError(f"bad problem data: {exc}") from exc
 
 
 _CSV_HEADER = "iter,res,shift_re,shift_im,t_shift_cum,t_total_cum"
@@ -246,11 +241,11 @@ def _run_one(cfg, problem=None):
     The CSV is written incrementally and flushed per iteration, so a
     solver error mid-run leaves the completed rows on disk.
     """
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if problem is None:
         problem = build_problem(cfg)
-    strategy = make_strategy(cfg.strategy)
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    strategy = make_strategy(parse_strategy(cfg.strategy))
     csv_path = out_dir / f"{cfg.label}.csv"
     json_path = out_dir / f"{cfg.label}.json"
     with open(csv_path, "w") as fh:
@@ -272,7 +267,7 @@ def _run_one(cfg, problem=None):
         "n": problem.n,
         "s": problem.s,
         "tol": problem.tol,
-        "strategy": cfg.strategy_text,
+        "strategy": cfg.strategy,
     }
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
     return report, csv_path, json_path
@@ -302,7 +297,7 @@ def cmd_compare(cfgs):
     rows = []
     for cfg in cfgs:
         report, _, _ = _run_one(cfg, problem=problem)
-        rows.append((cfg.strategy_text, report))
+        rows.append((cfg.strategy, report))
         print(f"{cfg.label}: {report.status} in {report.iterations} "
               f"iterations, residual {report.final_residual:.2e}")
 

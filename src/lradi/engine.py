@@ -42,6 +42,8 @@ class LyapunovProblem:
     ``pencil``, the ShiftedPencil of (A, M) that every factorization of
     the solve is built on. Code that needs M writes ``problem.M @ X`` and
     ``problem.pencil.solve_M(X)`` under its own ``problem.M`` test.
+    Construction makes every input check and raises ValueError for bad
+    data: complex A, M or B, mismatched shapes, or B = 0.
 
     Parameters
     ----------
@@ -72,7 +74,7 @@ class LyapunovProblem:
 
     def __post_init__(self):
         # B, W and Z are real throughout: complex data would be truncated
-        for name, X in (("A", self.A), ("M", self.M)):
+        for name, X in (("A", self.A), ("M", self.M), ("B", np.asarray(self.B))):
             if np.iscomplexobj(X):
                 raise ValueError(f"{name} must be real, got dtype {X.dtype}")
         # A and M as every factorization and M-solve of the solve sees
@@ -86,6 +88,8 @@ class LyapunovProblem:
             raise ValueError(
                 f"B has {self.B.shape[0]} rows, A is {self.A.shape[0]} x {self.A.shape[1]}"
             )
+        if spectral_norm_small(self.B) == 0.0:
+            raise ValueError("B must be nonzero")
 
     @property
     def n(self):
@@ -120,18 +124,14 @@ class AdiState:
 
     def __init__(self, problem):
         self.problem = problem
-        n, s = problem.n, problem.s
-        self.n, self.s = n, s
         self.W = problem.B.copy()
         # W_m = M^{-1} W is carried alongside in the generalized case; the
         # compressed restrictions need it and it is cheap to update in step.
         self.W_m = self.W if problem.M is None else problem.pencil.solve_M(problem.B)
         self.b_norm2 = spectral_norm_small(problem.B)
-        if self.b_norm2 == 0.0:
-            raise ValueError("B must be nonzero")
         self.shifts = []
         self.res_history = []
-        self._zbuf = np.empty((n, 0), order="F")
+        self._zbuf = np.empty((problem.n, 0), order="F")
 
     @property
     def j(self):
@@ -151,15 +151,15 @@ class AdiState:
         made, and a view taken earlier stays valid (and unchanged) while
         later steps append columns.
         """
-        Z = self._zbuf[:, : self.j * self.s]
+        Z = self._zbuf[:, : self.j * self.problem.s]
         Z.flags.writeable = False
         return Z
 
     def _push(self, block, shifts, residuals):
-        k, w = self.j * self.s, block.shape[1]
+        k, w = self.j * self.problem.s, block.shape[1]
         if k + w > self._zbuf.shape[1]:
             # doubling keeps the total copy cost linear in the final size
-            buf = np.empty((self.n, max(2 * self._zbuf.shape[1], k + w)), order="F")
+            buf = np.empty((self.problem.n, max(2 * self._zbuf.shape[1], k + w)), order="F")
             buf[:, :k] = self._zbuf[:, :k]
             self._zbuf = buf
         self._zbuf[:, k : k + w] = block
@@ -231,9 +231,10 @@ def adi_double_step(state, fact):
     state.W, state.W_m = _residual_update(state, Vr, -4.0 * beta)
     res = scaled_residual(state.W, state.b_norm2)
 
-    block = np.empty((state.n, 2 * state.s))
-    block[:, : state.s] = np.sqrt(2.0) * gamma * Vr
-    block[:, state.s :] = np.sqrt(2.0) * gamma * q * V.imag
+    n, s = state.problem.n, state.problem.s
+    block = np.empty((n, 2 * s))
+    block[:, :s] = np.sqrt(2.0) * gamma * Vr
+    block[:, s:] = np.sqrt(2.0) * gamma * q * V.imag
     state._push(block, [alpha, alpha.conjugate()], [res_mid, res])
     return state
 
@@ -257,22 +258,32 @@ def normalize_shift(alpha):
     return alpha
 
 
+def end_status(state):
+    """The end-of-solve rule: "converged" once the scaled residual is at
+    most the problem's tol, else "max_iterations" once the step count
+    reaches its cap, else None (go on)."""
+    problem = state.problem
+    if state.current_residual <= problem.tol:
+        return "converged"
+    if state.j >= problem.max_iterations:
+        return "max_iterations"
+    return None
+
+
 def run_multistep_group(state, fact, budget):
     """Run up to ``budget`` logical steps reusing one factorization.
 
-    Convergence (against the problem's tol) and the iteration cap are
-    re-checked before every step, so groups exit early. A complex shift
-    spends two logical steps per double step and may run ceil(budget/2)
-    pairs. Returns the number of logical steps executed.
+    ``end_status`` is re-checked before every step, so groups exit early.
+    A complex shift spends two logical steps per double step and may run
+    ceil(budget/2) pairs. Returns the number of logical steps executed.
     """
-    problem = state.problem
     before = state.j
     if complex(fact.alpha).imag == 0.0:
         step, repeats = adi_real_step, budget
     else:
         step, repeats = adi_double_step, (budget + 1) // 2
     for _ in range(repeats):
-        if state.current_residual <= problem.tol or state.j >= problem.max_iterations:
+        if end_status(state) is not None:
             break
         step(state, fact)
     return state.j - before
@@ -282,23 +293,27 @@ def run_multistep_group(state, fact, budget):
 class SolveReport:
     """Outcome of lr_adi_solve.
 
-    ``iterations`` counts logical ADI steps (pair halves count separately;
-    the last pair may overshoot max_iterations by one). ``residuals`` and
-    ``shifts`` have one entry per logical step. ``t_total`` is the solve's
-    wall time and ``t_shift`` the part spent proposing shifts; their
-    values after each step reach ``lr_adi_solve``'s ``on_step`` only.
+    ``status`` is ``end_status`` after the last step. ``residuals`` and
+    ``shifts`` have one entry per logical step, and ``iterations`` counts
+    them (pair halves count separately; the last pair may overshoot
+    max_iterations by one). ``t_total`` is the solve's wall time and
+    ``t_shift`` the part spent proposing shifts; their values after each
+    step reach ``lr_adi_solve``'s ``on_step`` only.
     ``n_factorizations`` counts the shifted factorizations built on the
     problem's pencil during the run, by the engine (one per shift) or by
     the strategy (seed spaces, say).
     """
 
     status: str
-    iterations: int
     residuals: list
     shifts: list
     t_total: float
     t_shift: float
     n_factorizations: int = 0
+
+    @property
+    def iterations(self):
+        return len(self.shifts)
 
     @property
     def final_residual(self):
@@ -339,13 +354,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     t_shift = 0.0
     n_fact0 = problem.pencil.n_factorizations
 
-    while True:
-        if state.current_residual <= problem.tol:
-            status = "converged"
-            break
-        if state.j >= problem.max_iterations:
-            status = "max_iterations"
-            break
+    while (status := end_status(state)) is None:
         ts = time.monotonic()
         proposal = strategy.next_shift(state)
         t_shift += time.monotonic() - ts
@@ -356,9 +365,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         fact = None
         fact = sparse_shifted_factorize(problem.pencil, alpha)
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
-        if done == 0:  # budget exhausted by the cap before any step ran
-            status = "max_iterations"
-            break
         if on_step is not None:
             now = time.monotonic() - t0
             for k in range(state.j - done, state.j):
@@ -367,7 +373,6 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     t_total = time.monotonic() - t0
     report = SolveReport(
         status=status,
-        iterations=state.j,
         residuals=list(state.res_history),
         shifts=list(state.shifts),
         t_total=t_total,

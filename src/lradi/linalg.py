@@ -318,7 +318,10 @@ class ShiftedFactorization:
     pencil's fixed +-1 vector b (``probe``, drawn once per pencil), and
     SingularShiftError when x is not finite or
     ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a lower bound
-    of the condition number kappa_inf(K).
+    of the condition number kappa_inf(K). An unstable A reaches this
+    error only when a shift lands on the negative of one of its
+    eigenvalues; usually its solve just runs to max_iterations
+    (ROADMAP.md, item 3).
 
     Solves with multiple right-hand sides are cheap once the factorization
     exists; ``solve`` accepts (n,) or (n, k) arrays and gathers and
@@ -359,15 +362,8 @@ class ShiftedFactorization:
         return self._pencil.solve(self._lu, rhs)
 
 
-def sparse_shifted_factorize(pencil, alpha):
-    """Factorize A + alpha*M of a ShiftedPencil; returns a ShiftedFactorization.
-
-    Raises SingularShiftError when the shifted matrix is numerically
-    singular. An unstable input matrix reaches this only when a shift lands
-    on the negative of one of its eigenvalues; usually its solve just runs
-    to max_iterations (ROADMAP.md, item 3).
-    """
-    return ShiftedFactorization(pencil, alpha)
+# the name under which engine and resmin build every shifted LU
+sparse_shifted_factorize = ShiftedFactorization
 
 
 # ---------------------------------------------------------------------------
@@ -395,14 +391,18 @@ def spectral_norm_small(W):
 # block orthonormalization
 # ---------------------------------------------------------------------------
 
-def block_orth(basis, block, drop_tol=1e-10):
+# block_orth's relative drop tolerance
+_DROP_TOL = 1e-10
+
+
+def block_orth(basis, block):
     """Extend an orthonormal basis by the columns of a new block.
 
     Two-pass block Gram-Schmidt: the whole block is projected twice against
     ``basis`` (two GEMM passes), then each column in turn is orthogonalized
     twice against the columns accepted before it and normalized. Columns
-    whose remainder falls below ``drop_tol`` times the incoming block scale
-    are dropped (rank deficiency).
+    whose remainder falls below ``_DROP_TOL`` (1e-10) times the incoming
+    block scale are dropped (rank deficiency).
 
     Parameters
     ----------
@@ -410,8 +410,6 @@ def block_orth(basis, block, drop_tol=1e-10):
         (n, k0) orthonormal matrix or None for an empty basis.
     block
         (n, w) new columns.
-    drop_tol
-        Relative drop tolerance.
 
     Returns
     -------
@@ -452,7 +450,7 @@ def block_orth(basis, block, drop_tol=1e-10):
                 x -= new @ c
                 R[k0 : k0 + k, j] += c
         nrm = np.linalg.norm(x)
-        if nrm > drop_tol * scale:
+        if nrm > _DROP_TOL * scale:
             Q[:, k0 + k] = x / nrm
             R[k0 + k, j] = nrm
             k += 1

@@ -76,7 +76,7 @@ def _staircase_pivots(R, k0):
     return np.argmax(np.abs(R[k0:]) > 0.0, axis=1)
 
 
-def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
+def extended_krylov_basis(apply_op, solve_op, B, p, m):
     """Orthonormal basis of the extended Krylov space EK_{p,m}(A, B).
 
     Span of {B, A B, ..., A^{p-1} B} union {A^{-1} B, ..., A^{-m} B},
@@ -109,14 +109,14 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
     B = np.atleast_2d(np.asarray(B))
     sB = B.shape[1]
     X0 = np.hstack([B, solve_op(B)]) if m >= 1 else B
-    Q, R = block_orth(None, X0, drop_tol)
+    Q, R = block_orth(None, X0)
     f_idx = [i for i, col in enumerate(_staircase_pivots(R, 0)) if col < sB]
     if m >= 1 and len(f_idx) < sB:
         # the joint drop scale is the largest column of [B, A^{-1}B]; when
         # A^{-1}B dwarfs B, that drops directions B has on its own scale
-        QB, _ = block_orth(None, B, drop_tol)
+        QB, _ = block_orth(None, B)
         if QB.shape[1] > len(f_idx):
-            Q, _ = block_orth(QB, X0[:, sB:], drop_tol)
+            Q, _ = block_orth(QB, X0[:, sB:])
             f_idx = list(range(QB.shape[1]))
     b_idx = [i for i in range(Q.shape[1]) if i not in f_idx]
     p_eff, m_eff = 1, (1 if m >= 1 else 0)
@@ -132,7 +132,7 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m, drop_tol=1e-10):
             parts.append(solve_op(Q[:, b_idx]))
             labels += ["b"] * len(b_idx)
         k0 = Q.shape[1]
-        Q, R = block_orth(Q, np.hstack(parts), drop_tol)
+        Q, R = block_orth(Q, np.hstack(parts))
         piv = _staircase_pivots(R, k0)
         new_f = [k0 + i for i, col in enumerate(piv) if labels[col] == "f"]
         new_b = [k0 + i for i, col in enumerate(piv) if labels[col] == "b"]
@@ -377,7 +377,7 @@ def ritz_update(state, h):
     Returns a CompressedObjective. Requires state.j >= 1.
     """
     problem = state.problem
-    s, j = state.s, state.j
+    s, j = problem.s, state.j
     if j < 1:
         raise ValueError("ritz_update needs at least one completed step")
     start = max(0, j - h)
@@ -459,7 +459,8 @@ def recycle_krylov(seed, state):
 
     Returns a CompressedObjective over the extended basis (the seed's at j = 0).
     """
-    s, j = state.s, state.j
+    n, s = state.problem.n, state.problem.s
+    j = state.j
     if j <= seed.p + seed.m:
         S, g = real_SG(state.shifts, 1)
         q = np.eye(j)  # short history: extend by all of Z
@@ -468,8 +469,8 @@ def recycle_krylov(seed, state):
     w = q.shape[1] * s
     # Z kron([q, S q], I_s), computed transposed so that it comes out
     # column-major and reshapes to n x 2w as a view
-    Zv = state.Z.reshape(state.n * s, j, order="F")
-    ZX = (np.hstack([q, S @ q]).T @ Zv.T).T.reshape(state.n, 2 * w, order="F")
+    Zv = state.Z.reshape(n * s, j, order="F")
+    ZX = (np.hstack([q, S @ q]).T @ Zv.T).T.reshape(n, 2 * w, order="F")
     omega, ZSq = ZX[:, :w], ZX[:, w:]
 
     k0 = seed.Q.shape[1]

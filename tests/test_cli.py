@@ -102,6 +102,8 @@ def test_parse_config_defaults_and_label(tmp_path):
     ("problem = warp\nn0 = 4\nstrategy = heur(1,2,2)", "unknown problem"),
     ("problem = mm\nstrategy = heur(1,2,2)", "a_file"),
     ("n0 = 10\nstrategy = heur(1,2,2)", "problem"),
+    ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\nmax_iter = 0", "max_iter"),
+    ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\ns = 0", "s must be"),
 ])
 def test_parse_config_errors(tmp_path, body, fragment):
     path = write_cfg(tmp_path, "bad.cfg", body)
@@ -164,6 +166,15 @@ def test_run_resmin_multistep_through_cli(tmp_path):
     summary = json.loads((out / "rm.json").read_text())
     assert summary["status"] == "converged"
     assert summary["n_factorizations"] < summary["iters"]
+
+
+def test_run_cd3d(tmp_path):
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "cube.cfg", "problem = cd3d\nn0 = 4\nstrategy = Z(4)+Hres\n"
+                     f"out_dir = {out}\n")
+    assert main(["run", path]) == 0
+    summary = json.loads((out / "cube.json").read_text())
+    assert (summary["status"], summary["n"]) == ("converged", 64)
 
 
 def nontiming_columns(csv_path):
@@ -230,6 +241,31 @@ def test_cli_overrides_take_precedence(tmp_path):
 def test_exit_code_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("files, fragment", [
+    ({"a_file": None}, "cannot load matrix"),
+    ({"a_file": -np.eye(6), "b_file": None}, "cannot load rhs"),
+    ({"a_file": np.ones((6, 5))}, "square"),
+    ({"a_file": -np.eye(6), "m_file": np.eye(5)}, "M has shape"),
+    ({"a_file": -np.eye(6), "b_file": np.zeros((6, 1))}, "B must be nonzero"),
+    ({"a_file": -np.eye(6), "b_file": np.ones((5, 1))}, "B has 5 rows"),
+], ids=["a missing", "b missing", "a not square", "m shape", "b zero", "b rows"])
+def test_exit_code_bad_problem_data(tmp_path, capsys, files, fragment):
+    # unreadable files and the problem's input checks end the run as
+    # config errors, before any CSV (None: the file does not exist)
+    lines = []
+    for key, X in files.items():
+        if X is not None:
+            matrix_market_write(str(tmp_path / f"{key}.mtx"), sp.csr_matrix(X))
+        lines.append(f"{key} = {key}.mtx\n")
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "bad.cfg", "problem = mm\nstrategy = heur(1,2,2)\n"
+                     + "".join(lines) + f"out_dir = {out}\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+    assert not (out / "bad.csv").exists()
 
 
 def test_exit_code_usage_error(capsys):

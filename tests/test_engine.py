@@ -367,9 +367,9 @@ def test_scaled_residual_definition():
                     np.linalg.norm(W.T @ W, 2) / b2, rtol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["A", "M"])
+@pytest.mark.parametrize("name", ["A", "M", "B"])
 def test_problem_rejects_complex_matrices(name):
-    # B, W and Z are real throughout: a complex A or M would be truncated
+    # B, W and Z are real throughout: a complex A, M or B would be truncated
     data = dict(A=-sp.identity(4, format="csr"), B=np.ones((4, 1)),
                 M=sp.identity(4, format="csr"))
     data[name] = data[name].astype(np.complex128)

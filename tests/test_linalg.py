@@ -404,6 +404,23 @@ def test_matrix_market_roundtrip_bitwise(tmp_path):
     assert (A != A2).nnz == 0  # exact equality, not approximate
 
 
+def test_matrix_market_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "c.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% a comment before the size line\n"
+        "\n"
+        "2 3 2\n"
+        "1 3 -1.5\n"
+        "% a comment between entries\n"
+        "\n"
+        "2 1 4.0\n"
+    )
+    A = matrix_market_read(path)
+    assert A.shape == (2, 3)
+    assert_allclose(A.toarray(), [[0.0, 0.0, -1.5], [4.0, 0.0, 0.0]], atol=0)
+
+
 def test_matrix_market_symmetric_mirrors(tmp_path):
     path = tmp_path / "s.mtx"
     path.write_text(
@@ -436,6 +453,14 @@ def test_matrix_market_symmetric_mirrors(tmp_path):
          "expected 2 entries"),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 5.0\n",
          "lower triangle"),
+        ("%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n", "malformed header"),
+        ("%%MatrixMarket matrix coordinate real general\n% only a comment\n\n",
+         "missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 x 1\n", "non-integer size"),
+        ("%%MatrixMarket matrix coordinate real general\n0 2 0\n", "invalid dimensions"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+         ":4: more than 1 entries"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", "expected 'i j value'"),
     ],
 )
 def test_matrix_market_errors(tmp_path, content, fragment):

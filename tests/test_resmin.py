@@ -852,6 +852,18 @@ def test_polish_matches_bounded_least_squares():
             assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_polish_stops_on_a_singular_shift(exact):
+    # the start -0.5 is the negative of H's eigenvalue: H + alpha I is
+    # singular there, so the first Jacobian fails and the polish stops
+    b = Bounds(-1.0, -0.25, 0.0)
+    co = CompressedObjective(H=np.array([[0.5 + 0j]]), Wtil=np.ones((1, 1), dtype=complex),
+                             bounds=b)
+    x, fx, iterations, stop = resmin._polish_gauss_newton(co, np.array([-0.5, 0.0]), b, exact)
+    assert (stop, iterations) == ("singular", 1)
+    assert_array_equal(x, [-0.5, 0.0])
+
+
 def test_optimizer_real_spectrum_stays_real():
     rng = np.random.default_rng(21)
     co = make_objective(rng, real_spectrum=True)

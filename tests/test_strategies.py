@@ -291,6 +291,15 @@ def test_hamiltonian_zero_residual_returns_stable_eig():
     assert np.min(np.abs(lam - shift)) < 1e-10
 
 
+def test_hamiltonian_without_stable_eigenvalue_falls_back_to_ritz(caplog):
+    # a purely imaginary H gives a Hamiltonian with no stable eigenvalue:
+    # the most negative Ritz value (the first of a tie) is returned instead
+    with caplog.at_level(logging.WARNING, logger="lradi.resmin"):
+        shift = hamiltonian_residual_shift(np.diag([1j, 2j]), np.ones((2, 1)))
+    assert shift == 1j
+    assert "no stable eigenvalue" in caplog.text
+
+
 def test_hamiltonian_returns_actual_eigenvalue():
     rng = np.random.default_rng(6)
     H = random_stable(6, rng)
