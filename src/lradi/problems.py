@@ -26,11 +26,11 @@ def _gen_cd(n0, coeffs):
     D1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(n0, n0), format="csr") / (2.0 * h)
     XD = sp.diags(h * np.arange(1, n0 + 1)) @ D1
     d = len(coeffs)
-    # for n0 <= 5 kron stores dense blocks, explicit zeros included, so
-    # this grouping is part of the matrix's stored pattern
     terms = [sp.kron(sp.identity(n0 ** (d - 1 - k)), sp.kron(T - c * XD, sp.identity(n0**k)))
              for k, c in enumerate(coeffs)]
-    return sp.csc_matrix(sum(terms[1:], terms[0]))
+    A = sp.csc_matrix(sum(terms[1:], terms[0]))
+    A.eliminate_zeros()  # for n0 <= 5 kron stores dense blocks, zeros included
+    return A
 
 
 def gen_cd2d(n0, cx=100.0, cy=1000.0):

@@ -588,8 +588,11 @@ def eval_objective(co, nu, xi=0.0):
     Returns +inf when H + alpha I is numerically singular (the candidate
     hits a compressed eigenvalue). nu -> 0 gives ||T Wt||^2: no progress.
     """
-    Psi = _psi(co, nu, xi)
-    return np.inf if Psi is None else spectral_norm_small(Psi)
+    try:
+        Psi = _psi_derivatives(co, nu, xi, 0)[0]
+    except ShiftObjectiveError:
+        return np.inf
+    return spectral_norm_small(Psi)
 
 
 def grid_objective(co, nus, xis):
@@ -609,8 +612,6 @@ def grid_objective(co, nus, xis):
     vals = np.full(alpha.size, np.inf)
     D = d[:, None] + alpha
     ok = np.abs(D).min(axis=0) > 1e-14 * np.maximum(scale, np.abs(alpha))
-    if not ok.any():
-        return vals
     # one column per (grid point, residual column), grid point major
     D = np.repeat(D[:, ok], s, axis=1)
     two_nu = np.repeat(2.0 * alpha[ok].real, s)
@@ -676,14 +677,6 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     if co.weight is not None:
         out = [None if X is None else co.weight @ X for X in out]
     return out
-
-
-def _psi(co, nu, xi):
-    """Psi = T C^g Wt at (nu, xi), or None where H + alpha I is singular."""
-    try:
-        return _psi_derivatives(co, nu, xi, 0)[0]
-    except ShiftObjectiveError:
-        return None
 
 
 def _check_gap(theta, how):
@@ -752,9 +745,10 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
     columns from the analytic derivatives. The polish both steps and
     accepts its steps on this surrogate.
 
-    With ``normal`` the normal equations (J^T r, J^T J) are returned
-    instead, in closed form: the columns of J stack Psi_nu and Psi_xi like
-    r stacks Psi, so each product is 2 Re vdot of two blocks. With
+    With ``normal`` the surrogate's value 0.5 ||r||^2 and the normal
+    equations (J^T r, J^T J) are returned instead, in closed form: the
+    columns of J stack Psi_nu and Psi_xi like r stacks Psi, so each
+    product is 2 Re vdot of two blocks. With
     ``normal``, ``real_axis`` keeps only the nu column (1 x 1 equations)
     and forms no derivative in xi; the stacked (r, J) always has both
     columns.
@@ -773,7 +767,8 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
             second = [[out[3], out[4]], [out[4], out[5]]]
             JJ += np.array([[2.0 * np.vdot(Psi, second[i][j]).real
                              for j in range(len(cols))] for i in range(len(cols))])
-        return np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ
+        return (float(np.vdot(Psi, Psi).real),
+                np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ)
     rt2 = np.sqrt(2.0)
 
     def stack(X):
@@ -844,44 +839,47 @@ def _polish_gauss_newton(co, x, b, exact=False):
     itself for a single column). The model's curvature is J^T J, or with
     ``exact`` the surrogate's exact Hessian (see nls_residual_jacobian);
     where that is not positive definite, the damping grows until it is.
+    Every point is evaluated once: the nls_residual_jacobian call that
+    accepts a trial point also gives the next step's normal equations.
     Stationarity is tested on the projected gradient and the step is
     taken over the free variables only (see _free), so a minimum on the
     box's edge converges like an interior one. Returns (x, psi(x),
     iterations, stop), psi the spectral objective eval_objective, with
     stop one of "gradient", "step" (converged), "rejected" (no decrease
-    found), "singular" (H + alpha I singular) or "max_iterations".
+    found), "singular" (H + alpha I singular at the start) or
+    "max_iterations".
     """
-    def frobenius(x):  # 0.5 ||r||^2 of nls_residual_jacobian's residual
-        Psi = _psi(co, x[0], x[1])
-        return np.inf if Psi is None else float(np.vdot(Psi, Psi).real)
-
-    fx = frobenius(x)
+    normal = {"normal": True, "real_axis": b.real_axis, "exact": exact}
+    try:
+        fx, g, JJ = nls_residual_jacobian(co, x[0], x[1], **normal)
+    except ShiftObjectiveError:
+        return x, eval_objective(co, x[0], x[1]), 1, "singular"
     lam = 1e-3
     diam = max(_box_diam(b), 1e-300)
     stop = "max_iterations"
     it = 0
     for it in range(100):
-        try:
-            g, JJ = nls_residual_jacobian(co, x[0], x[1], normal=True,
-                                          real_axis=b.real_axis, exact=exact)
-        except ShiftObjectiveError:
-            stop = "singular"
-            break
         free = _free(x, g, b)
         if np.abs(g[free]).max(initial=0.0) <= 1e-8 * (1.0 + abs(fx)):
             stop = "gradient"
             break
-        step = None
+        step = tried = None
         for _ in range(30):
             d = _levenberg_step(g, JJ, lam, free)
             if d is None:
                 lam = max(lam, 1e-8) * 10.0
                 continue
             xn = _box_clip(x + d, b)
-            fn = frobenius(xn)
-            if fn < fx:
+            # a trial clipped onto the point just refused is refused again
+            if not np.array_equal(xn, tried):
+                try:
+                    trial = nls_residual_jacobian(co, xn[0], xn[1], **normal)
+                except ShiftObjectiveError:
+                    trial = (np.inf,)  # a singular trial is no decrease
+                tried = xn
+            if trial[0] < fx:
                 step = xn - x
-                x, fx = xn, fn
+                x, (fx, g, JJ) = xn, trial
                 lam = max(lam / 3.0, 1e-14)
                 break
             lam *= 10.0

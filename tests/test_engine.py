@@ -388,6 +388,10 @@ def test_problem_rejects_mismatched_shapes(A, M, B, match):
         LyapunovProblem(A, B, M=M)
 
 
+def test_problem_reads_1d_B_as_one_column():
+    assert LyapunovProblem(gen_cd2d(4), np.ones(16)).B.shape == (16, 1)
+
+
 def test_only_conjugate_pairs_factor_in_complex(monkeypatch):
     made = []
 

@@ -88,6 +88,13 @@ def test_cd3d_is_stable():
     assert lam.real.max() < 0
 
 
+def test_cd_stores_no_zeros():
+    # kron stores dense blocks on the smallest grids; the builder drops their zeros
+    for gen in (gen_cd2d, gen_cd3d):
+        for n0 in range(1, 7):
+            assert np.all(gen(n0).data != 0.0), (gen.__name__, n0)
+
+
 def test_gen_rhs_reproducible():
     B1 = gen_rhs(50, 3, seed=11)
     B2 = gen_rhs(50, 3, seed=11)

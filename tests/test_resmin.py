@@ -17,6 +17,7 @@ from conftest import (
 from lradi import resmin
 from lradi.cli import parse_strategy
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve, real_SG
+from lradi.problems import gen_rhs
 from lradi.resmin import (
     Bounds,
     CompressedObjective,
@@ -215,6 +216,26 @@ def test_compress_zh_full_window_spectrum():
     lam_explicit = np.linalg.eigvals(Q.T @ A @ Q)
     assert_allclose(np.sort_complex(np.diag(co.H)),
                     np.sort_complex(lam_explicit), atol=1e-9)
+
+
+def test_ritz_update_falls_back_on_ill_conditioned_window(caplog):
+    # Z(4)+heur on the FEM pair: after 43 steps the window's QR factor has
+    # condition 4.7e8, so the restriction is formed explicitly
+    A, M = _fem_pair(300)
+    problem = LyapunovProblem(A, gen_rhs(300, 2, 0), M=M, tol=1e-8, max_iterations=43)
+    _, state = lr_adi_solve(problem, make_strategy(parse_strategy("Z(4)+heur")),
+                            return_state=True)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lradi.resmin"):
+        co = resmin.ritz_update(state, 4)
+    assert [r.getMessage() for r in caplog.records] == [
+        "window QR factor ill-conditioned; used explicit restriction"]
+    assert co.used_fallback and (co.window_start, co.size) == (39, 8)
+    Q, _ = np.linalg.qr(state.Z[:, 2 * co.window_start:])
+    lam = np.linalg.eigvals(np.linalg.solve(Q.T @ (M @ Q), Q.T @ (A @ Q)))
+    lam = np.where(lam.real >= 0.0, -lam, lam)  # unstable Ritz values negated
+    assert_allclose(np.sort_complex(co.eigenvalues), np.sort_complex(lam),
+                    rtol=1e-10, atol=0)
 
 
 def test_recycle_matches_direct_extended_krylov():
@@ -505,6 +526,13 @@ def test_grid_objective_matches_pointwise(g, s, weighted):
         assert_allclose(vals[finite], ref[finite], rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("s", [1, 3])
+def test_grid_objective_without_admissible_point(s):
+    # alpha = 1 is the negative of H's only eigenvalue
+    co = CompressedObjective(H=np.array([[-1.0 + 0j]]), Wtil=np.ones((1, s), dtype=complex))
+    assert_array_equal(resmin.grid_objective(co, [1.0], [0.0]), [np.inf])
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_solve_L_matches_solve_triangular(order):
     rng = np.random.default_rng(15)
@@ -653,27 +681,29 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
         co = make_objective(rng, s=s, g=g, weighted=weighted)
         nu, xi = sample_point(co, rng)
         r, J = nls_residual_jacobian(co, nu, xi)
-        Jr, JJ = nls_residual_jacobian(co, nu, xi, normal=True)
+        f, Jr, JJ = nls_residual_jacobian(co, nu, xi, normal=True)
+        assert_allclose(f, 0.5 * r @ r, rtol=1e-12)
         assert_allclose(Jr, J.T @ r, rtol=1e-12, atol=1e-14 * np.abs(J.T @ r).max())
         assert_allclose(JJ, J.T @ J, rtol=1e-12)
         # on a real-axis box only the nu column is formed
-        Jr1, JJ1 = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
+        f1, Jr1, JJ1 = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
+        assert f1 == f
         assert Jr1.shape == (1,) and JJ1.shape == (1, 1)
         assert_allclose(Jr1, Jr[:1], rtol=1e-12)
         assert_allclose(JJ1, JJ[:1, :1], rtol=1e-12)
         # the exact curvature is the Jacobian of J^T r, on and off the real axis
         d = 1e-6 * max(abs(nu), 1.0)
         for x in (0.0, xi):
-            Jr_x = nls_residual_jacobian(co, nu, x, normal=True)[0]
-            g2, H2 = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
+            Jr_x = nls_residual_jacobian(co, nu, x, normal=True)[1]
+            _, g2, H2 = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
             assert_array_equal(g2, Jr_x)
             fd = np.column_stack([
-                (nls_residual_jacobian(co, nu + dn, x + dx, normal=True)[0]
-                 - nls_residual_jacobian(co, nu - dn, x - dx, normal=True)[0]) / (2 * d)
+                (nls_residual_jacobian(co, nu + dn, x + dx, normal=True)[1]
+                 - nls_residual_jacobian(co, nu - dn, x - dx, normal=True)[1]) / (2 * d)
                 for dn, dx in [(d, 0.0), (0.0, d)]])
             assert_allclose(H2, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
-            g1, H1 = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
-                                           exact=True)
+            _, g1, H1 = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
+                                              exact=True)
             assert_array_equal(g1, Jr_x[:1])
             assert_allclose(H1, H2[:1, :1], rtol=1e-12)
 
@@ -727,6 +757,11 @@ def test_derive_bounds_clustered_pair_inflates():
     assert_allclose([b.nu_minus, b.nu_plus], [-3.0, -1.0])
     assert b.xi_plus == 5.0
     assert not b.real_axis
+
+
+def test_derive_bounds_keeps_unstable_spectrum_in_left_half_plane():
+    b = derive_bounds([0.5 + 1j, -2.0])
+    assert b == Bounds(-2.0, -2e-12, 1.0)
 
 
 def test_derive_bounds_always_stable_box():
@@ -809,6 +844,28 @@ def test_polish_converges_on_the_box_edge(method, case):
     nus = np.linspace(b.nu_minus, b.nu_plus, 101)
     xis = [0.0] if b.real_axis else np.linspace(0.0, b.xi_plus, 101)
     assert info["value"] <= min(eval_objective(co, nu, xi) for nu in nus for xi in xis)
+
+
+@pytest.mark.parametrize("s, g, exact", [(1, 1, False), (2, 3, False), (1, 2, True)])
+def test_polish_evaluates_each_point_once(s, g, exact, monkeypatch):
+    # the call that accepts a trial point also gives the next step, and a
+    # trial clipped onto the point just refused is not evaluated again (the
+    # (2, 3) and exact cases have such trials); the last call is the end
+    # point's spectral value
+    co = make_objective(np.random.default_rng(32), s=s, g=g)
+    psi_derivatives, calls = resmin._psi_derivatives, []
+    monkeypatch.setattr(resmin, "_psi_derivatives",
+                        lambda co, nu, xi, order, with_xi=True:
+                        calls.append((nu, xi, order))
+                        or psi_derivatives(co, nu, xi, order, with_xi))
+    b = co.bounds
+    x0 = np.array([0.5 * (b.nu_minus + b.nu_plus), 0.5 * b.xi_plus])
+    x, _, iterations, stop = resmin._polish_gauss_newton(co, x0, b, exact)
+    assert stop == "gradient" and iterations >= 5
+    *polish, end = calls
+    points = [(nu, xi) for nu, xi, _ in polish]
+    assert len(set(points)) == len(points) >= iterations
+    assert points[0] == tuple(x0) and end == (x[0], x[1], 0)
 
 
 def test_polish_matches_bounded_least_squares():
