@@ -5,13 +5,13 @@ restriction H of the iteration's operator and a compressed residual
 factor Wt, built either from a window of recent Z columns or from a
 recycled extended Krylov space that reuses the seed basis built once up
 front (new basis directions come from the accumulated factor Z, without
-further solves with A). The Compressor here supplies that model to every
-adaptive strategy, which strategies.AdaptiveStrategy pairs with a picker:
-one of the heuristic pickers of the strategies module, the projected
-residual Hamiltonian shift, or the residual-minimizing picker
-(resmin_next_shift).
+further solves with A). This module holds the models and the optimizers
+only: strategies.AdaptiveStrategy builds the seed, chooses the model for
+each step and pairs it with a picker, among them the projected residual
+Hamiltonian shift here and the residual-norm minimizer, which runs
+optimize_shift.
 
-The residual-minimizing picker chooses the next shift by minimizing the
+The residual-norm minimizer chooses the next shift by minimizing the
 norm of the ADI residual factor after one (or g) hypothetical steps,
 evaluated on the compressed model:
 
@@ -39,7 +39,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "KrylovSeed",
     "CompressedObjective",
-    "Compressor",
     "Bounds",
     "ShiftObjectiveError",
     "build_seed",
@@ -57,7 +56,6 @@ __all__ = [
     "derive_bounds",
     "optimize_shift",
     "hamiltonian_residual_shift",
-    "resmin_next_shift",
     "OPTIMIZERS",
 ]
 
@@ -413,7 +411,7 @@ def ritz_update(state, h):
 def compress_zh(state, h):
     """Window compression: the restriction onto the last h steps.
 
-    The Compressor's entry to the Z window; the work is ritz_update's.
+    AdaptiveStrategy's entry to the Z window; the work is ritz_update's.
     Requires at least one completed step.
     """
     return ritz_update(state, h)
@@ -523,32 +521,6 @@ def _extend_qr_r(Q0, R0, X):
         R22, info = potrf(G + shift * np.eye(w), lower=0, clean=1)
         shift *= 10.0
     return np.block([[R0, C], [np.zeros((w, R0.shape[1])), R22]])
-
-
-class Compressor:
-    """Source of the compressed model for every adaptive strategy.
-
-    Called with the iteration state, its only input: builds the extended
-    Krylov seed of ``state.problem`` on the first call (orders (p, m) for
-    the recycled space, (1, 1) for the Z window), then returns the seed
-    compression at j = 0, afterwards the window over the last h steps
-    (``subspace`` "Z") or the recycled extended Krylov space ("EK").
-    """
-
-    def __init__(self, subspace, h, p=1, m=1):
-        self.subspace = subspace
-        self.h = h
-        self.orders = (p, m) if subspace == "EK" else (1, 1)
-        self.seed = None
-
-    def __call__(self, state):
-        if self.seed is None:
-            self.seed = build_seed(state.problem, *self.orders)
-        if state.j == 0:
-            return seed_compressed(self.seed)
-        if self.subspace == "EK":
-            return recycle_krylov(self.seed, state)
-        return compress_zh(state, self.h)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,19 +977,3 @@ def hamiltonian_residual_shift(H, Wtil):
         qnorm = np.linalg.norm(V[l:, stable], axis=0)
         z = complex(w[stable[int(np.argmax(qnorm))]])
     return z.conjugate() if z.imag < 0 else z
-
-
-def resmin_next_shift(co, method="gauss-newton"):
-    """Residual-minimizing shift on a compressed model.
-
-    Takes the projected-Hamiltonian shift of ``co`` as the initial guess
-    and minimizes the objective of ``co`` (for a group of ``co.g`` steps)
-    over its spectral box with the given optimizer backend. Returns
-    (alpha, info); info also carries the model used ("compression") and
-    the guess.
-    """
-    guess = hamiltonian_residual_shift(co.H, co.Wtil)
-    alpha, info = optimize_shift(co, x0=guess, method=method)
-    info["compression"] = co
-    info["guess"] = guess
-    return alpha, info

@@ -2,13 +2,14 @@
 
 Contains the classical precomputed heuristic (greedy selection on Ritz
 values of an extended Krylov space) and the adaptive strategies. Every
-adaptive strategy is one AdaptiveStrategy: the resmin module's
-Compressor, which supplies a small compressed model of the iteration,
-and a shift picker on that model: recomputed greedy heuristic shifts,
-convex-hull boundary shifts, the projected residual Hamiltonian shift,
-or the residual-norm minimizer (resmin.resmin_next_shift). Every
-strategy answers ``next_shift(state)`` with an engine.ShiftProposal: the
-iteration state, its problem included, is its only input.
+adaptive strategy is one AdaptiveStrategy: a compressed model of the
+iteration per shift (the seed's, the Z window or the recycled extended
+Krylov space, from the resmin module) and a shift picker on that model:
+recomputed greedy heuristic shifts, convex-hull boundary shifts, the
+projected residual Hamiltonian shift, or the residual-norm minimizer
+(_resmin_pick). Every strategy answers ``next_shift(state)`` with an
+engine.ShiftProposal: the iteration state, its problem included, is its
+only input.
 """
 
 import logging
@@ -16,15 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import resmin
 from .engine import ShiftProposal
-from .resmin import (
-    Compressor,
-    build_seed,
-    hamiltonian_residual_shift,
-    resmin_next_shift,
-    ritz_update,
-    schur_stabilize,
-)
+# bound here too, so that the benchmark's strategies.* span points exist
+from .resmin import hamiltonian_residual_shift, ritz_update, schur_stabilize
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +95,7 @@ def precomputed_heuristic(problem, J, p, m):
     reused cyclically).
     """
     b1 = problem.B @ np.ones((problem.s, 1))
-    seed = build_seed(problem, p, m, B=b1)
+    seed = resmin.build_seed(problem, p, m, B=b1)
     ritz = np.linalg.eigvals(seed.H)
     unstable = ritz.real >= 0.0
     if np.any(unstable):
@@ -225,28 +221,57 @@ _PICKERS = {
 }
 
 
+def _resmin_pick(method):
+    """The residual-norm minimizer with optimizer ``method``, as a picker:
+    optimize_shift from the model's projected-Hamiltonian shift, its info
+    adding the model ("compression") and the guess."""
+    def pick(co, state):
+        guess = resmin.hamiltonian_residual_shift(co.H, co.Wtil)
+        alpha, info = resmin.optimize_shift(co, x0=guess, method=method)
+        info["compression"] = co
+        info["guess"] = guess
+        return alpha, info
+
+    return pick
+
+
 class AdaptiveStrategy:
     """Every adaptive strategy: a compressed model per shift, then a picker.
 
-    ``compressor`` is a resmin.Compressor: the seed compression at j = 0,
-    afterwards the Z window over the last h steps or the recycled extended
-    Krylov space. ``pick(co, state)`` returns ``(alpha, info)`` from that
-    model: one of the pickers above (Z(h)+heur|conv|Hres, info None) or
-    the residual-norm minimizer (resmin+Z|EK, info from
-    resmin.resmin_next_shift). ``budget`` > 1 makes each shift a multistep
-    group sharing one factorization, and the model's ``g`` is set to it:
-    the budget is the one carrier of the group size. ``last_info`` holds
-    the info of the latest shift.
+    On its first call it builds the extended Krylov seed of
+    ``state.problem``: orders (p, m) for the recycled space (``subspace``
+    "EK"), (1, 1) for the Z window ("Z"). The model is the seed
+    compression at j = 0, afterwards the window over the last h steps or
+    the recycled extended Krylov space. ``pick(co, state)`` returns
+    ``(alpha, info)`` from that model: one of the pickers above
+    (Z(h)+heur|conv|Hres, info None) or the residual-norm minimizer
+    (resmin+Z|EK, from _resmin_pick). ``budget`` > 1 makes each shift a
+    multistep group sharing one factorization, and the model's ``g`` is
+    set to it: the budget is the one carrier of the group size.
+    ``last_info`` holds the info of the latest shift.
     """
 
-    def __init__(self, compressor, pick, budget=1):
-        self.compressor = compressor
+    def __init__(self, pick, subspace="Z", h=4, p=1, m=1, budget=1):
         self.pick = pick
+        self.subspace = subspace
+        self.h = h
+        self.orders = (p, m) if subspace == "EK" else (1, 1)
         self.budget = budget
+        self.seed = None
         self.last_info = None
 
     def next_shift(self, state):
-        co = self.compressor(state)
+        # called through the module, not bound here at import: the benchmark's
+        # spans (perfbench/spans.py) and tools/rusage_layers.py rebind these
+        # names on resmin, and must see the calls made here
+        if self.seed is None:
+            self.seed = resmin.build_seed(state.problem, *self.orders)
+        if state.j == 0:
+            co = resmin.seed_compressed(self.seed)
+        elif self.subspace == "EK":
+            co = resmin.recycle_krylov(self.seed, state)
+        else:
+            co = resmin.compress_zh(state, self.h)
         if self.budget > 1:
             co = replace(co, g=self.budget)
         alpha, self.last_info = self.pick(co, state)
@@ -282,11 +307,8 @@ def make_strategy(config):
     if kind == "heur":
         return PrecomputedHeuristicStrategy(config.J, config.p, config.m)
     if kind in _PICKERS:
-        return AdaptiveStrategy(Compressor("Z", config.h), _PICKERS[kind])
+        return AdaptiveStrategy(_PICKERS[kind], h=config.h)
     if kind == "resmin":
-        def pick(co, state):
-            return resmin_next_shift(co, config.optimizer)
-
-        compressor = Compressor(config.subspace, config.h, config.p, config.m)
-        return AdaptiveStrategy(compressor, pick, budget=max(1, int(config.g)))
+        return AdaptiveStrategy(_resmin_pick(config.optimizer), config.subspace,
+                                config.h, config.p, config.m, budget=max(1, int(config.g)))
     raise ValueError(f"unknown strategy kind {kind!r}")

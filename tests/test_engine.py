@@ -1,6 +1,10 @@
 import ast
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 from itertools import cycle
@@ -567,6 +571,17 @@ def test_rusage_tool_patch_points_exist():
     assert len(points) == 5
     for path, attr, _ in points:
         assert callable(getattr(_lradi_owner(path), attr)), f"{path}.{attr}"
+    # and one sample of it sees every layer: a call that bypasses the
+    # rebound names (the seed, the recycled compression) leaves its layer out
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, str(root / "tools" / "rusage_layers.py"), "--one",
+         "--workload", "fem-multistep", "--seed", "0"],
+        capture_output=True, text=True, env=env, check=True, timeout=300).stdout
+    record = json.loads(out.strip().splitlines()[-1])
+    assert set(record["layers"]) == {"lu", "seed", "recycle", "z_push", "next_shift", "rest"}
 
 
 _COMMON_SEAMS = {
@@ -588,7 +603,9 @@ _WINDOW_SEAMS = {"resmin.compress_zh", "resmin.ritz_update"}
      | {"resmin.recycle_krylov", "engine.adi_real_step"}),
     ("Z(4)+Hres", _COMMON_SEAMS | _WINDOW_SEAMS
      | {"strategies.hamiltonian_residual_shift", "engine.adi_double_step"}),
-], ids=["resmin+Z", "resmin+EK+M", "Z(4)+Hres"])
+    ("heur", _COMMON_SEAMS - {"resmin.schur_stabilize"}
+     | {"engine.adi_real_step", "engine.adi_double_step"}),
+], ids=["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "heur"])
 def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
     # the benchmark times layers by rebinding module attributes; each
     # layer a strategy uses must be reached through one of them, and the
@@ -597,8 +614,10 @@ def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
         A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
     elif case == "resmin+EK+M":
         (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
-    else:
+    elif case == "Z(4)+Hres":
         A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
+    else:
+        A, M, s, text = gen_cd2d(10), None, 1, "heur(20,30,20)"
     points = _benchmark_patch_points()
     assert len(points) == 20
     counts = Counter()

@@ -17,7 +17,8 @@ from conftest import (
 from lradi import resmin
 from lradi.cli import parse_strategy
 from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve, real_SG
-from lradi.problems import gen_rhs
+from lradi.linalg import spectral_norm_small
+from lradi.problems import gen_cd2d, gen_rhs
 from lradi.resmin import (
     Bounds,
     CompressedObjective,
@@ -730,6 +731,21 @@ def test_gradient_rejects_coalescent_gram():
         eval_derivatives(co, -0.5, 0.0, order=1)
 
 
+def test_hessian_rejects_coalescent_lower_gram_eigenvalues():
+    # H's double eigenvalue -2 gives a double lower Gram eigenvalue under a
+    # simple top one: the gradient exists, the Hessian's perturbation sum
+    # would divide by the zero gap between the lower two
+    H = np.diag([-1.0, -2.0, -2.0]).astype(complex)
+    co = CompressedObjective(H=H, Wtil=np.eye(3, dtype=complex),
+                             bounds=derive_bounds(np.diag(H)))
+    value, _, hess = eval_derivatives(co, -1.5, 0.3, order=1)
+    # |(-1 - conj(alpha)) / (-1 + alpha)|^2 at alpha = -1.5 + 0.3i
+    assert value == pytest.approx(0.34 / 6.34, rel=1e-12)
+    assert hess is None
+    with pytest.raises(ShiftObjectiveError, match="coalesce"):
+        eval_derivatives(co, -1.5, 0.3, order=2)
+
+
 def test_exact_curvature_polish_converges_on_coalescent_block():
     # the polish steps on ||Psi||_F^2, which stays smooth where the top Gram
     # eigenvalue is double, so the exact-curvature polish converges there
@@ -921,6 +937,18 @@ def test_polish_stops_on_a_singular_shift(exact):
     assert_array_equal(x, [-0.5, 0.0])
 
 
+def test_optimizer_starts_at_the_box_centre_without_a_finite_grid_value():
+    # the box is the one point -1, where H + alpha I is singular: no grid
+    # value is finite and no guess is given, so the one start is the box's
+    # centre, and the polish stops there at once
+    co = CompressedObjective(H=np.array([[1.0 + 0j]]), Wtil=np.ones((1, 1), dtype=complex),
+                             bounds=Bounds(-1.0, -1.0, 0.0))
+    alpha, info = optimize_shift(co)
+    assert alpha == -1.0
+    assert info["stop"] == "singular" and info["value"] == np.inf
+    assert info["n_starts"] == 1 and not info["converged"]
+
+
 def test_optimizer_real_spectrum_stays_real():
     rng = np.random.default_rng(21)
     co = make_objective(rng, real_spectrum=True)
@@ -1047,3 +1075,45 @@ def test_resmin_generalized_problem():
     report = lr_adi_solve(problem, make_strategy(
         StrategyConfig(kind="resmin", subspace="EK", p=2, m=1)))
     assert report.converged
+
+
+# (gen_cd2d(20) or the fem pair, s, RHS seed, strategy, worst ratio allowed)
+_CALIBRATION_RUNS = {
+    "Z(8)": (lambda: (gen_cd2d(20), None), 1, 7, "resmin+Z(8)+gn", None),
+    "EK(3,1)": (lambda: (gen_cd2d(20), None), 1, 7, "resmin+EK(3,1)+gn", 2.0),
+    "EK(3,1)+M-g5": (lambda: _fem_pair(300), 2, 0, "resmin+EK(3,1)+gn, g=5", 2.0),
+}
+
+
+@pytest.mark.parametrize("run", list(_CALIBRATION_RUNS))
+def test_compressed_model_predicts_the_realized_reduction(run):
+    # each group's predicted reduction, the model's optimal value over its
+    # own residual norm, against the scaled residual's realized reduction
+    # over the group. The Z window's worst ratio is not bounded: on this
+    # input a one-column window predicts annihilation (ratio 2.6e31), and
+    # a model that does not is the research step of ROADMAP.md, item 12
+    make, s, seed, text, worst = _CALIBRATION_RUNS[run]
+    A, M = make()
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, seed), M=M, tol=1e-8)
+    strat = make_strategy(parse_strategy(text))
+    next_shift, groups = strat.next_shift, []
+
+    def recording(state):
+        proposal = next_shift(state)
+        info = strat.last_info
+        co = info["compression"]
+        Wt = co.Wtil if co.weight is None else co.weight @ co.Wtil
+        groups.append((state.j, state.current_residual,
+                       info["value"] / spectral_norm_small(Wt)))
+        return proposal
+
+    strat.next_shift = recording
+    report = lr_adi_solve(problem, strat)
+    assert report.converged
+    ends = [j for j, _, _ in groups[1:]] + [report.iterations]
+    ratios = np.array([report.residuals[end - 1] / before / predicted
+                       for (_, before, predicted), end in zip(groups, ends)])
+    assert len(ratios) > 10
+    assert 0.5 <= np.median(ratios) <= 2.0
+    if worst is not None:
+        assert ratios.max() <= worst
