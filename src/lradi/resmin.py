@@ -367,10 +367,9 @@ def ritz_update(state, h):
     pair. The restriction H = Q^* A Q comes structurally from the factored
     ADI relation (no products with A); if the window's triangular QR
     factor is numerically singular (condition >= 1e8), it falls back to an
-    explicit product. In the generalized case the pencil (Q^*AQ, Q^*MQ) is
-    reduced to a single matrix N^{-1} Q^*AQ, the compressed residual
-    becomes N^{-1} Q^*W, and the QR factor of N times the Schur rotation
-    is attached as a left weight so norms are preserved.
+    explicit product. The generalized case is the standard one applied to
+    the compressed residual N^{-1} Q^*W, N = Q^*MQ, which gives N^{-1} Q^*AQ;
+    the QR factor of N times the Schur rotation is the left weight.
 
     Returns a CompressedObjective. Requires state.j >= 1.
     """
@@ -385,25 +384,22 @@ def ritz_update(state, h):
     Q, R = np.linalg.qr(Zw)
     used_fallback = not np.all(np.isfinite(R)) or np.linalg.cond(R) >= 1e8
     QW = Q.conj().T @ state.W
-
-    generalized = problem.M is not None
-    N = Q.conj().T @ (problem.M @ Q) if generalized else None
+    N = None
+    if problem.M is not None:
+        N = Q.conj().T @ (problem.M @ Q)
+        QW = np.linalg.solve(N, QW)
     if used_fallback:
         logger.warning("window QR factor ill-conditioned; used explicit restriction")
         Ht = Q.conj().T @ (problem.A @ Q)
+        if N is not None:
+            Ht = np.linalg.solve(N, Ht)
     else:
         S_r, G_r = real_SG(state.shifts[start:], s)
         St = S_r - G_r @ G_r.T
         core = R @ St + QW @ G_r.T
-        # right division by the triangular R
+        # N^{-1} Q^*AQ: core right-divided by the triangular R
         Ht = spla.solve_triangular(R, core.T, trans="T").T
-        if generalized:
-            # Q^*AQ = N R St R^{-1} + Q^*W G^T R^{-1}; fold N into the first term
-            WG = spla.solve_triangular(R, (QW @ G_r.T).T, trans="T").T
-            Ht = N @ (Ht - WG) + WG
-    if generalized:
-        Ht, QW = np.linalg.solve(N, Ht), np.linalg.solve(N, QW)
-    N_r = np.linalg.qr(N, mode="r") if generalized else None
+    N_r = None if N is None else np.linalg.qr(N, mode="r")
     return _compress(Ht, QW, N_r, Q=Q, source=f"Z({h})",
                      used_fallback=used_fallback, window_start=start)
 

@@ -112,7 +112,11 @@ def precomputed_heuristic(problem, J, p, m):
 # convex hull boundary shifts
 # ---------------------------------------------------------------------------
 
-def _hull_boundary(points, n_boundary):
+# boundary points per hull edge (or on a degenerate, segment-shaped hull)
+_N_BOUNDARY = 200
+
+
+def _hull_boundary(points):
     """Discretized boundary of the convex hull of complex points."""
     pts = np.unique(np.round(np.asarray(points, dtype=np.complex128), 14))
     if pts.size == 1:
@@ -128,23 +132,23 @@ def _hull_boundary(points, n_boundary):
     if np.max(cross) <= 1e-10 * diam:
         t = (xy - p0) @ d
         lo, hi = pts[np.argmin(t)], pts[np.argmax(t)]
-        return np.linspace(lo, hi, n_boundary)
+        return np.linspace(lo, hi, _N_BOUNDARY)
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(xy)
     verts = pts[hull.vertices]  # counterclockwise, closed implicitly
     segs = []
     for a, b in zip(verts, np.roll(verts, -1)):
-        t = np.linspace(0.0, 1.0, n_boundary, endpoint=False)
+        t = np.linspace(0.0, 1.0, _N_BOUNDARY, endpoint=False)
         segs.append(a + t * (b - a))
     return np.concatenate(segs)
 
 
-def convex_hull_shift(ritz_values, used_shifts, n_boundary=200):
+def convex_hull_shift(ritz_values, used_shifts):
     """Next shift from the convex hull of the (mirrored) Ritz values.
 
     The hull of the Ritz values and their conjugates is discretized along
-    its boundary (n_boundary points per edge, uniform in arc length;
+    its boundary (_N_BOUNDARY points per edge, uniform in arc length;
     degenerate hulls become segments or single points) and the accumulated
     ADI product r(z) = prod |(z - conj(a_i))/(z + a_i)| over all used
     shifts a_i is evaluated there. The point where r is largest is
@@ -156,7 +160,7 @@ def convex_hull_shift(ritz_values, used_shifts, n_boundary=200):
     if ritz.size == 0:
         raise ValueError("no Ritz values provided")
     pts = np.concatenate([ritz, np.conj(ritz)])
-    boundary = _hull_boundary(pts, n_boundary)
+    boundary = _hull_boundary(pts)
     used = list(used_shifts)
     if len(used) == 0:
         z = boundary[int(np.argmin(boundary.real))]
@@ -210,12 +214,23 @@ class PrecomputedHeuristicStrategy:
         return self._cycle.next_shift(state)
 
 
+def _greedy_pick(co, state):
+    """Penzl's greedy step continued from the executed shifts: the Ritz value
+    where the accumulated ADI product over ``state.shifts`` is largest (ties
+    to the smallest |lambda|), and before the first step penzl_select's first
+    shift (the double step runs a complex pick's partner, so only it is taken)."""
+    if not state.shifts:
+        return penzl_select(co.eigenvalues, 1)[0], None
+    cand = co.eigenvalues
+    cand = cand[np.argsort(np.abs(cand), kind="stable")]
+    return complex(cand[int(np.argmax(_log_adi_product(cand, state.shifts)))]), None
+
+
 # Each picker maps the current compressed model (and the state, for the
 # shifts used so far) to the next shift and the picker's info (None for
-# these). penzl_select appends the partner of a complex pick; the double
-# step runs it, so only the first is taken.
+# these).
 _PICKERS = {
-    "zheur": lambda co, state: (penzl_select(co.eigenvalues, 1)[0], None),
+    "zheur": _greedy_pick,
     "zconv": lambda co, state: (convex_hull_shift(co.eigenvalues, state.shifts), None),
     "zhres": lambda co, state: (hamiltonian_residual_shift(co.H, co.Wtil), None),
 }

@@ -328,6 +328,11 @@ def test_pencil_rejects_a_mismatched_mass_matrix():
         ShiftedPencil(sp.identity(3, format="csc"), sp.identity(4))
 
 
+def test_pencil_without_mass_matrix_has_no_solve_M():
+    with pytest.raises(ValueError, match="no mass matrix"):
+        ShiftedPencil(sp.identity(3, format="csc")).solve_M(np.ones(3))
+
+
 def test_spectral_norm_small():
     rng = np.random.default_rng(4)
     W = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
@@ -361,6 +366,18 @@ def test_block_orth_drops_dependent_columns():
     bottom = R[3:, :]
     assert bottom[0, 0] > 0
     assert_allclose(bottom[:, 1], 0, atol=1e-12)
+
+
+def test_block_orth_all_zero_block():
+    # a block with no nonzero column adds nothing: the basis comes back as
+    # it was, with zero coefficients
+    rng = np.random.default_rng(10)
+    basis, _ = np.linalg.qr(rng.standard_normal((20, 3)))
+    Q, R = block_orth(basis, np.zeros((20, 2)))
+    assert_allclose(Q, basis, atol=0)
+    assert R.shape == (3, 2) and not R.any()
+    Q, R = block_orth(None, np.zeros((20, 2)))
+    assert Q.shape == (20, 0) and R.shape == (0, 2)
 
 
 def test_block_orth_two_pass_accuracy():

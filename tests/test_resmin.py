@@ -33,7 +33,7 @@ from lradi.resmin import (
     recycle_krylov,
     seed_compressed,
 )
-from lradi.strategies import StrategyConfig, make_strategy
+from lradi.strategies import CyclicShifts, StrategyConfig, make_strategy
 from test_acceptance import _fem_pair
 from test_engine import run_shifts
 
@@ -220,23 +220,28 @@ def test_compress_zh_full_window_spectrum():
 
 
 def test_ritz_update_falls_back_on_ill_conditioned_window(caplog):
-    # Z(4)+heur on the FEM pair: after 43 steps the window's QR factor has
-    # condition 4.7e8, so the restriction is formed explicitly
+    # four steps with the one shift -1 on the FEM pair: the window's columns
+    # are nearly dependent, so the restriction is formed explicitly
     A, M = _fem_pair(300)
-    problem = LyapunovProblem(A, gen_rhs(300, 2, 0), M=M, tol=1e-8, max_iterations=43)
-    _, state = lr_adi_solve(problem, make_strategy(parse_strategy("Z(4)+heur")),
-                            return_state=True)
+    problem = LyapunovProblem(A, gen_rhs(300, 2, 0), M=M, tol=1e-8, max_iterations=4)
+    _, state = lr_adi_solve(problem, CyclicShifts([-1.0]), return_state=True)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lradi.resmin"):
         co = resmin.ritz_update(state, 4)
     assert [r.getMessage() for r in caplog.records] == [
         "window QR factor ill-conditioned; used explicit restriction"]
-    assert co.used_fallback and (co.window_start, co.size) == (39, 8)
+    assert co.used_fallback and (co.window_start, co.size) == (0, 8)
     Q, _ = np.linalg.qr(state.Z[:, 2 * co.window_start:])
     lam = np.linalg.eigvals(np.linalg.solve(Q.T @ (M @ Q), Q.T @ (A @ Q)))
     lam = np.where(lam.real >= 0.0, -lam, lam)  # unstable Ritz values negated
     assert_allclose(np.sort_complex(co.eigenvalues), np.sort_complex(lam),
                     rtol=1e-10, atol=0)
+
+
+def test_ritz_update_needs_a_completed_step():
+    problem = LyapunovProblem(sp.csr_matrix(-np.eye(4)), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="completed step"):
+        resmin.ritz_update(AdiState(problem), 4)
 
 
 def test_recycle_matches_direct_extended_krylov():
@@ -565,6 +570,15 @@ def test_extend_qr_r_keeps_the_gram_matrix(dtype):
         gram = K.conj().T @ K
         assert_allclose(R.conj().T @ R, gram, rtol=0, atol=1e-13 * np.abs(gram).max())
     assert resmin._extend_qr_r(Q0, R0, np.empty((200, 0), dtype=dtype)) is R0
+
+
+def test_extend_qr_r_rejects_a_non_finite_block():
+    rng = np.random.default_rng(18)
+    Q0, R0 = np.linalg.qr(rng.standard_normal((50, 3)))
+    X = rng.standard_normal((50, 2))
+    X[7, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        resmin._extend_qr_r(Q0, R0, X)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -935,6 +949,31 @@ def test_polish_stops_on_a_singular_shift(exact):
     x, fx, iterations, stop = resmin._polish_gauss_newton(co, np.array([-0.5, 0.0]), b, exact)
     assert (stop, iterations) == ("singular", 1)
     assert_array_equal(x, [-0.5, 0.0])
+
+
+def test_polish_refuses_a_trial_clipped_onto_a_pole(monkeypatch):
+    # the first step (+5, 0) from -2 leaves the box [-3, -1]; _box_clip maps
+    # the trial onto -1, where H + alpha I is singular, so it is refused as
+    # no decrease and the damping grows tenfold; the polish then goes on to
+    # the box's minimum -3, where psi = |(1 + 3)/(1 - 3)|^2 = 4
+    b = Bounds(-3.0, -1.0, 0.0)
+    co = CompressedObjective(H=np.array([[1.0 + 0j]]), Wtil=np.ones((1, 1), dtype=complex),
+                             bounds=b)
+    assert_array_equal(resmin._box_clip(np.array([3.0, 0.0]), b), [-1.0, 0.0])
+    levenberg_step, damping = resmin._levenberg_step, []
+
+    def first_step_out(g, JJ, lam, free):
+        damping.append(lam)
+        if len(damping) == 1:
+            return np.array([5.0, 0.0])
+        return levenberg_step(g, JJ, lam, free)
+
+    monkeypatch.setattr(resmin, "_levenberg_step", first_step_out)
+    x, fx, _, stop = resmin._polish_gauss_newton(co, np.array([-2.0, 0.0]), b)
+    assert damping[:2] == [1e-3, 1e-2]
+    assert stop == "gradient"
+    assert_array_equal(x, [-3.0, 0.0])
+    assert_allclose(fx, 4.0, rtol=1e-14)
 
 
 def test_optimizer_starts_at_the_box_centre_without_a_finite_grid_value():
