@@ -50,16 +50,31 @@ def _bfs_levels(G, lab):
     """BFS levels of every node from a pseudo-peripheral node of its component.
 
     Each component starts at its lowest-numbered node and moves twice to
-    the lowest-numbered node of its last level. Returns the levels and each
-    component's eccentricity (its largest level).
+    the lowest-numbered node of its last level. A sweep is one
+    breadth-first search from a virtual root joined to the sweep's start
+    nodes, and a node's level is its depth in that search's tree less
+    one, found by pointer jumping over the predecessors. Returns the
+    levels and each component's eccentricity (its largest level).
     """
     from scipy.sparse import csgraph
 
+    m = G.shape[0]
     _, start = np.unique(lab, return_index=True)
     for sweep in range(3):
+        R = sp.csr_matrix((np.ones(G.nnz + start.size), np.r_[G.indices, start],
+                           np.r_[G.indptr, G.nnz + start.size]), shape=(m + 1, m + 1))
         # directed=True reads the symmetric pattern as it is stored
-        lev = csgraph.dijkstra(G, directed=True, indices=start, unweighted=True,
-                               min_only=True).astype(np.int64)
+        _, up = csgraph.breadth_first_order(R, m, directed=True,
+                                            return_predecessors=True)
+        up[m] = m
+        depth = np.ones(m + 1, dtype=np.int64)
+        depth[m] = 0
+        # after r rounds up[v] is v's 2^r-th ancestor (or the root), and
+        # depth[v] its distance from there
+        while np.any(up != m):
+            depth += depth[up]
+            up = up[up]
+        lev = depth[:m] - 1
         ecc = np.zeros(start.size, dtype=np.int64)
         np.maximum.at(ecc, lab, lev)
         if sweep == 2:
@@ -274,16 +289,22 @@ class ShiftedPencil:
             options=dict(SymmetricMode=True),
         )
 
-    def solve(self, lu, rhs):
+    def solve(self, lu, rhs, probe=False):
         """x with K x = rhs, for an LU of K in the pencil's order.
 
         Gathers the right-hand side into the pencil's order and scatters
-        the solution back; ``rhs`` is (n,) or (n, k).
+        the solution back; ``rhs`` is (n,) or (n, k), and SuperLU casts a
+        real one to a complex LU's dtype. With ``probe`` the pencil's
+        ``probe`` is one more column of the same SuperLU call (each column
+        bitwise what its own solve gives), returned as (x, K^{-1} probe).
         """
-        lay = self._layout
-        if lay.perm is None:
-            return lu.solve(rhs)
-        return lu.solve(rhs[lay.perm])[lay.iperm]
+        perm, iperm = self._layout.perm, self._layout.iperm
+        b = rhs if perm is None else rhs[perm]
+        X = lu.solve(np.column_stack([b, self.probe]) if probe else b)
+        x = X[:, :-1].reshape(rhs.shape) if probe else X
+        if perm is not None:
+            x = x[iperm]
+        return (x, X[:, -1]) if probe else x
 
     def solve_M(self, rhs):
         """M^{-1} rhs through one LU of M in the pencil's order (made once).
@@ -309,6 +330,10 @@ class ShiftedFactorization:
         Shift. A shift with zero imaginary part is cast to a real scalar,
         so a real A (and M) gives a float64 factorization; only a shift
         with nonzero imaginary part pays for complex128 arithmetic.
+    rhs
+        Optional first right-hand side, solved at construction in one
+        SuperLU call with the singularity probe; the first ``solve`` of
+        this same array object (unchanged since) is handed that solution.
 
     K is assembled by the pencil in its order and factored by the
     pencil's ``lu`` in symmetric mode with diagonal pivot threshold 0.1: as
@@ -324,11 +349,12 @@ class ShiftedFactorization:
     (ROADMAP.md, item 3).
 
     Solves with multiple right-hand sides are cheap once the factorization
-    exists; ``solve`` accepts (n,) or (n, k) arrays and gathers and
-    scatters them through the pencil's order.
+    exists; ``solve`` accepts (n,) or (n, k) arrays (SuperLU casts a real
+    one to a complex LU's dtype, bitwise as an explicit cast would) and
+    gathers and scatters them through the pencil's order.
     """
 
-    def __init__(self, pencil, alpha):
+    def __init__(self, pencil, alpha, rhs=None):
         if np.imag(alpha) == 0.0:
             alpha = float(np.real(alpha))
         K = pencil.shifted(alpha)
@@ -340,7 +366,12 @@ class ShiftedFactorization:
             ) from exc
         # splu can succeed on a nearly singular K: bound its condition from
         # below with one solve against the pencil's pseudo-random +-1 vector
-        x = self._lu.solve(pencil.probe.astype(K.dtype))
+        self._first = None
+        if rhs is None:
+            x = self._lu.solve(pencil.probe)
+        else:
+            first, x = pencil.solve(self._lu, np.asarray(rhs), probe=True)
+            self._first = (rhs, first)
         with np.errstate(all="ignore"):
             row_sums = np.bincount(K.indices, np.abs(K.data), minlength=pencil.n)
             cond = row_sums.max(initial=0.0) * np.max(np.abs(x), initial=0.0)
@@ -352,14 +383,13 @@ class ShiftedFactorization:
         pencil.n_factorizations += 1
         self._pencil = pencil
         self.alpha = alpha
-        self.is_complex = np.iscomplexobj(K)
 
     def solve(self, rhs):
         """Solve (A + alpha*M) x = rhs for one or several right-hand sides."""
-        rhs = np.asarray(rhs)
-        if self.is_complex and not np.iscomplexobj(rhs):
-            rhs = rhs.astype(np.complex128)
-        return self._pencil.solve(self._lu, rhs)
+        if self._first is not None and rhs is self._first[0]:
+            x, self._first = self._first[1], None
+            return x
+        return self._pencil.solve(self._lu, np.asarray(rhs))
 
 
 # the name under which engine and resmin build every shifted LU

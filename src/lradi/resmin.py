@@ -608,7 +608,10 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
     Returns [Psi] with order 0, [Psi, Psi_nu, Psi_xi] with order 1, and
     with order 2 also [Psi_nunu, Psi_nuxi, Psi_xixi]; without ``with_xi``
     no derivative in xi is formed (Psi_xi, Psi_nuxi and Psi_xixi are
-    None). Raises ShiftObjectiveError at singular points.
+    None). S_k = (H + alpha I)^{-k} Wt is solved once each: Psi is
+    C^{g-1} (Wt - 2 nu S_1) from the S_1 the derivatives read, and S_4
+    only when a g >= 2 second derivative reads it. Raises
+    ShiftObjectiveError at singular points.
     """
     alpha = complex(nu, xi)
     L = _shift_matrix(co, alpha)
@@ -616,16 +619,15 @@ def _psi_derivatives(co, nu, xi, order, with_xi=True):
         raise ShiftObjectiveError(f"H + alpha I singular at alpha = {alpha}")
     g = co.g
     S = [co.Wtil.astype(np.complex128, copy=False)]
-    for _ in range(2 * order):  # S[3], S[4] enter only second derivatives
+    for _ in range((1, 2, 3 + (g >= 2))[order]):  # S[k] = (H + alpha I)^{-k} Wt
         S.append(_solve_L(L, S[-1]))
 
     def C_pow(X, times):
-        X = X.copy()
         for _ in range(times):
             X = X - 2.0 * nu * _solve_L(L, X)
         return X
 
-    out = [C_pow(S[0], g)]
+    out = [C_pow(S[0] - 2.0 * nu * S[1], g - 1)]
     if order >= 1:
         out += [-2.0 * g * C_pow(S[1] - nu * S[2], g - 1),
                 2.0j * nu * g * C_pow(S[2], g - 1) if with_xi else None]
@@ -751,23 +753,13 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
 # ---------------------------------------------------------------------------
 
 def _box_clip(x, b):
-    return np.array([
-        min(max(x[0], b.nu_minus), b.nu_plus),
-        0.0 if b.real_axis else min(max(x[1], 0.0), b.xi_plus),
-    ])
+    """(nu, xi) moved into the box as Python floats; xi = +0.0 on a real box."""
+    return (float(min(max(x[0], b.nu_minus), b.nu_plus)),
+            0.0 if b.real_axis else float(min(max(x[1], 0.0), b.xi_plus)))
 
 
 def _box_diam(b):
     return float(np.hypot(b.nu_plus - b.nu_minus, b.xi_plus))
-
-
-def _free(x, g, b):
-    """Variables not held by the box: a variable on a bound counts as fixed
-    while its gradient points out of the box (descent would leave it)."""
-    lower = np.array([b.nu_minus, 0.0])[: g.size]
-    upper = np.array([b.nu_plus, b.xi_plus])[: g.size]
-    x = x[: g.size]
-    return ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
 
 
 def _levenberg_step(g, JJ, lam, free):
@@ -778,7 +770,7 @@ def _levenberg_step(g, JJ, lam, free):
     when the 1 x 1 or 2 x 2 system is not numerically positive definite.
     """
     d = np.zeros(2)
-    if free.all() and g.size == 2:
+    if all(free) and g.size == 2:
         a, c, off = JJ[0, 0] + lam, JJ[1, 1] + lam, JJ[0, 1]
         det = a * c - off * off
         if not det > 0.0:
@@ -786,7 +778,7 @@ def _levenberg_step(g, JJ, lam, free):
         d[0] = (off * g[1] - c * g[0]) / det
         d[1] = (off * g[0] - a * g[1]) / det
         return d
-    i = int(np.flatnonzero(free)[0])
+    i = free.index(True)
     den = JJ[i, i] + lam
     if not den > 0.0:
         return None
@@ -810,8 +802,8 @@ def _polish_gauss_newton(co, x, b, exact=False):
     Every point is evaluated once: the nls_residual_jacobian call that
     accepts a trial point also gives the next step's normal equations.
     Stationarity is tested on the projected gradient and the step is
-    taken over the free variables only (see _free), so a minimum on the
-    box's edge converges like an interior one. Returns (x, psi(x),
+    taken over the free variables only, so a minimum on the box's edge
+    converges like an interior one. Returns (x, psi(x),
     iterations, stop), psi the spectral objective eval_objective, with
     stop one of "gradient", "step" (converged), "rejected" (no decrease
     found), "singular" (H + alpha I singular at the start) or
@@ -827,8 +819,13 @@ def _polish_gauss_newton(co, x, b, exact=False):
     stop = "max_iterations"
     it = 0
     for it in range(100):
-        free = _free(x, g, b)
-        if np.abs(g[free]).max(initial=0.0) <= 1e-8 * (1.0 + abs(fx)):
+        # a variable on a bound is held while its gradient points out of
+        # the box (descent would leave it)
+        nu, xi = x
+        free = [not (nu <= b.nu_minus and g[0] > 0.0 or nu >= b.nu_plus and g[0] < 0.0)]
+        if g.size == 2:
+            free.append(not (xi <= 0.0 and g[1] > 0.0 or xi >= b.xi_plus and g[1] < 0.0))
+        if max((abs(gi) for gi, f in zip(g, free) if f), default=0.0) <= 1e-8 * (1.0 + abs(fx)):
             stop = "gradient"
             break
         step = tried = None
@@ -837,16 +834,16 @@ def _polish_gauss_newton(co, x, b, exact=False):
             if d is None:
                 lam = max(lam, 1e-8) * 10.0
                 continue
-            xn = _box_clip(x + d, b)
+            xn = _box_clip((nu + d[0], xi + d[1]), b)
             # a trial clipped onto the point just refused is refused again
-            if not np.array_equal(xn, tried):
+            if xn != tried:
                 try:
                     trial = nls_residual_jacobian(co, xn[0], xn[1], **normal)
                 except ShiftObjectiveError:
                     trial = (np.inf,)  # a singular trial is no decrease
                 tried = xn
             if trial[0] < fx:
-                step = xn - x
+                step = np.subtract(xn, x)
                 x, (fx, g, JJ) = xn, trial
                 lam = max(lam / 3.0, 1e-14)
                 break
@@ -913,15 +910,15 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     starts = []
     if x0 is not None:
         z = complex(x0)
-        starts.append(_box_clip(np.array([z.real, abs(z.imag)]), b))
-    starts.extend(_box_clip(np.array(grid[i]), b) for i in order if np.isfinite(vals[i]))
+        starts.append(_box_clip((z.real, abs(z.imag)), b))
+    starts.extend(_box_clip(grid[i], b) for i in order if np.isfinite(vals[i]))
     if not starts:
-        starts = [np.array([0.5 * (b.nu_minus + b.nu_plus), 0.0])]
+        starts = [(0.5 * (b.nu_minus + b.nu_plus), 0.0)]
 
     best = None
     runs = []
     for k, st in enumerate(starts):
-        x, fx, iters, stop = _polish_gauss_newton(co, st.copy(), b, exact)
+        x, fx, iters, stop = _polish_gauss_newton(co, st, b, exact)
         runs.append((fx, iters, stop))
         if best is None or fx < best[1]:
             best = (x, fx, k)

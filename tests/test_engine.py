@@ -264,6 +264,36 @@ def test_history_is_one_complex_shift_per_step():
             i += 2
 
 
+def test_probe_rides_each_groups_first_solve(monkeypatch):
+    # every shifted LU of a solve makes one SuperLU solve per step (per
+    # pair for a complex shift) and none for its singularity probe: the
+    # probe is the last column of the group's first solve
+    solves = []
+
+    class CountedLU:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, rhs, trans="N"):
+            solves.append(np.shape(rhs))
+            return self._lu.solve(rhs, trans)
+
+    monkeypatch.setattr(linalg, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
+    rng = np.random.default_rng(12)
+    A = random_stable(20, rng)
+    B = rng.standard_normal((20, 2))
+    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
+    proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
+                       ShiftProposal(-10.0, budget=3)])
+    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    report = lr_adi_solve(problem, strategy)
+    assert report.converged
+    pairs = sum(alpha.imag > 0.0 for alpha in report.shifts)
+    assert len(solves) == report.iterations - pairs
+    assert solves.count((20, 3)) == report.n_factorizations
+    assert solves[:3] == [(20, 3), (20, 3), (20, 2)]
+
+
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("shifts", [
     [-1.5, -2.0 + 1.5j, -7.0],

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -43,7 +45,7 @@ def test_shifted_factorization_real():
     fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)
     rhs = rng.standard_normal((15, 2))
     x = fact.solve(rhs)
-    assert not fact.is_complex
+    assert x.dtype == np.float64
     assert_allclose((A + alpha * sp.identity(15)) @ x, rhs, atol=1e-11)
 
 
@@ -58,7 +60,7 @@ def test_shifted_factorization_dtype_follows_shift(alpha, dtype, recorded_lu):
     fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)
     lu, = recorded_lu
     assert lu.solve(np.ones(15)).dtype == dtype
-    assert fact.is_complex == (dtype == np.complex128)
+    assert fact.solve(np.ones(15)).dtype == dtype
     rhs = rng.standard_normal((15, 2))
     x = fact.solve(rhs)
     assert x.dtype == dtype
@@ -71,9 +73,9 @@ def test_shifted_factorization_complex_and_mass():
     M = sp.csr_matrix(np.diag(rng.random(12) + 0.5))
     alpha = -2.0 + 1.5j
     fact = sparse_shifted_factorize(ShiftedPencil(A, M), alpha)
-    assert fact.is_complex
     rhs = rng.standard_normal(12)
     x = fact.solve(rhs)
+    assert x.dtype == np.complex128
     assert_allclose((A.toarray() + alpha * M.toarray()) @ x, rhs, atol=1e-11)
 
 
@@ -134,6 +136,45 @@ def test_shifted_factorization_near_singular(alpha):
     assert np.all(np.isfinite(fact.solve(np.ones(n))))
 
 
+@pytest.mark.parametrize("alpha", [-3.0, -3.0 + 2.0j])
+def test_probe_with_first_rhs_still_refuses_near_singular_shift(alpha):
+    # test_shifted_factorization_near_singular's shifts, with a first
+    # right-hand side riding along: the probe column still fails the test
+    # at construction, and the refused LU is not counted
+    n = 30
+    d = np.linspace(1.0, 10.0, n)
+    d[n // 2] = 1e-16 * d.max()
+    S = sp.diags([d, np.ones(n - 1)], [0, 1], format="csr", dtype=np.result_type(alpha))
+    pencil = ShiftedPencil(S - alpha * sp.identity(n, format="csr"))
+    with pytest.raises(SingularShiftError, match="numerically singular"):
+        sparse_shifted_factorize(pencil, alpha, rhs=np.ones((n, 2)))
+    assert pencil.n_factorizations == 0
+
+
+@pytest.mark.parametrize("alpha", [-7.0, -7.0 + 30.0j])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_real_rhs_on_a_complex_lu_and_the_first_rhs_are_bitwise(alpha, ordered, monkeypatch):
+    # SuperLU casts a real right-hand side to a complex LU's dtype, and a
+    # right-hand side solved with the probe at construction is handed to
+    # its first solve: both bitwise what the plain solve gives
+    if ordered:
+        monkeypatch.setattr(linalg, "_ND_MIN_N", 0)
+    rng = np.random.default_rng(23)
+    pencil = ShiftedPencil(gen_cd2d(15) + sp.random(225, 225, density=0.01, random_state=rng))
+    assert (pencil.perm is not None) == ordered
+    plain = sparse_shifted_factorize(pencil, alpha)
+    for b in (rng.standard_normal(225), rng.standard_normal((225, 3))):
+        x = plain.solve(b)
+        assert x.shape == b.shape
+        assert np.array_equal(x, plain.solve(b.astype(np.result_type(alpha, np.float64))))
+        fact = sparse_shifted_factorize(pencil, alpha, rhs=b)
+        first = fact.solve(b)
+        assert first.dtype == x.dtype and first.shape == b.shape
+        assert np.array_equal(first, x)
+        assert np.array_equal(fact.solve(b), x)  # later solves solve again
+    assert pencil.n_factorizations == 3
+
+
 class _NoFactorsLU:
     """SuperLU stand-in whose L and U factors may not be formed."""
 
@@ -171,15 +212,17 @@ def test_factorization_never_forms_L_or_U(monkeypatch):
 
 
 class _ProbedLU(_NoFactorsLU):
-    """SuperLU stand-in that records the right-hand side of each solve."""
+    """SuperLU stand-in that records the right-hand side of each solve and
+    its solution's dtype."""
 
     def __init__(self, lu, rhs):
         super().__init__(lu)
         self._rhs = rhs
 
     def solve(self, rhs, trans="N"):
-        self._rhs.append(np.array(rhs))
-        return super().solve(rhs, trans)
+        x = super().solve(rhs, trans)
+        self._rhs.append((np.array(rhs), x.dtype))
+        return x
 
 
 def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
@@ -198,9 +241,9 @@ def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
         sparse_shifted_factorize(pencil, alpha)
     assert draws == [(0,)]
     assert_allclose(pencil.probe, draw, rtol=0, atol=0)  # no solve overwrote it
-    # each LU's first solve is the probe, in the LU's arithmetic
-    assert [r.dtype for r in rhs] == [np.float64, np.complex128, np.float64]
-    for r in rhs:
+    # each LU's first solve is the probe, solved in the LU's arithmetic
+    assert [dtype for _, dtype in rhs] == [np.float64, np.complex128, np.float64]
+    for r, _ in rhs:
         assert_allclose(r, draw, rtol=0, atol=0)
 
 
@@ -252,6 +295,22 @@ def test_nested_dissection_separates_a_grid():
             break
     assert ncomp == 2
     assert np.bincount(lab).min() >= 0.25 * A.shape[0]
+
+
+@pytest.mark.parametrize("case, digest", [
+    ("cd2d(40)", "68ad6a77d05839bf2cab2c7b70259d1fa027efe49530d4d27de206584ee4e4a6"),
+    ("cd3d(11)", "d7dd15c0afd3f24dbef6a669049dbef8c2c736929b67503ee6dc29cf3ee25a4e"),
+    ("path(2048)", "5ccf19f4f2c0424bb9636387a42e899d136172cb5e410c08d271cedf5925f25d"),
+])
+def test_nested_dissection_order_is_pinned(case, digest):
+    # SHA-256 of the order of P + P^T, P = |A| + I as a pencil without M
+    # builds it; any change to the ordering must leave these permutations
+    # (and with them every dissected LU) as they are
+    A = {"cd2d(40)": lambda: gen_cd2d(40), "cd3d(11)": lambda: gen_cd3d(11),
+         "path(2048)": lambda: _tridiagonal(2048)}[case]()
+    P = abs(A) + sp.identity(A.shape[0])
+    perm = nested_dissection_order(P + P.T)
+    assert hashlib.sha256(np.asarray(perm, dtype=np.int64).tobytes()).hexdigest() == digest
 
 
 def test_nested_dissection_only_for_large_pencils():
@@ -306,9 +365,9 @@ def test_permuted_factorization_solves(alpha, mass, dissect_all, recorded_lu,
     fact = sparse_shifted_factorize(pencil, alpha)
     lu, = recorded_lu
     assert np.array_equal(lu.perm_c, np.arange(225))  # factored as ordered
-    assert fact.is_complex == (np.imag(alpha) != 0)
     for b in (rng.standard_normal(225), rng.standard_normal((225, 3))):
         x = fact.solve(b)
+        assert x.dtype == (np.complex128 if np.imag(alpha) != 0 else np.float64)
         assert x.shape == b.shape
         assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
     if mass:

@@ -725,8 +725,9 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_real_axis_exact_curvature_forms_no_xi_derivative(g, monkeypatch):
-    # the 1 x 1 exact curvature reads Psi_nunu only: four solves for the
-    # powers of (H + alpha I)^{-1}, g for Psi, g - 1 each for Psi_nu and
+    # the 1 x 1 exact curvature reads Psi_nunu only: three solves for the
+    # powers of (H + alpha I)^{-1} Wt, a fourth when g >= 2 gives Psi_nunu
+    # a second term, g - 1 each for Psi (from the first power), Psi_nu and
     # Psi_nunu, and g - 2 for Psi_nunu's second term
     co = make_objective(np.random.default_rng(27), g=g, real_spectrum=True)
     solve_L, calls = resmin._solve_L, []
@@ -734,7 +735,7 @@ def test_real_axis_exact_curvature_forms_no_xi_derivative(g, monkeypatch):
                         lambda L, X: calls.append(None) or solve_L(L, X))
     nu = 0.5 * (co.bounds.nu_minus + co.bounds.nu_plus)
     nls_residual_jacobian(co, nu, 0.0, normal=True, real_axis=True, exact=True)
-    assert len(calls) == 4 + g + 2 * (g - 1) + max(g - 2, 0) == [5, 8, 12][g - 1]
+    assert len(calls) == 3 + (g >= 2) + 3 * (g - 1) + max(g - 2, 0) == [3, 7, 11][g - 1]
 
 
 def test_gradient_rejects_coalescent_gram():
