@@ -189,6 +189,8 @@ def parse_config(path, overrides=None):
         raise ConfigError(f"{path}: max_iter must be >= 1")
     if cfg.s < 1:
         raise ConfigError(f"{path}: s must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0")
     if cfg.problem in ("cd2d", "cd3d") and cfg.n0 < 1:
         raise ConfigError(f"{path}: {cfg.problem} needs n0 >= 1")
     if cfg.problem == "mm" and not cfg.a_file:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import ShiftedPencil, sparse_shifted_factorize, spectral_norm_small
 
@@ -34,6 +35,13 @@ __all__ = [
 ]
 
 
+def _stored_entries(X):
+    """The stored values of a sparse matrix, every entry of a dense one."""
+    if not sp.issparse(X):
+        return np.asarray(X)
+    return (X if X.format in ("csr", "csc", "coo") else X.tocsr()).data
+
+
 @dataclass
 class LyapunovProblem:
     """Problem data for the low-rank Lyapunov solve.
@@ -43,7 +51,8 @@ class LyapunovProblem:
     the solve is built on. Code that needs M writes ``problem.M @ X`` and
     ``problem.pencil.solve_M(X)`` under its own ``problem.M`` test.
     Construction makes every input check and raises ValueError for bad
-    data: complex A, M or B, mismatched shapes, or B = 0.
+    data: complex A, M or B, a NaN or infinite entry in B or among the
+    stored entries of A or M, mismatched shapes, or B = 0.
 
     Parameters
     ----------
@@ -73,10 +82,14 @@ class LyapunovProblem:
     max_iterations: int = 150
 
     def __post_init__(self):
-        # B, W and Z are real throughout: complex data would be truncated
+        # B, W and Z are real throughout: complex data would be truncated;
+        # a NaN or Inf would surface deep in the solve, as a singular shift
+        # or a box with no eigenvalues
         for name, X in (("A", self.A), ("M", self.M), ("B", np.asarray(self.B))):
             if np.iscomplexobj(X):
                 raise ValueError(f"{name} must be real, got dtype {X.dtype}")
+            if X is not None and not np.isfinite(_stored_entries(X)).all():
+                raise ValueError(f"{name} has a NaN or infinite entry")
         # A and M as every factorization and M-solve of the solve sees
         # them; the pencil checks their shapes, and its ordering is
         # computed on first use, inside the solve

@@ -555,6 +555,8 @@ def eval_objective(co, nu, xi=0.0):
 
     Returns +inf when H + alpha I is numerically singular (the candidate
     hits a compressed eigenvalue). nu -> 0 gives ||T Wt||^2: no progress.
+    The solve never calls it (the polish reports psi from the Psi it
+    accepted); it is the objective's pointwise reference.
     """
     try:
         Psi = _psi_derivatives(co, nu, xi, 0)[0]
@@ -715,10 +717,10 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
     columns from the analytic derivatives. The polish both steps and
     accepts its steps on this surrogate.
 
-    With ``normal`` the surrogate's value 0.5 ||r||^2 and the normal
-    equations (J^T r, J^T J) are returned instead, in closed form: the
-    columns of J stack Psi_nu and Psi_xi like r stacks Psi, so each
-    product is 2 Re vdot of two blocks. With
+    With ``normal`` the surrogate's value 0.5 ||r||^2, the normal
+    equations (J^T r, J^T J) in closed form and Psi itself are returned
+    instead: the columns of J stack Psi_nu and Psi_xi like r stacks Psi,
+    so each product is 2 Re vdot of two blocks. With
     ``normal``, ``real_axis`` keeps only the nu column (1 x 1 equations)
     and forms no derivative in xi; the stacked (r, J) always has both
     columns.
@@ -738,7 +740,7 @@ def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
             JJ += np.array([[2.0 * np.vdot(Psi, second[i][j]).real
                              for j in range(len(cols))] for i in range(len(cols))])
         return (float(np.vdot(Psi, Psi).real),
-                np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ)
+                np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ, Psi)
     rt2 = np.sqrt(2.0)
 
     def stack(X):
@@ -800,20 +802,20 @@ def _polish_gauss_newton(co, x, b, exact=False):
     ``exact`` the surrogate's exact Hessian (see nls_residual_jacobian);
     where that is not positive definite, the damping grows until it is.
     Every point is evaluated once: the nls_residual_jacobian call that
-    accepts a trial point also gives the next step's normal equations.
-    Stationarity is tested on the projected gradient and the step is
-    taken over the free variables only, so a minimum on the box's edge
-    converges like an interior one. Returns (x, psi(x),
-    iterations, stop), psi the spectral objective eval_objective, with
-    stop one of "gradient", "step" (converged), "rejected" (no decrease
-    found), "singular" (H + alpha I singular at the start) or
-    "max_iterations".
+    accepts a trial point also gives the next step's normal equations
+    and the Psi of the reported value. Stationarity is tested on the
+    projected gradient and the step is taken over the free variables
+    only, so a minimum on the box's edge converges like an interior one.
+    Returns (x, psi(x), iterations, stop), psi the spectral objective
+    ||Psi||_2^2 (+inf at a singular start), with stop one of "gradient",
+    "step" (converged), "rejected" (no decrease found), "singular"
+    (H + alpha I singular at the start) or "max_iterations".
     """
     normal = {"normal": True, "real_axis": b.real_axis, "exact": exact}
     try:
-        fx, g, JJ = nls_residual_jacobian(co, x[0], x[1], **normal)
+        fx, g, JJ, Psi = nls_residual_jacobian(co, x[0], x[1], **normal)
     except ShiftObjectiveError:
-        return x, eval_objective(co, x[0], x[1]), 1, "singular"
+        return x, np.inf, 1, "singular"
     lam = 1e-3
     diam = max(_box_diam(b), 1e-300)
     stop = "max_iterations"
@@ -844,7 +846,7 @@ def _polish_gauss_newton(co, x, b, exact=False):
                 tried = xn
             if trial[0] < fx:
                 step = np.subtract(xn, x)
-                x, (fx, g, JJ) = xn, trial
+                x, (fx, g, JJ, Psi) = xn, trial
                 lam = max(lam / 3.0, 1e-14)
                 break
             lam *= 10.0
@@ -856,7 +858,7 @@ def _polish_gauss_newton(co, x, b, exact=False):
         if np.linalg.norm(step) <= 1e-10 * diam:
             stop = "step"
             break
-    return x, eval_objective(co, x[0], x[1]), it + 1, stop
+    return x, spectral_norm_small(Psi), it + 1, stop
 
 
 # optimizer names and their short aliases, each mapped to its canonical name
@@ -898,12 +900,11 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     """
     if method not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {method!r}")
-    b = co.bounds if co.bounds is not None else derive_bounds(np.diag(co.H))
+    b = co.bounds
     exact = OPTIMIZERS[method] == "newton-trust"
 
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
-    grid = [(nu, xi) for nu in nus for xi in xis]
     vals = grid_objective(co, nus, xis)
     order = np.argsort(vals, kind="stable")[:3]
 
@@ -911,28 +912,25 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     if x0 is not None:
         z = complex(x0)
         starts.append(_box_clip((z.real, abs(z.imag)), b))
-    starts.extend(_box_clip(grid[i], b) for i in order if np.isfinite(vals[i]))
+    starts.extend(_box_clip((nus[i // xis.size], xis[i % xis.size]), b)
+                  for i in order if np.isfinite(vals[i]))
     if not starts:
         starts = [(0.5 * (b.nu_minus + b.nu_plus), 0.0)]
 
-    best = None
-    runs = []
-    for k, st in enumerate(starts):
-        x, fx, iters, stop = _polish_gauss_newton(co, st, b, exact)
-        runs.append((fx, iters, stop))
-        if best is None or fx < best[1]:
-            best = (x, fx, k)
-    x, fx, which = best
+    # (x, psi, iterations, stop) per start; the first minimum wins
+    runs = [_polish_gauss_newton(co, st, b, exact) for st in starts]
+    which = min(range(len(runs)), key=lambda k: runs[k][1])
+    x, fx, iterations, stop = runs[which]
     info = {
         "value": fx,
-        "converged": runs[which][2] in _CONVERGED,
-        "stop": runs[which][2],
-        "stops": [run[2] for run in runs],
+        "converged": stop in _CONVERGED,
+        "stop": stop,
+        "stops": [run[3] for run in runs],
         "n_starts": len(starts),
         "chosen_start": which,
         "from_guess": x0 is not None and which == 0,
         "grid_best": float(vals[order[0]]) if order.size else np.inf,
-        "iterations": runs[which][1],
+        "iterations": iterations,
     }
     # _box_clip puts every point of a real-axis box at xi = +0.0
     return complex(x[0], x[1]), info

@@ -104,6 +104,7 @@ def test_parse_config_defaults_and_label(tmp_path):
     ("n0 = 10\nstrategy = heur(1,2,2)", "problem"),
     ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\nmax_iter = 0", "max_iter"),
     ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\ns = 0", "s must be"),
+    ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\nseed = -1", "seed must be"),
 ])
 def test_parse_config_errors(tmp_path, body, fragment):
     path = write_cfg(tmp_path, "bad.cfg", body)
@@ -250,7 +251,10 @@ def test_exit_code_config_error(tmp_path, capsys):
     ({"a_file": -np.eye(6), "m_file": np.eye(5)}, "M has shape"),
     ({"a_file": -np.eye(6), "b_file": np.zeros((6, 1))}, "B must be nonzero"),
     ({"a_file": -np.eye(6), "b_file": np.ones((5, 1))}, "B has 5 rows"),
-], ids=["a missing", "b missing", "a not square", "m shape", "b zero", "b rows"])
+    ({"a_file": -np.eye(6), "b_file": np.r_[np.nan, np.ones(5)][:, None]},
+     "B has a NaN or infinite entry"),
+], ids=["a missing", "b missing", "a not square", "m shape", "b zero", "b rows",
+        "b nan"])
 def test_exit_code_bad_problem_data(tmp_path, capsys, files, fragment):
     # unreadable files and the problem's input checks end the run as
     # config errors, before any CSV (None: the file does not exist)
@@ -266,6 +270,18 @@ def test_exit_code_bad_problem_data(tmp_path, capsys, files, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and fragment in err
     assert not (out / "bad.csv").exists()
+
+
+def test_exit_code_non_finite_coefficient(tmp_path, capsys):
+    # cx = nan puts NaN into A: a config error before any CSV, not a
+    # singular shift halfway through the run
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "nan.cfg", "problem = cd2d\nn0 = 6\ncx = nan\n"
+                     f"strategy = heur(1,2,2)\nout_dir = {out}\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "A has a NaN or infinite entry" in err
+    assert not (out / "nan.csv").exists()
 
 
 def test_exit_code_usage_error(capsys):

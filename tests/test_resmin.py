@@ -696,12 +696,12 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
         co = make_objective(rng, s=s, g=g, weighted=weighted)
         nu, xi = sample_point(co, rng)
         r, J = nls_residual_jacobian(co, nu, xi)
-        f, Jr, JJ = nls_residual_jacobian(co, nu, xi, normal=True)
+        f, Jr, JJ, _ = nls_residual_jacobian(co, nu, xi, normal=True)
         assert_allclose(f, 0.5 * r @ r, rtol=1e-12)
         assert_allclose(Jr, J.T @ r, rtol=1e-12, atol=1e-14 * np.abs(J.T @ r).max())
         assert_allclose(JJ, J.T @ J, rtol=1e-12)
         # on a real-axis box only the nu column is formed
-        f1, Jr1, JJ1 = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
+        f1, Jr1, JJ1, _ = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
         assert f1 == f
         assert Jr1.shape == (1,) and JJ1.shape == (1, 1)
         assert_allclose(Jr1, Jr[:1], rtol=1e-12)
@@ -710,15 +710,15 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
         d = 1e-6 * max(abs(nu), 1.0)
         for x in (0.0, xi):
             Jr_x = nls_residual_jacobian(co, nu, x, normal=True)[1]
-            _, g2, H2 = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
+            _, g2, H2, _ = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
             assert_array_equal(g2, Jr_x)
             fd = np.column_stack([
                 (nls_residual_jacobian(co, nu + dn, x + dx, normal=True)[1]
                  - nls_residual_jacobian(co, nu - dn, x - dx, normal=True)[1]) / (2 * d)
                 for dn, dx in [(d, 0.0), (0.0, d)]])
             assert_allclose(H2, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
-            _, g1, H1 = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
-                                              exact=True)
+            _, g1, H1, _ = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
+                                                 exact=True)
             assert_array_equal(g1, Jr_x[:1])
             assert_allclose(H1, H2[:1, :1], rtol=1e-12)
 
@@ -879,10 +879,10 @@ def test_polish_converges_on_the_box_edge(method, case):
 
 @pytest.mark.parametrize("s, g, exact", [(1, 1, False), (2, 3, False), (1, 2, True)])
 def test_polish_evaluates_each_point_once(s, g, exact, monkeypatch):
-    # the call that accepts a trial point also gives the next step, and a
-    # trial clipped onto the point just refused is not evaluated again (the
-    # (2, 3) and exact cases have such trials); the last call is the end
-    # point's spectral value
+    # the call that accepts a trial point also gives the next step and the
+    # reported value's Psi, and a trial clipped onto the point just refused
+    # is not evaluated again (the (2, 3) and exact cases have such trials);
+    # the end point is not evaluated again for its spectral value
     co = make_objective(np.random.default_rng(32), s=s, g=g)
     psi_derivatives, calls = resmin._psi_derivatives, []
     monkeypatch.setattr(resmin, "_psi_derivatives",
@@ -893,10 +893,10 @@ def test_polish_evaluates_each_point_once(s, g, exact, monkeypatch):
     x0 = np.array([0.5 * (b.nu_minus + b.nu_plus), 0.5 * b.xi_plus])
     x, _, iterations, stop = resmin._polish_gauss_newton(co, x0, b, exact)
     assert stop == "gradient" and iterations >= 5
-    *polish, end = calls
-    points = [(nu, xi) for nu, xi, _ in polish]
+    points = [(nu, xi) for nu, xi, _ in calls]
     assert len(set(points)) == len(points) >= iterations
-    assert points[0] == tuple(x0) and end == (x[0], x[1], 0)
+    assert points[0] == tuple(x0) and (x[0], x[1]) in points
+    assert all(order > 0 for _, _, order in calls)
 
 
 def test_polish_matches_bounded_least_squares():
@@ -941,15 +941,21 @@ def test_polish_matches_bounded_least_squares():
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_polish_stops_on_a_singular_shift(exact):
+def test_polish_stops_on_a_singular_shift(exact, monkeypatch):
     # the start -0.5 is the negative of H's eigenvalue: H + alpha I is
     # singular there, so the first Jacobian fails and the polish stops
+    # with psi = +inf, evaluating nothing more
     b = Bounds(-1.0, -0.25, 0.0)
     co = CompressedObjective(H=np.array([[0.5 + 0j]]), Wtil=np.ones((1, 1), dtype=complex),
                              bounds=b)
+    psi_derivatives, calls = resmin._psi_derivatives, []
+    monkeypatch.setattr(resmin, "_psi_derivatives",
+                        lambda *args, **kwargs: calls.append(args)
+                        or psi_derivatives(*args, **kwargs))
     x, fx, iterations, stop = resmin._polish_gauss_newton(co, np.array([-0.5, 0.0]), b, exact)
     assert (stop, iterations) == ("singular", 1)
     assert_array_equal(x, [-0.5, 0.0])
+    assert fx == np.inf and len(calls) == 1
 
 
 def test_polish_refuses_a_trial_clipped_onto_a_pole(monkeypatch):
