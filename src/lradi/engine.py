@@ -375,9 +375,9 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         # release the last group's LU only now, just before the next one is
         # built: SuperLU allocates the same sizes at every shift, so the new
         # LU reuses the old one's memory instead of faulting in fresh pages;
-        # the group's first solve rides with the LU's singularity probe
+        # the group's first solve carries the LU's singularity probe
         fact = None
-        fact = sparse_shifted_factorize(problem.pencil, alpha, rhs=state.W)
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
         done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
         if on_step is not None:
             now = time.monotonic() - t0

@@ -196,8 +196,9 @@ class ShiftedPencil:
     solution back, unless that order is the given one. A's and M's values
     are laid out once on the CSC pattern of their union, so a shifted
     matrix costs one axpy on the values: no sparse sum and no format
-    conversion. ``n_factorizations`` counts the shifted LUs built on the
-    pencil that passed their singularity test; M's LU is not counted.
+    conversion. ``n_factorizations`` counts every shifted LU that SuperLU
+    returned on the pencil, whether or not a solve later refused it as
+    numerically singular; M's LU is not counted.
     """
 
     def __init__(self, A, M=None):
@@ -296,7 +297,8 @@ class ShiftedPencil:
         the solution back; ``rhs`` is (n,) or (n, k), and SuperLU casts a
         real one to a complex LU's dtype. With ``probe`` the pencil's
         ``probe`` is one more column of the same SuperLU call (each column
-        bitwise what its own solve gives), returned as (x, K^{-1} probe).
+        bitwise what its own solve gives), returned as (x, K^{-1} probe);
+        only ShiftedFactorization.solve sets it, for its singularity test.
         """
         perm, iperm = self._layout.perm, self._layout.iperm
         b = rhs if perm is None else rhs[perm]
@@ -330,22 +332,20 @@ class ShiftedFactorization:
         Shift. A shift with zero imaginary part is cast to a real scalar,
         so a real A (and M) gives a float64 factorization; only a shift
         with nonzero imaginary part pays for complex128 arithmetic.
-    rhs
-        Optional first right-hand side, solved at construction in one
-        SuperLU call with the singularity probe; the first ``solve`` of
-        this same array object (unchanged since) is handed that solution.
 
     K is assembled by the pencil in its order and factored by the
     pencil's ``lu`` in symmetric mode with diagonal pivot threshold 0.1: as
     it stands after a nested-dissection ordering (1000 unknowns or more),
-    otherwise ordered by minimum degree on K + K^T. Singularity is tested
-    without forming the L and U factors: one solve K x = b with the
-    pencil's fixed +-1 vector b (``probe``, drawn once per pencil), and
-    SingularShiftError when x is not finite or
-    ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a lower bound
-    of the condition number kappa_inf(K). An unstable A reaches this
-    error only when a shift lands on the negative of one of its
-    eigenvalues; usually its solve just runs to max_iterations
+    otherwise ordered by minimum degree on K + K^T; the pencil counts the
+    LU once SuperLU returns it. An exactly singular K raises
+    SingularShiftError here. A nearly singular one is caught by the first
+    ``solve``, without forming the L and U factors: the pencil's fixed +-1
+    vector b (``probe``, drawn once per pencil) is one more column of that
+    solve, and SingularShiftError is raised when x = K^{-1} b is not
+    finite or ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a
+    lower bound of the condition number kappa_inf(K). An unstable A
+    reaches this error only when a shift lands on the negative of one of
+    its eigenvalues; usually its solve just runs to max_iterations
     (ROADMAP.md, item 3).
 
     Solves with multiple right-hand sides are cheap once the factorization
@@ -354,7 +354,7 @@ class ShiftedFactorization:
     gathers and scatters them through the pencil's order.
     """
 
-    def __init__(self, pencil, alpha, rhs=None):
+    def __init__(self, pencil, alpha):
         if np.imag(alpha) == 0.0:
             alpha = float(np.real(alpha))
         K = pencil.shifted(alpha)
@@ -364,32 +364,30 @@ class ShiftedFactorization:
             raise SingularShiftError(
                 f"factorization of A + ({alpha})*M failed: {exc}"
             ) from exc
-        # splu can succeed on a nearly singular K: bound its condition from
-        # below with one solve against the pencil's pseudo-random +-1 vector
-        self._first = None
-        if rhs is None:
-            x = self._lu.solve(pencil.probe)
-        else:
-            first, x = pencil.solve(self._lu, np.asarray(rhs), probe=True)
-            self._first = (rhs, first)
-        with np.errstate(all="ignore"):
-            row_sums = np.bincount(K.indices, np.abs(K.data), minlength=pencil.n)
-            cond = row_sums.max(initial=0.0) * np.max(np.abs(x), initial=0.0)
-        if not cond < _COND_LIMIT:  # also true for nan
-            raise SingularShiftError(
-                f"A + ({alpha})*M is numerically singular "
-                f"(condition number >= {cond:.2e})"
-            )
         pencil.n_factorizations += 1
+        row_sums = np.bincount(K.indices, np.abs(K.data), minlength=pencil.n)
+        self._norm = row_sums.max(initial=0.0)  # ||K||_inf; None once a solve passed
         self._pencil = pencil
         self.alpha = alpha
 
     def solve(self, rhs):
-        """Solve (A + alpha*M) x = rhs for one or several right-hand sides."""
-        if self._first is not None and rhs is self._first[0]:
-            x, self._first = self._first[1], None
-            return x
-        return self._pencil.solve(self._lu, np.asarray(rhs))
+        """Solve (A + alpha*M) x = rhs for one or several right-hand sides.
+
+        Until one has passed, each solve carries the singularity probe and
+        raises SingularShiftError when it fails.
+        """
+        if self._norm is None:
+            return self._pencil.solve(self._lu, np.asarray(rhs))
+        x, p = self._pencil.solve(self._lu, np.asarray(rhs), probe=True)
+        with np.errstate(all="ignore"):
+            cond = self._norm * np.max(np.abs(p), initial=0.0)
+        if not cond < _COND_LIMIT:  # also true for nan
+            raise SingularShiftError(
+                f"A + ({self.alpha})*M is numerically singular "
+                f"(condition number >= {cond:.2e})"
+            )
+        self._norm = None
+        return x
 
 
 # the name under which engine and resmin build every shifted LU

@@ -38,7 +38,7 @@ from lradi.engine import (
     run_multistep_group,
     scaled_residual,
 )
-from lradi.linalg import sparse_shifted_factorize
+from lradi.linalg import SingularShiftError, sparse_shifted_factorize
 from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
 from lradi.strategies import CyclicShifts, make_strategy
 from test_acceptance import _fem_pair
@@ -268,15 +268,16 @@ def test_probe_rides_each_groups_first_solve(monkeypatch):
     # every shifted LU of a solve makes one SuperLU solve per step (per
     # pair for a complex shift) and none for its singularity probe: the
     # probe is the last column of the group's first solve
-    solves = []
+    solves, rhs = [], []
 
     class CountedLU:
         def __init__(self, lu):
             self._lu = lu
 
-        def solve(self, rhs, trans="N"):
-            solves.append(np.shape(rhs))
-            return self._lu.solve(rhs, trans)
+        def solve(self, b, trans="N"):
+            solves.append(np.shape(b))
+            rhs.append(np.array(b))
+            return self._lu.solve(b, trans)
 
     monkeypatch.setattr(linalg, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
     rng = np.random.default_rng(12)
@@ -292,6 +293,46 @@ def test_probe_rides_each_groups_first_solve(monkeypatch):
     assert len(solves) == report.iterations - pairs
     assert solves.count((20, 3)) == report.n_factorizations
     assert solves[:3] == [(20, 3), (20, 3), (20, 2)]
+
+    # the seed's LU of resmin+EK(3,1) (m = 1) carries the probe on its
+    # first solve too: no SuperLU solve holds the probe alone, and each
+    # shifted LU, the seed's included, solves it exactly once
+    rhs.clear()
+    A, M = _fem_pair(200)
+    problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+EK(3,1)+gn")))
+    assert report.converged
+    probe = problem.pencil.probe
+    assert not any(b.ndim == 1 and np.array_equal(b, probe) for b in rhs)
+    probed = [b for b in rhs if b.ndim == 2 and np.array_equal(b[:, -1], probe)]
+    assert len(probed) == report.n_factorizations
+
+
+def test_singular_shift_mid_solve_leaves_the_completed_steps():
+    # the near-singular bidiagonal shift of test_linalg's
+    # test_shifted_factorization_near_singular, reached after a regular
+    # group: its LU is built and counted, its first solve refuses it, and
+    # neither on_step nor the state sees anything of the refused group
+    n, alpha = 30, -3.0
+    d = np.linspace(1.0, 10.0, n)
+    d[n // 2] = 1e-16 * d.max()
+    A = sp.diags([d - alpha, np.ones(n - 1)], [0, 1], format="csr")
+    problem = LyapunovProblem(A, np.ones((n, 2)), tol=1e-12)
+    held, steps = [], []
+
+    class Holding(CyclicShifts):
+        def next_shift(self, state):
+            held.append(state)
+            return super().next_shift(state)
+
+    with pytest.raises(SingularShiftError, match="numerically singular"):
+        lr_adi_solve(problem, Holding([alpha - 0.5, alpha]),
+                     on_step=lambda i, res, shift, *_: steps.append((i, res, shift)))
+    state = held[-1]
+    assert len(held) == 2 and problem.pencil.n_factorizations == 2
+    assert state.shifts == [complex(alpha - 0.5)] and len(state.res_history) == 1
+    assert state.Z.shape == (n, 2)
+    assert steps == [(1, state.res_history[0], state.shifts[0])]
 
 
 @pytest.mark.parametrize("s", [1, 3])

@@ -130,44 +130,50 @@ def test_shifted_factorization_near_singular(alpha):
     d[n // 2] = 1e-16 * d.max()
     S = sp.diags([d, np.ones(n - 1)], [0, 1], format="csr", dtype=np.result_type(alpha))
     A = S - alpha * sp.identity(n, format="csr")
+    fact = sparse_shifted_factorize(ShiftedPencil(A), alpha)  # tested on its first solve
     with pytest.raises(SingularShiftError, match="numerically singular"):
-        sparse_shifted_factorize(ShiftedPencil(A), alpha)
+        fact.solve(np.ones(n))
     fact = sparse_shifted_factorize(ShiftedPencil(A), alpha - 0.5)  # a shift away: regular
     assert np.all(np.isfinite(fact.solve(np.ones(n))))
 
 
 @pytest.mark.parametrize("alpha", [-3.0, -3.0 + 2.0j])
 def test_probe_with_first_rhs_still_refuses_near_singular_shift(alpha):
-    # test_shifted_factorization_near_singular's shifts, with a first
-    # right-hand side riding along: the probe column still fails the test
-    # at construction, and the refused LU is not counted
+    # test_shifted_factorization_near_singular's shifts, with a block first
+    # right-hand side that the probe rides: the probe column fails the
+    # test, every later solve is refused too, and the refused LU, which
+    # SuperLU did return, is counted
     n = 30
     d = np.linspace(1.0, 10.0, n)
     d[n // 2] = 1e-16 * d.max()
     S = sp.diags([d, np.ones(n - 1)], [0, 1], format="csr", dtype=np.result_type(alpha))
     pencil = ShiftedPencil(S - alpha * sp.identity(n, format="csr"))
-    with pytest.raises(SingularShiftError, match="numerically singular"):
-        sparse_shifted_factorize(pencil, alpha, rhs=np.ones((n, 2)))
-    assert pencil.n_factorizations == 0
+    fact = sparse_shifted_factorize(pencil, alpha)
+    assert pencil.n_factorizations == 1
+    for _ in range(2):
+        with pytest.raises(SingularShiftError, match="numerically singular"):
+            fact.solve(np.ones((n, 2)))
+    assert pencil.n_factorizations == 1
 
 
 @pytest.mark.parametrize("alpha", [-7.0, -7.0 + 30.0j])
 @pytest.mark.parametrize("ordered", [False, True])
 def test_real_rhs_on_a_complex_lu_and_the_first_rhs_are_bitwise(alpha, ordered, monkeypatch):
     # SuperLU casts a real right-hand side to a complex LU's dtype, and a
-    # right-hand side solved with the probe at construction is handed to
-    # its first solve: both bitwise what the plain solve gives
+    # first solve, which carries the probe as one more column, is bitwise
+    # what a later plain solve gives
     if ordered:
         monkeypatch.setattr(linalg, "_ND_MIN_N", 0)
     rng = np.random.default_rng(23)
     pencil = ShiftedPencil(gen_cd2d(15) + sp.random(225, 225, density=0.01, random_state=rng))
     assert (pencil.perm is not None) == ordered
     plain = sparse_shifted_factorize(pencil, alpha)
+    plain.solve(np.ones(225))  # its probed first solve
     for b in (rng.standard_normal(225), rng.standard_normal((225, 3))):
         x = plain.solve(b)
         assert x.shape == b.shape
         assert np.array_equal(x, plain.solve(b.astype(np.result_type(alpha, np.float64))))
-        fact = sparse_shifted_factorize(pencil, alpha, rhs=b)
+        fact = sparse_shifted_factorize(pencil, alpha)
         first = fact.solve(b)
         assert first.dtype == x.dtype and first.shape == b.shape
         assert np.array_equal(first, x)
@@ -238,13 +244,18 @@ def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
     A = sp.csr_matrix(default_rng(13).standard_normal((n, n)) - 25 * np.eye(n))
     pencil = ShiftedPencil(A)
     for alpha in (-1.5, -1.5 + 4.0j, -2.0):
-        sparse_shifted_factorize(pencil, alpha)
+        fact = sparse_shifted_factorize(pencil, alpha)
+        for _ in range(2):
+            fact.solve(np.ones(n))
     assert draws == [(0,)]
     assert_allclose(pencil.probe, draw, rtol=0, atol=0)  # no solve overwrote it
-    # each LU's first solve is the probe, solved in the LU's arithmetic
-    assert [dtype for _, dtype in rhs] == [np.float64, np.complex128, np.float64]
-    for r, _ in rhs:
-        assert_allclose(r, draw, rtol=0, atol=0)
+    # each LU's first solve carries the probe as its last column, solved
+    # in the LU's arithmetic, and its second solve is plain
+    dtypes = [np.float64, np.complex128, np.float64]
+    assert [dtype for _, dtype in rhs] == [d for d in dtypes for _ in range(2)]
+    for first, second in zip(rhs[::2], rhs[1::2]):
+        assert first[0].shape == (n, 2) and second[0].shape == (n,)
+        assert_allclose(first[0][:, 1], draw, rtol=0, atol=0)
 
 
 def test_complex_shift_fill_stays_low(recorded_lu):

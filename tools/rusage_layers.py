@@ -12,7 +12,9 @@ calls into each layer: the shifted LUs (``lu``), the extended Krylov seed
 Z (``z_push``) and the rest of ``next_shift`` (``next_shift``). Each
 layer counts its own faults and seconds, without those of the layers it
 calls (the seed's LU counts as ``lu``); ``rest`` is what the solve spends
-outside them. With ``--against``, samples alternate between that source
+outside them. ``lu`` is the factorization alone: an LU's first solve,
+which carries its singularity probe, counts with the layer that calls it
+(the step's in ``rest``, the seed's in ``seed``). With ``--against``, samples alternate between that source
 tree and this checkout's ``src``, each side running first in every other
 pair. The last line of standard output is a JSON object with every
 sample and the medians per source tree.
