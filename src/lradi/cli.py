@@ -359,6 +359,3 @@ def main(argv=None):
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

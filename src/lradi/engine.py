@@ -171,7 +171,12 @@ class AdiState:
     def _push(self, block, shifts, residuals):
         k, w = self.j * self.problem.s, block.shape[1]
         if k + w > self._zbuf.shape[1]:
-            # doubling keeps the total copy cost linear in the final size
+            # doubling keeps the total copy cost linear in the final size.
+            # Reserving (max_iterations + 1)*s columns up front lowers peak
+            # RSS (2-core host: cd2d-flagship 139-167 -> 126-146 MB,
+            # fem-multistep 186 -> 159-171 MB) but leaves SuperLU fresh
+            # mappings to fault in: cd2d's minor faults rose from 64-97k to
+            # 178-224k and its system time from 0.12-0.18 to 0.32-0.49 s.
             buf = np.empty((self.problem.n, max(2 * self._zbuf.shape[1], k + w)), order="F")
             buf[:, :k] = self._zbuf[:, :k]
             self._zbuf = buf

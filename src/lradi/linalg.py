@@ -166,8 +166,7 @@ def nested_dissection_order(P):
 
 
 class _Layout(NamedTuple):
-    ordered: bool  # in nested-dissection order: factored as it stands
-    perm: object  # that order, None when it is the given one (no gathers)
+    perm: object  # nested-dissection order, None when it is the given one (no gathers)
     iperm: object
     indptr: object  # CSC pattern of A + M, in the pencil's order
     indices: object
@@ -217,9 +216,8 @@ class ShiftedPencil:
         n = self.n
         A = sp.csc_matrix(self.A)
         M = sp.identity(n, format="csc") if self.M is None else sp.csc_matrix(self.M)
-        ordered = n >= _ND_MIN_N
         perm = iperm = None
-        if ordered:
+        if n >= _ND_MIN_N:
             P = abs(A) + abs(M)
             perm = nested_dissection_order(P + P.T)
         if perm is not None and np.array_equal(perm, np.arange(n)):
@@ -247,7 +245,7 @@ class ShiftedPencil:
             vals[np.searchsorted(where, keys(X))] = X.data
             return vals
 
-        return _Layout(ordered, perm, iperm, union.indptr.astype(np.intc),
+        return _Layout(perm, iperm, union.indptr.astype(np.intc),
                        union.indices.astype(np.intc), values(A), values(M), M)
 
     @cached_property
@@ -285,7 +283,7 @@ class ShiftedPencil:
         """
         return splu(
             K,
-            permc_spec="NATURAL" if self._layout.ordered else "MMD_AT_PLUS_A",
+            permc_spec="NATURAL" if self.n >= _ND_MIN_N else "MMD_AT_PLUS_A",
             diag_pivot_thresh=_DIAG_PIVOT_THRESH,
             options=dict(SymmetricMode=True),
         )

@@ -53,36 +53,36 @@ def _log_adi_product(z, used):
     return out
 
 
-def penzl_select(candidates, J):
-    """Greedy shift selection from a candidate set (usually Ritz values).
+def _penzl_step(candidates, used):
+    """One step of Penzl's greedy rule, over the candidates in ascending-|lambda|
+    order (ties go to the first). With no used shifts it is the minimax shift,
+    the alpha minimizing max_lambda |(lambda - conj(alpha))/(lambda + alpha)|;
+    otherwise the candidate where the accumulated ADI product over ``used`` is
+    largest (the least-damped spot)."""
+    cand = np.asarray(list(candidates), dtype=np.complex128)
+    cand = cand[np.argsort(np.abs(cand), kind="stable")]
+    if not used:
+        worst = np.empty(cand.size)
+        for i, a in enumerate(cand):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                worst[i] = np.max(np.abs((cand - np.conj(a)) / (cand + a)))
+        return complex(cand[int(np.argmin(worst))])
+    return complex(cand[int(np.argmax(_log_adi_product(cand, used)))])
 
-    The first shift minimizes, over candidates alpha, the worst single-step
-    reduction max_lambda |(lambda - conj(alpha))/(lambda + alpha)|. Each
-    further shift is the candidate where the accumulated product over the
-    shifts chosen so far is largest (the least-damped spot). Complex picks
-    append their conjugate immediately, so the result may exceed J by one.
-    Ties go to the first occurrence in ascending-|lambda| order.
-    """
+
+def penzl_select(candidates, J):
+    """Greedy shift selection from a candidate set (usually Ritz values):
+    _penzl_step repeated from no shifts. Complex picks append their conjugate
+    immediately, so the result may exceed J by one."""
     cand = np.asarray(list(candidates), dtype=np.complex128)
     if cand.size == 0:
         raise ValueError("no candidates to select shifts from")
-    cand = cand[np.argsort(np.abs(cand), kind="stable")]
-
-    worst = np.empty(cand.size)
-    for i, a in enumerate(cand):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            worst[i] = np.max(np.abs((cand - np.conj(a)) / (cand + a)))
-    first = cand[int(np.argmin(worst))]
-
-    out = [first]
-    if first.imag != 0.0:
-        out.append(np.conj(first))
-    while len(out) < J:
-        pick = cand[int(np.argmax(_log_adi_product(cand, out)))]
-        out.append(pick)
-        if pick.imag != 0.0:
-            out.append(np.conj(pick))
-    return [complex(a) for a in out]
+    out = []
+    while not out or len(out) < J:
+        out.append(_penzl_step(cand, out))
+        if out[-1].imag != 0.0:
+            out.append(out[-1].conjugate())
+    return out
 
 
 def precomputed_heuristic(problem, J, p, m):
@@ -215,15 +215,9 @@ class PrecomputedHeuristicStrategy:
 
 
 def _greedy_pick(co, state):
-    """Penzl's greedy step continued from the executed shifts: the Ritz value
-    where the accumulated ADI product over ``state.shifts`` is largest (ties
-    to the smallest |lambda|), and before the first step penzl_select's first
-    shift (the double step runs a complex pick's partner, so only it is taken)."""
-    if not state.shifts:
-        return penzl_select(co.eigenvalues, 1)[0], None
-    cand = co.eigenvalues
-    cand = cand[np.argsort(np.abs(cand), kind="stable")]
-    return complex(cand[int(np.argmax(_log_adi_product(cand, state.shifts)))]), None
+    """Penzl's greedy step continued from the executed shifts (the double
+    step runs a complex pick's partner, so only the pick is taken)."""
+    return _penzl_step(co.eigenvalues, state.shifts), None
 
 
 # Each picker maps the current compressed model (and the state, for the

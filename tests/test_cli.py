@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +289,29 @@ def test_exit_code_usage_error(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_python_m_lradi_is_the_entry_point(tmp_path):
+    # ``python -m lradi`` runs __main__.py, which exits with main()'s code
+    src = str(Path(lradi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "out"
+
+    def run(name, text):
+        return subprocess.run([sys.executable, "-m", "lradi", "run",
+                               write_cfg(tmp_path, name, text)],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("tiny.cfg", run_cfg_text(out))
+    assert done.returncode == 0, done.stderr
+    header = (out / "tiny.csv").read_text().splitlines()[0]
+    assert header == "iter,res,shift_re,shift_im,t_shift_cum,t_total_cum"
+    summary = json.loads((out / "tiny.json").read_text())
+    assert {"iters", "t_total", "t_shift", "final_residual", "status"} <= set(summary)
+    failed = run("noproblem.cfg", f"n0 = 8\nstrategy = heur(6,8,8)\nout_dir = {out}\n")
+    assert failed.returncode == 1
+    assert "config error" in failed.stderr
 
 
 def test_exit_code_solver_error_keeps_partial_csv(tmp_path, capsys):

@@ -2,11 +2,12 @@ import ast
 import json
 import logging
 import math
-import os
+import shutil
 import subprocess
 import sys
 import weakref
 from collections import Counter
+from functools import reduce
 from itertools import cycle
 from pathlib import Path
 from types import SimpleNamespace
@@ -614,20 +615,12 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
     assert len(lus) == report.n_factorizations + (M is not None)
 
 
-def _lradi_owner(path):
-    """The lradi object a dotted path names, e.g. "engine.AdiState"."""
-    head, *rest = path.split(".")
-    owner = {"engine": engine, "linalg": linalg, "resmin": resmin,
-             "strategies": strategies}[head]
-    for attr in rest:
-        owner = getattr(owner, attr)
-    return owner
+_ROOT = Path(__file__).resolve().parents[1]  # the checkout
 
 
 def _assigned(relpath, name):
     """Every value assigned to ``name`` in a file of this checkout, as AST."""
-    source = Path(__file__).resolve().parents[1] / relpath
-    return [node.value for node in ast.walk(ast.parse(source.read_text()))
+    return [node.value for node in ast.walk(ast.parse((_ROOT / relpath).read_text()))
             if isinstance(node, ast.Assign) and len(node.targets) == 1
             and getattr(node.targets[0], "id", None) == name]
 
@@ -639,33 +632,55 @@ def _benchmark_patch_points():
     covered here too; ``name`` is the owner as spans.py writes it plus
     the attribute, e.g. "linalg.ShiftedFactorization.solve".
     """
+    modules = {"engine": engine, "linalg": linalg, "resmin": resmin, "strategies": strategies}
     points = []
     for value in _assigned("perfbench/spans.py", "points"):
         for entry in value.elts:
             path, attr = ast.unparse(entry.elts[0]), entry.elts[1].value
-            points.append((f"{path}.{attr}", _lradi_owner(path), attr))
+            head, *rest = path.split(".")
+            owner = reduce(getattr, rest, modules[head])
+            points.append((f"{path}.{attr}", owner, attr))
     return points
 
 
+# the span names the fem-multistep workload's solve enters: those of
+# perfbench/spans.py's points, and the two that perfbench/sample.py wraps itself
+_FEM_LAYERS = {
+    "linalg.splu", "linalg.factor", "linalg.solve", "linalg.block_orth",
+    "engine.step", "engine.residual_norm", "strategies.schur_stabilize",
+    "strategies.hamiltonian", "resmin.seed", "resmin.recycle_krylov",
+    "resmin.optimize", "resmin.jacobian", "strategies.next_shift", "engine.lr_adi_solve",
+}
+
+
+def _rusage_tool(*args):
+    """The JSON last line of a tools/rusage_layers.py run."""
+    out = subprocess.run([sys.executable, str(_ROOT / "tools" / "rusage_layers.py"), *args],
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
 def test_rusage_tool_patch_points_exist():
-    # tools/rusage_layers.py rebinds these lradi attributes by name and no
-    # other test runs it, so a rename in src must fail here
-    (value,) = _assigned("tools/rusage_layers.py", "PATCH_POINTS")
-    points = ast.literal_eval(value)
-    assert len(points) == 5
-    for path, attr, _ in points:
-        assert callable(getattr(_lradi_owner(path), attr)), f"{path}.{attr}"
-    # and one sample of it sees every layer: a call that bypasses the
-    # rebound names (the seed, the recycled compression) leaves its layer out
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, str(root / "tools" / "rusage_layers.py"), "--one",
-         "--workload", "fem-multistep", "--seed", "0"],
-        capture_output=True, text=True, env=env, check=True, timeout=300).stdout
-    record = json.loads(out.strip().splitlines()[-1])
-    assert set(record["layers"]) == {"lu", "seed", "recycle", "z_push", "next_shift", "rest"}
+    # tools/rusage_layers.py measures through the benchmark's span points,
+    # so one sample reports exactly the layers the solve enters, under the
+    # benchmark's span names, and splits the LU's faults at SuperLU itself
+    record = _rusage_tool("--one", "--workload", "fem-multistep", "--seed", "0")
+    assert set(record["layers"]) == _FEM_LAYERS
+    assert record["layers"]["linalg.splu"]["minflt"] > 0
+
+
+def test_rusage_tool_pairs_two_source_trees(tmp_path):
+    # --against alternates samples of another source tree with this
+    # checkout's src: a copy of src gives the same shifts and layers
+    copy = tmp_path / "src"
+    shutil.copytree(_ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    result = _rusage_tool("--workload", "fem-multistep", "--seed", "0", "--pairs", "1",
+                          "--against", str(copy))
+    other = result["medians"].pop(str(copy.resolve()))
+    (this,) = result["medians"].values()
+    assert other["samples"] == this["samples"] == 1
+    assert other["shift_hashes"] == this["shift_hashes"]
+    assert set(other["layers"]) == set(this["layers"]) == _FEM_LAYERS
 
 
 _COMMON_SEAMS = {

@@ -6,18 +6,17 @@ Usage, from the root of a checkout::
         [--against OTHER_CHECKOUT/src]
 
 Each sample solves one ``perfbench`` workload in a fresh interpreter with
-one BLAS thread and reads ``getrusage`` around the solve and around the
-calls into each layer: the shifted LUs (``lu``), the extended Krylov seed
-(``seed``), the recycled Krylov compression (``recycle``), the growth of
-Z (``z_push``) and the rest of ``next_shift`` (``next_shift``). Each
-layer counts its own faults and seconds, without those of the layers it
-calls (the seed's LU counts as ``lu``); ``rest`` is what the solve spends
-outside them. ``lu`` is the factorization alone: an LU's first solve,
-which carries its singularity probe, counts with the layer that calls it
-(the step's in ``rest``, the seed's in ``seed``). With ``--against``, samples alternate between that source
-tree and this checkout's ``src``, each side running first in every other
-pair. The last line of standard output is a JSON object with every
-sample and the medians per source tree.
+one BLAS thread and reads ``getrusage`` around every call into a layer.
+The layers are the benchmark's span names: those that ``Tracer.install``
+(``perfbench/spans.py``) wraps, and ``strategies.next_shift`` and
+``engine.lr_adi_solve``, wrapped here as ``perfbench/sample.py`` does.
+Each layer counts its own faults and seconds, without those of the layers
+it calls (``linalg.factor`` is an LU without its ``linalg.splu``), so the
+layers the solve enters, the only ones reported, sum to its total. With
+``--against``, samples alternate between that source tree and this
+checkout's ``src``, each side running first in every other pair. The last
+line of standard output is a JSON object with every sample and the
+medians per source tree.
 """
 
 import argparse
@@ -31,30 +30,50 @@ import sys
 import time
 from pathlib import Path
 
+# one BLAS thread, set before NumPy loads BLAS; the samples inherit it
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), "1"))
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from spans import Tracer  # noqa: E402
+
 USAGE = ("minflt", "stime", "utime")
-# (owner, attribute, layer) of every lradi attribute a sample rebinds; the
-# owner is a dotted path inside the lradi package
-PATCH_POINTS = (
-    ("engine", "sparse_shifted_factorize", "lu"),
-    ("resmin", "sparse_shifted_factorize", "lu"),
-    ("resmin", "build_seed", "seed"),
-    ("resmin", "recycle_krylov", "recycle"),
-    ("engine.AdiState", "_push", "z_push"),
-)
 
 
 def usage():
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_minflt, ru.ru_stime, ru.ru_utime
+    return np.array([ru.ru_minflt, ru.ru_stime, ru.ru_utime])
+
+
+class RusageTracer(Tracer):
+    """A Tracer that sums getrusage per layer instead of timing spans:
+    ``spans`` holds one ``[name, calls, own]`` per wrapped function, ``own``
+    being the ``USAGE`` its calls spent outside the wrapped calls they made."""
+
+    def wrap(self, name, fn, attrs=None):
+        rec, stack = [name, 0, np.zeros(len(USAGE))], self._stack
+        self.spans.append(rec)
+
+        def counted(*args, **kwargs):
+            rec[1] += 1
+            start = usage()
+            stack.append(np.zeros(len(USAGE)))  # usage of the wrapped calls inside
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent = usage() - start
+                rec[2] += spent - stack.pop()
+                if stack:
+                    stack[-1] += spent
+
+        return counted
 
 
 def one_sample(workload, seed, src):
     """Solve once in this interpreter; returns the sample's record."""
     sys.path.insert(0, str(src))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import numpy as np
-    import lradi
     from lradi import LyapunovProblem, lr_adi_solve
     from lradi.cli import parse_strategy
     from lradi.strategies import make_strategy
@@ -65,44 +84,25 @@ def one_sample(workload, seed, src):
     problem = LyapunovProblem(A, B, M=M, tol=w.tol, max_iterations=w.max_iterations)
     strategy = make_strategy(parse_strategy(w.strategy))
 
-    totals = {}
-    stack = []  # usage of the enclosing layers' children so far
-
-    def wrap(name, fn):
-        def counted(*args, **kwargs):
-            start = usage()
-            stack.append([0.0] * len(USAGE))
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent = [b - a for a, b in zip(start, usage())]
-                inner = stack.pop()
-                own = totals.setdefault(name, [0.0] * len(USAGE))
-                for k, v in enumerate(spent):
-                    own[k] += v - inner[k]
-                    if stack:
-                        stack[-1][k] += v
-        return counted
-
-    for path, attr, name in PATCH_POINTS:
-        owner = lradi
-        for part in path.split("."):
-            owner = getattr(owner, part)
-        setattr(owner, attr, wrap(name, getattr(owner, attr)))
-    strategy.next_shift = wrap("next_shift", strategy.next_shift)
-    solve = wrap("rest", lr_adi_solve)
-
-    t0 = time.perf_counter()
-    report = solve(problem, strategy)
-    solve_s = time.perf_counter() - t0
+    tracer = RusageTracer()
+    solve = tracer.wrap("engine.lr_adi_solve", lr_adi_solve)
+    strategy.next_shift = tracer.wrap("strategies.next_shift", strategy.next_shift)
+    with tracer.install():
+        t0 = time.perf_counter()
+        report = solve(problem, strategy)
+        solve_s = time.perf_counter() - t0
+    layers = {}
+    for name, calls, own in tracer.spans:
+        if calls:
+            layers[name] = layers.get(name, 0.0) + own
     shifts = np.asarray(report.shifts, dtype=np.complex128)
     return {
         "solve_s": solve_s,
         "iterations": report.iterations,
         "factorizations": report.n_factorizations,
         "shift_hash": hashlib.sha256(shifts.tobytes()).hexdigest()[:8],
-        "total": dict(zip(USAGE, map(sum, zip(*totals.values())))),
-        "layers": {name: dict(zip(USAGE, v)) for name, v in totals.items()},
+        "total": dict(zip(USAGE, sum(layers.values()).tolist())),
+        "layers": {name: dict(zip(USAGE, v.tolist())) for name, v in layers.items()},
     }
 
 
@@ -141,9 +141,6 @@ def main():
         print(json.dumps(one_sample(args.workload, args.seed, args.src)))
         return
 
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
     trees = ([args.against.resolve()] if args.against else []) + [(ROOT / "src").resolve()]
     samples = {str(t): [] for t in trees}
     for i in range(args.pairs):
@@ -151,7 +148,7 @@ def main():
             out = subprocess.run(
                 [sys.executable, __file__, "--one", "--workload", args.workload,
                  "--seed", str(args.seed), "--src", str(tree)],
-                stdout=subprocess.PIPE, text=True, env=env, check=True).stdout
+                stdout=subprocess.PIPE, text=True, check=True).stdout
             rec = json.loads(out.strip().splitlines()[-1])
             samples[str(tree)].append(rec)
             print(f"{tree}: solve_s {rec['solve_s']:.3f} "
