@@ -21,7 +21,9 @@ evaluated on the compressed model:
 minimized over a spectral bounding box by one Levenberg iteration that
 steps on the Frobenius surrogate || T * C(H, alpha)^g * Wt ||_F^2 (psi
 itself for a single column), with either the Gauss-Newton curvature or
-the surrogate's exact curvature.
+the surrogate's exact curvature. The polish reads its box from the model
+(co.bounds), and nls_residual_jacobian gives it only the surrogate's
+normal equations at a point (perfbench/spans.py wraps it by that name).
 """
 
 import logging
@@ -707,47 +709,31 @@ def eval_derivatives(co, nu, xi=0.0, order=2):
     return float(theta[0]), grad, hess
 
 
-def nls_residual_jacobian(co, nu, xi=0.0, normal=False, real_axis=False,
-                          exact=False):
-    """Stacked real residual and Jacobian for Gauss-Newton.
+def nls_residual_jacobian(co, nu, xi=0.0, exact=False):
+    """The polish's normal equations at (nu, xi): its whole input at one point.
 
-    r stacks sqrt(2) * [Re vec(T C^g Wt); Im vec(...)] so that
-    0.5 ||r||^2 is the Frobenius surrogate ||Psi||_F^2, which equals the
-    objective for a single column; J holds the corresponding (nu, xi)
-    columns from the analytic derivatives. The polish both steps and
-    accepts its steps on this surrogate.
-
-    With ``normal`` the surrogate's value 0.5 ||r||^2, the normal
-    equations (J^T r, J^T J) in closed form and Psi itself are returned
-    instead: the columns of J stack Psi_nu and Psi_xi like r stacks Psi,
-    so each product is 2 Re vdot of two blocks. With
-    ``normal``, ``real_axis`` keeps only the nu column (1 x 1 equations)
-    and forms no derivative in xi; the stacked (r, J) always has both
-    columns.
-    With ``normal``, ``exact`` adds the residual's own curvature
-    2 Re <Psi, Psi_ab> to J^T J, which gives the exact Hessian of
-    ||Psi||_F^2 from the second derivatives of Psi.
+    The polish treats Psi = T C^g Wt as the real residual
+    r = sqrt(2) [Re vec Psi; Im vec Psi], so that 0.5 ||r||^2 is the
+    Frobenius surrogate ||Psi||_F^2 (the objective for a single column).
+    The columns of its Jacobian J stack Psi_nu and Psi_xi like r stacks
+    Psi, so J^T r and J^T J are 2 Re vdot of two blocks, formed without r
+    or J. Returns (||Psi||_F^2, J^T r, J^T J, Psi). On a real-axis box
+    (``co.bounds.real_axis``) only the nu column is kept (1 x 1 equations)
+    and no derivative in xi is formed. ``exact`` adds the residual's own
+    curvature 2 Re <Psi, Psi_ab> to J^T J, which gives the exact Hessian
+    of ||Psi||_F^2 from the second derivatives of Psi.
     """
-    real_axis = normal and real_axis
-    exact = normal and exact
+    real_axis = co.bounds.real_axis
     out = _psi_derivatives(co, nu, xi, 2 if exact else 1, with_xi=not real_axis)
-    Psi, P_nu, P_xi = out[:3]
-    if normal:
-        cols = [P_nu] if real_axis else [P_nu, P_xi]
-        JJ = np.array([[2.0 * np.vdot(a, c).real for c in cols] for a in cols])
-        if exact:
-            second = [[out[3], out[4]], [out[4], out[5]]]
-            JJ += np.array([[2.0 * np.vdot(Psi, second[i][j]).real
-                             for j in range(len(cols))] for i in range(len(cols))])
-        return (float(np.vdot(Psi, Psi).real),
-                np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ, Psi)
-    rt2 = np.sqrt(2.0)
-
-    def stack(X):
-        v = np.asarray(X).ravel(order="F")
-        return rt2 * np.concatenate([v.real, v.imag])
-
-    return stack(Psi), np.column_stack([stack(P_nu), stack(P_xi)])
+    Psi = out[0]
+    cols = out[1:2] if real_axis else out[1:3]
+    JJ = np.array([[2.0 * np.vdot(a, c).real for c in cols] for a in cols])
+    if exact:
+        second = [[out[3], out[4]], [out[4], out[5]]]
+        JJ += np.array([[2.0 * np.vdot(Psi, second[i][j]).real
+                         for j in range(len(cols))] for i in range(len(cols))])
+    return (float(np.vdot(Psi, Psi).real),
+            np.array([2.0 * np.vdot(a, Psi).real for a in cols]), JJ, Psi)
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +744,6 @@ def _box_clip(x, b):
     """(nu, xi) moved into the box as Python floats; xi = +0.0 on a real box."""
     return (float(min(max(x[0], b.nu_minus), b.nu_plus)),
             0.0 if b.real_axis else float(min(max(x[1], 0.0), b.xi_plus)))
-
-
-def _box_diam(b):
-    return float(np.hypot(b.nu_plus - b.nu_minus, b.xi_plus))
 
 
 def _levenberg_step(g, JJ, lam, free):
@@ -793,8 +775,8 @@ def _levenberg_step(g, JJ, lam, free):
 _CONVERGED = ("gradient", "step")
 
 
-def _polish_gauss_newton(co, x, b, exact=False):
-    """Levenberg-Marquardt on the stacked residual, inside the box.
+def _polish_gauss_newton(co, x, exact=False):
+    """Levenberg-Marquardt on the stacked residual, inside the model's box.
 
     Each step is modelled on, and accepted by, one objective: the
     Frobenius surrogate ||Psi||_F^2 = 0.5 ||r||^2 (the spectral objective
@@ -811,13 +793,13 @@ def _polish_gauss_newton(co, x, b, exact=False):
     "step" (converged), "rejected" (no decrease found), "singular"
     (H + alpha I singular at the start) or "max_iterations".
     """
-    normal = {"normal": True, "real_axis": b.real_axis, "exact": exact}
+    b = co.bounds
     try:
-        fx, g, JJ, Psi = nls_residual_jacobian(co, x[0], x[1], **normal)
+        fx, g, JJ, Psi = nls_residual_jacobian(co, x[0], x[1], exact)
     except ShiftObjectiveError:
         return x, np.inf, 1, "singular"
     lam = 1e-3
-    diam = max(_box_diam(b), 1e-300)
+    diam = max(float(np.hypot(b.nu_plus - b.nu_minus, b.xi_plus)), 1e-300)
     stop = "max_iterations"
     it = 0
     for it in range(100):
@@ -840,7 +822,7 @@ def _polish_gauss_newton(co, x, b, exact=False):
             # a trial clipped onto the point just refused is refused again
             if xn != tried:
                 try:
-                    trial = nls_residual_jacobian(co, xn[0], xn[1], **normal)
+                    trial = nls_residual_jacobian(co, xn[0], xn[1], exact)
                 except ShiftObjectiveError:
                     trial = (np.inf,)  # a singular trial is no decrease
                 tried = xn
@@ -918,7 +900,7 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         starts = [(0.5 * (b.nu_minus + b.nu_plus), 0.0)]
 
     # (x, psi, iterations, stop) per start; the first minimum wins
-    runs = [_polish_gauss_newton(co, st, b, exact) for st in starts]
+    runs = [_polish_gauss_newton(co, st, exact) for st in starts]
     which = min(range(len(runs)), key=lambda k: runs[k][1])
     x, fx, iterations, stop = runs[which]
     info = {

@@ -336,6 +336,23 @@ def test_singular_shift_mid_solve_leaves_the_completed_steps():
     assert steps == [(1, state.res_history[0], state.shifts[0])]
 
 
+@pytest.mark.xfail(raises=SingularShiftError, strict=True,
+                   reason="a singular shift aborts the solve (ROADMAP item 3)")
+def test_resmin_survives_a_mass_matrix_with_tiny_rows():
+    # the fem pair with M = D (6 (n + 1) M_fem) D, D = diag(1, ..., 1, 1e-9,
+    # 1e-9, 1e-9): resmin proposes alpha of about -4.9e19, whose shifted LU
+    # has condition >= 7.55e17, and the solve raises instead of falling back
+    n = 300
+    A, M = _fem_pair(n)
+    D = sp.diags(np.r_[np.ones(n - 3), np.full(3, 1e-9)])
+    M = (D @ (6.0 * (n + 1) * M) @ D).tocsr()
+    problem = LyapunovProblem(A, gen_rhs(n, 2, 0), M=M)
+    report, state = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+EK(3,1)+gn")),
+                                 return_state=True)
+    assert np.all(np.isfinite(state.Z))
+    assert report.status is not None
+
+
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("shifts", [
     [-1.5, -2.0 + 1.5j, -7.0],

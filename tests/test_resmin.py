@@ -614,6 +614,18 @@ def sample_point(co, rng):
     return nu, xi
 
 
+def stacked_residual(co, nu, xi):
+    """The real residual r = sqrt(2) [Re vec Psi; Im vec Psi] that the
+    polish's normal equations stand for, and its (nu, xi) Jacobian, from
+    _psi_derivatives: 0.5 ||r||^2 = ||Psi||_F^2."""
+    def stack(X):
+        v = X.ravel(order="F")
+        return np.sqrt(2.0) * np.concatenate([v.real, v.imag])
+
+    Psi, Psi_nu, Psi_xi = resmin._psi_derivatives(co, nu, xi, 1)
+    return stack(Psi), np.column_stack([stack(Psi_nu), stack(Psi_xi)])
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     checked = 0
@@ -679,12 +691,12 @@ def test_jacobian_consistent_with_objective_and_fd():
     for g in (1, 2):
         co = make_objective(rng, s=1, g=g)
         nu, xi = sample_point(co, rng)
-        r, J = nls_residual_jacobian(co, nu, xi)
+        r, J = stacked_residual(co, nu, xi)
         assert_allclose(0.5 * (r @ r), eval_objective(co, nu, xi), rtol=1e-12)
         d = 1e-7 * max(abs(nu), 1.0)
         for col, (dn, dx) in enumerate([(d, 0.0), (0.0, d)]):
-            rp, _ = nls_residual_jacobian(co, nu + dn, xi + dx)
-            rm, _ = nls_residual_jacobian(co, nu - dn, xi - dx)
+            rp, _ = stacked_residual(co, nu + dn, xi + dx)
+            rm, _ = stacked_residual(co, nu - dn, xi - dx)
             assert_allclose(J[:, col], (rp - rm) / (2 * d), rtol=1e-6,
                             atol=1e-6 * max(1.0, np.abs(J).max()))
 
@@ -695,13 +707,16 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
     for g in (1, 3):
         co = make_objective(rng, s=s, g=g, weighted=weighted)
         nu, xi = sample_point(co, rng)
-        r, J = nls_residual_jacobian(co, nu, xi)
-        f, Jr, JJ, _ = nls_residual_jacobian(co, nu, xi, normal=True)
+        b = co.bounds
+        assert not b.real_axis
+        r, J = stacked_residual(co, nu, xi)
+        f, Jr, JJ, _ = nls_residual_jacobian(co, nu, xi)
         assert_allclose(f, 0.5 * r @ r, rtol=1e-12)
         assert_allclose(Jr, J.T @ r, rtol=1e-12, atol=1e-14 * np.abs(J.T @ r).max())
         assert_allclose(JJ, J.T @ J, rtol=1e-12)
         # on a real-axis box only the nu column is formed
-        f1, Jr1, JJ1, _ = nls_residual_jacobian(co, nu, xi, normal=True, real_axis=True)
+        co_real = replace(co, bounds=Bounds(b.nu_minus, b.nu_plus, 0.0))
+        f1, Jr1, JJ1, _ = nls_residual_jacobian(co_real, nu, xi)
         assert f1 == f
         assert Jr1.shape == (1,) and JJ1.shape == (1, 1)
         assert_allclose(Jr1, Jr[:1], rtol=1e-12)
@@ -709,16 +724,15 @@ def test_normal_equations_match_stacked_jacobian(s, weighted):
         # the exact curvature is the Jacobian of J^T r, on and off the real axis
         d = 1e-6 * max(abs(nu), 1.0)
         for x in (0.0, xi):
-            Jr_x = nls_residual_jacobian(co, nu, x, normal=True)[1]
-            _, g2, H2, _ = nls_residual_jacobian(co, nu, x, normal=True, exact=True)
+            Jr_x = nls_residual_jacobian(co, nu, x)[1]
+            _, g2, H2, _ = nls_residual_jacobian(co, nu, x, exact=True)
             assert_array_equal(g2, Jr_x)
             fd = np.column_stack([
-                (nls_residual_jacobian(co, nu + dn, x + dx, normal=True)[1]
-                 - nls_residual_jacobian(co, nu - dn, x - dx, normal=True)[1]) / (2 * d)
+                (nls_residual_jacobian(co, nu + dn, x + dx)[1]
+                 - nls_residual_jacobian(co, nu - dn, x - dx)[1]) / (2 * d)
                 for dn, dx in [(d, 0.0), (0.0, d)]])
             assert_allclose(H2, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
-            _, g1, H1, _ = nls_residual_jacobian(co, nu, x, normal=True, real_axis=True,
-                                                 exact=True)
+            _, g1, H1, _ = nls_residual_jacobian(co_real, nu, x, exact=True)
             assert_array_equal(g1, Jr_x[:1])
             assert_allclose(H1, H2[:1, :1], rtol=1e-12)
 
@@ -730,11 +744,12 @@ def test_real_axis_exact_curvature_forms_no_xi_derivative(g, monkeypatch):
     # a second term, g - 1 each for Psi (from the first power), Psi_nu and
     # Psi_nunu, and g - 2 for Psi_nunu's second term
     co = make_objective(np.random.default_rng(27), g=g, real_spectrum=True)
+    assert co.bounds.real_axis
     solve_L, calls = resmin._solve_L, []
     monkeypatch.setattr(resmin, "_solve_L",
                         lambda L, X: calls.append(None) or solve_L(L, X))
     nu = 0.5 * (co.bounds.nu_minus + co.bounds.nu_plus)
-    nls_residual_jacobian(co, nu, 0.0, normal=True, real_axis=True, exact=True)
+    nls_residual_jacobian(co, nu, 0.0, exact=True)
     assert len(calls) == 3 + (g >= 2) + 3 * (g - 1) + max(g - 2, 0) == [3, 7, 11][g - 1]
 
 
@@ -891,7 +906,7 @@ def test_polish_evaluates_each_point_once(s, g, exact, monkeypatch):
                         or psi_derivatives(co, nu, xi, order, with_xi))
     b = co.bounds
     x0 = np.array([0.5 * (b.nu_minus + b.nu_plus), 0.5 * b.xi_plus])
-    x, _, iterations, stop = resmin._polish_gauss_newton(co, x0, b, exact)
+    x, _, iterations, stop = resmin._polish_gauss_newton(co, x0, exact)
     assert stop == "gradient" and iterations >= 5
     points = [(nu, xi) for nu, xi, _ in calls]
     assert len(set(points)) == len(points) >= iterations
@@ -922,19 +937,18 @@ def test_polish_matches_bounded_least_squares():
             return v[0], (v[1] if nvar == 2 else 0.0)
 
         oracle = least_squares(
-            lambda v: nls_residual_jacobian(co, *point(v))[0], x0,
-            jac=lambda v: nls_residual_jacobian(co, *point(v))[1][:, :nvar],
+            lambda v: stacked_residual(co, *point(v))[0], x0,
+            jac=lambda v: stacked_residual(co, *point(v))[1][:, :nvar],
             bounds=(lo, hi), method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
         for exact in (False, True):
-            x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], b,
-                                                         exact)
+            x, fx, _, stop = resmin._polish_gauss_newton(co, np.r_[x0, 0.0][:2], exact)
             # with a large residual Gauss-Newton converges linearly: one block
             # case (s = 3, trial 1) still creeps along its box's edge toward
             # the oracle's point after the polish's 100 iterations; the exact
             # curvature converges on every case
             assert stop in ("gradient", "step") or (
                 s > 1 and not exact and stop == "max_iterations"), (s, trial, stop)
-            r = nls_residual_jacobian(co, x[0], x[1])[0]
+            r = stacked_residual(co, x[0], x[1])[0]
             assert 0.5 * (r @ r) <= oracle.cost * (1 + 1e-10)  # cost = 0.5 ||r||^2
             assert fx == eval_objective(co, x[0], x[1])
             assert_allclose(x[:nvar], oracle.x, atol=1e-5 * np.abs(hi - lo).max())
@@ -952,7 +966,7 @@ def test_polish_stops_on_a_singular_shift(exact, monkeypatch):
     monkeypatch.setattr(resmin, "_psi_derivatives",
                         lambda *args, **kwargs: calls.append(args)
                         or psi_derivatives(*args, **kwargs))
-    x, fx, iterations, stop = resmin._polish_gauss_newton(co, np.array([-0.5, 0.0]), b, exact)
+    x, fx, iterations, stop = resmin._polish_gauss_newton(co, np.array([-0.5, 0.0]), exact)
     assert (stop, iterations) == ("singular", 1)
     assert_array_equal(x, [-0.5, 0.0])
     assert fx == np.inf and len(calls) == 1
@@ -976,7 +990,7 @@ def test_polish_refuses_a_trial_clipped_onto_a_pole(monkeypatch):
         return levenberg_step(g, JJ, lam, free)
 
     monkeypatch.setattr(resmin, "_levenberg_step", first_step_out)
-    x, fx, _, stop = resmin._polish_gauss_newton(co, np.array([-2.0, 0.0]), b)
+    x, fx, _, stop = resmin._polish_gauss_newton(co, np.array([-2.0, 0.0]))
     assert damping[:2] == [1e-3, 1e-2]
     assert stop == "gradient"
     assert_array_equal(x, [-3.0, 0.0])
