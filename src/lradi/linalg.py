@@ -442,8 +442,9 @@ def block_orth(basis, block):
     Q : (n, k0 + k_add) column-major augmented orthonormal basis (prefix
         is ``basis``).
     R : (k0 + k_add, w) coefficients with block ~= Q @ R up to dropped
-        parts; the lower k_add rows form a staircase whose pivots mark the
-        kept columns.
+        parts; the lower k_add rows form a staircase.
+    kept : (k_add,) increasing int array: ``kept[i]`` is the column of
+        ``block`` behind basis column ``k0 + i``, the pivot of R's row.
     """
     block = np.atleast_2d(np.asarray(block))
     n, w = block.shape
@@ -454,8 +455,9 @@ def block_orth(basis, block):
         Q[:, :k0] = basis
     R = np.zeros((k0 + w, w), dtype=cdtype)
     scale = float(np.max(np.linalg.norm(block, axis=0))) if w else 0.0
+    kept = np.empty(w, dtype=np.intp)
     if scale == 0.0:
-        return Q[:, :k0], R[:k0]
+        return Q[:, :k0], R[:k0], kept[:0]
 
     X = np.array(block, dtype=cdtype, order="F")
     if k0:
@@ -479,8 +481,9 @@ def block_orth(basis, block):
         if nrm > _DROP_TOL * scale:
             Q[:, k0 + k] = x / nrm
             R[k0 + k, j] = nrm
+            kept[k] = j
             k += 1
-    return Q[:, : k0 + k], R[: k0 + k]
+    return Q[:, : k0 + k], R[: k0 + k], kept[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,6 @@ class ShiftObjectiveError(RuntimeError):
 # extended Krylov seed
 # ---------------------------------------------------------------------------
 
-def _staircase_pivots(R, k0):
-    """Map each basis column added by block_orth to the input column that
-    created it: the first nonzero of each added row of R, as an array."""
-    return np.argmax(np.abs(R[k0:]) > 0.0, axis=1)
-
-
 def extended_krylov_basis(apply_op, solve_op, B, p, m):
     """Orthonormal basis of the extended Krylov space EK_{p,m}(A, B).
 
@@ -84,8 +78,9 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m):
     the orthonormalized sub-blocks (never from explicit power blocks, which
     would be numerically useless for larger p). Rank-deficient blocks
     shrink the streams; if a stream dries up the corresponding effective
-    order stops growing. B keeps every direction it has on its own scale,
-    however large A^{-1} B is.
+    order stops growing. Each new column joins the stream of the block
+    column ``block_orth`` kept for it. B keeps every direction it has on
+    its own scale, however large A^{-1} B is.
 
     Parameters
     ----------
@@ -109,39 +104,32 @@ def extended_krylov_basis(apply_op, solve_op, B, p, m):
     B = np.atleast_2d(np.asarray(B))
     sB = B.shape[1]
     X0 = np.hstack([B, solve_op(B)]) if m >= 1 else B
-    Q, R = block_orth(None, X0)
-    f_idx = [i for i, col in enumerate(_staircase_pivots(R, 0)) if col < sB]
+    Q, _, kept = block_orth(None, X0)
+    f_idx = [i for i, col in enumerate(kept) if col < sB]
     if m >= 1 and len(f_idx) < sB:
         # the joint drop scale is the largest column of [B, A^{-1}B]; when
         # A^{-1}B dwarfs B, that drops directions B has on its own scale
-        QB, _ = block_orth(None, B)
+        QB, _, _ = block_orth(None, B)
         if QB.shape[1] > len(f_idx):
-            Q, _ = block_orth(QB, X0[:, sB:])
+            Q, _, _ = block_orth(QB, X0[:, sB:])
             f_idx = list(range(QB.shape[1]))
     b_idx = [i for i in range(Q.shape[1]) if i not in f_idx]
     p_eff, m_eff = 1, (1 if m >= 1 else 0)
 
     while (p_eff < p and f_idx) or (m_eff < m and b_idx):
-        parts, labels = [], []
-        do_f = p_eff < p and bool(f_idx)
-        do_b = m_eff < m and bool(b_idx)
-        if do_f:
+        parts, nf = [], 0  # the block's first nf columns are forward images
+        if p_eff < p and f_idx:
             parts.append(apply_op(Q[:, f_idx]))
-            labels += ["f"] * len(f_idx)
-        if do_b:
-            parts.append(solve_op(Q[:, b_idx]))
-            labels += ["b"] * len(b_idx)
-        k0 = Q.shape[1]
-        Q, R = block_orth(Q, np.hstack(parts))
-        piv = _staircase_pivots(R, k0)
-        new_f = [k0 + i for i, col in enumerate(piv) if labels[col] == "f"]
-        new_b = [k0 + i for i, col in enumerate(piv) if labels[col] == "b"]
-        if do_f:
+            nf = len(f_idx)
             p_eff += 1
-            f_idx = new_f
-        if do_b:
+        if m_eff < m and b_idx:
+            parts.append(solve_op(Q[:, b_idx]))
             m_eff += 1
-            b_idx = new_b
+        k0 = Q.shape[1]
+        Q, _, kept = block_orth(Q, np.hstack(parts))
+        # a stream left out of this block has no new columns
+        f_idx = [k0 + i for i, col in enumerate(kept) if col < nf]
+        b_idx = [k0 + i for i, col in enumerate(kept) if col >= nf]
     return Q, p_eff, m_eff
 
 
@@ -415,21 +403,20 @@ def compress_zh(state, h):
     return ritz_update(state, h)
 
 
-def history_krylov_basis(shifts, p, m):
+def history_krylov_basis(S, g, p, m):
     """Extended Krylov basis of the single-column structured factors.
 
-    ``real_SG(shifts, s)`` is ``(kron(S, I_s), kron(g, I_s))`` with
-    ``(S, g) = real_SG(shifts, 1)``, so ``kron(q, I_s)`` spans
-    EK_{p,m}(S_r, G_r) for the orthonormal basis q of EK_{p,m}(S, g): the
-    basis is built on j x j data (one j x j LU) for any number of columns
-    s. Returns (q, S, g), g a j x 1 column.
+    Takes ``(S, g) = real_SG(shifts, 1)``, g a j x 1 column, and returns
+    the orthonormal basis q of EK_{p,m}(S, g). ``real_SG(shifts, s)`` is
+    ``(kron(S, I_s), kron(g, I_s))``, so ``kron(q, I_s)`` spans
+    EK_{p,m}(S_r, G_r): the basis is built on j x j data (one j x j LU)
+    for any number of columns s.
     """
-    S, g = real_SG(shifts, 1)
     lu = spla.lu_factor(S)
     q, _, _ = extended_krylov_basis(
         lambda X: S @ X, lambda X: spla.lu_solve(lu, X), g, p, m
     )
-    return q, S, g
+    return q
 
 
 def recycle_krylov(seed, state):
@@ -449,7 +436,8 @@ def recycle_krylov(seed, state):
     (n s) x j view, reshaped to n x 2 s w without a copy. The restriction
     H = Qj^* (M^{-1}) A Qj is assembled from k x k projections: the seed
     columns from the seed images P, the new ones from Qj^* times the
-    images of the candidate block and one k x k triangular solve. The
+    images of the candidate block and one k x k triangular solve by the
+    rows of R that block_orth added, at the block columns it kept. The
     weight factor of M Qj comes from its Gram matrix (_extend_qr_r), so
     the weighted norms carry a relative error of order eps cond(M)^2.
 
@@ -457,11 +445,11 @@ def recycle_krylov(seed, state):
     """
     n, s = state.problem.n, state.problem.s
     j = state.j
+    S, g = real_SG(state.shifts, 1)
     if j <= seed.p + seed.m:
-        S, g = real_SG(state.shifts, 1)
         q = np.eye(j)  # short history: extend by all of Z
     else:
-        q, S, g = history_krylov_basis(state.shifts, seed.p, seed.m)
+        q = history_krylov_basis(S, g, seed.p, seed.m)
     w = q.shape[1] * s
     # Z kron([q, S q], I_s), computed transposed so that it comes out
     # column-major and reshapes to n x 2w as a view
@@ -470,18 +458,16 @@ def recycle_krylov(seed, state):
     omega, ZSq = ZX[:, :w], ZX[:, w:]
 
     k0 = seed.Q.shape[1]
-    Qj, R = block_orth(seed.Q_cols, omega)
-    kadd = Qj.shape[1] - k0
+    Qj, R, kept = block_orth(seed.Q_cols, omega)
     QjH = Qj.conj().T
     H = np.vstack([seed.H, QjH[k0:] @ seed.P])  # Qj^* P for the seed columns
-    if kadd:
+    if kept.size:
         # Qj^* of the images Phat = Z kron(S q, I_s) + B_m kron(g^T q, I_s)
         QPhat = QjH @ ZSq + np.kron(g.T @ q, QjH @ seed.B_m)
-        piv = _staircase_pivots(R, k0)
-        # omega[:, piv] = Q0 R[:k0, piv] + Qnew T_tri, so Qj^* A Qnew is
-        # (Qj^* Phat[:, piv] - (Qj^* P) R[:k0, piv]) right-divided by T_tri
-        T_tri = R[k0:, piv]
-        rhs = QPhat[:, piv] - H @ R[:k0, piv]
+        # omega[:, kept] = Q0 R[:k0, kept] + Qnew T_tri, so Qj^* A Qnew is
+        # (Qj^* Phat[:, kept] - (Qj^* P) R[:k0, kept]) right-divided by T_tri
+        T_tri = R[k0:, kept]
+        rhs = QPhat[:, kept] - H @ R[:k0, kept]
         trsm = spla.get_blas_funcs("trsm", (T_tri, rhs))
         H = np.hstack([H, trsm(1.0, T_tri, rhs, side=1)])
     MQ_r = None

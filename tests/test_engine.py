@@ -353,6 +353,22 @@ def test_resmin_survives_a_mass_matrix_with_tiny_rows():
     assert report.status is not None
 
 
+@pytest.mark.parametrize("text, stagnates", [
+    pytest.param("heur(6,8,0)", True, marks=pytest.mark.xfail(
+        strict=True, reason="a stagnating solve is not named (ROADMAP item 3)")),
+    ("heur(6,8,8)", False),
+])
+def test_stagnation_is_named(text, stagnates):
+    # on the fem pair with n = 2048 and s = 4, heur(6,8,0)'s residual sits
+    # at 8.1e-1 at step 30 and 6.9e-1 at step 120, while heur(6,8,8)'s keeps
+    # falling (5.6e-3 at step 30, 3.2e-5 at 120, 6.4e-6 at 150): a
+    # stagnation rule names the first and leaves slow progress running
+    A, M = _fem_pair(2048)
+    problem = LyapunovProblem(A, gen_rhs(2048, 4, 0), M=M, tol=1e-8, max_iterations=150)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    assert (report.status == "stagnated") == stagnates
+
+
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("shifts", [
     [-1.5, -2.0 + 1.5j, -7.0],

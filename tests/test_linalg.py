@@ -416,8 +416,8 @@ def test_block_orth_extends():
     rng = np.random.default_rng(5)
     basis, _ = np.linalg.qr(rng.standard_normal((30, 4)))
     block = rng.standard_normal((30, 3))
-    Q, R = block_orth(basis, block)
-    assert Q.shape == (30, 7)
+    Q, R, kept = block_orth(basis, block)
+    assert Q.shape == (30, 7) and kept.tolist() == [0, 1, 2]
     assert_allclose(Q[:, :4], basis, atol=0)  # prefix untouched
     assert_allclose(Q.conj().T @ Q, np.eye(7), atol=1e-12)
     assert_allclose(Q @ R, block, atol=1e-12)
@@ -429,8 +429,8 @@ def test_block_orth_drops_dependent_columns():
     fresh = rng.standard_normal((20, 1))
     # middle column lies in the current span and must be dropped
     block = np.hstack([fresh, basis @ rng.standard_normal((3, 1)), 2.0 * fresh])
-    Q, R = block_orth(basis, block)
-    assert Q.shape[1] == 4
+    Q, R, kept = block_orth(basis, block)
+    assert Q.shape[1] == 4 and kept.tolist() == [0]
     assert_allclose(Q @ R, block, atol=1e-12)
     # staircase bottom block: pivot in column 0, nothing new afterwards
     bottom = R[3:, :]
@@ -443,11 +443,12 @@ def test_block_orth_all_zero_block():
     # it was, with zero coefficients
     rng = np.random.default_rng(10)
     basis, _ = np.linalg.qr(rng.standard_normal((20, 3)))
-    Q, R = block_orth(basis, np.zeros((20, 2)))
+    Q, R, kept = block_orth(basis, np.zeros((20, 2)))
     assert_allclose(Q, basis, atol=0)
     assert R.shape == (3, 2) and not R.any()
-    Q, R = block_orth(None, np.zeros((20, 2)))
-    assert Q.shape == (20, 0) and R.shape == (0, 2)
+    assert kept.shape == (0,) and kept.dtype.kind == "i"
+    Q, R, kept = block_orth(None, np.zeros((20, 2)))
+    assert Q.shape == (20, 0) and R.shape == (0, 2) and kept.shape == (0,)
 
 
 def test_block_orth_two_pass_accuracy():
@@ -455,7 +456,7 @@ def test_block_orth_two_pass_accuracy():
     rng = np.random.default_rng(7)
     base = rng.standard_normal((50, 1))
     block = np.hstack([base, base + 1e-9 * rng.standard_normal((50, 1))])
-    Q, _ = block_orth(None, block)
+    Q, _, _ = block_orth(None, block)
     assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
 
 
@@ -471,9 +472,10 @@ def test_block_orth_layout_independent(dtype):
     basis, _ = np.linalg.qr(draw(40, 5))
     fresh = draw(40, 3)
     block = np.hstack([fresh, basis @ draw(5, 1), fresh @ draw(3, 1), draw(40, 2)])
-    Qc, Rc = block_orth(np.ascontiguousarray(basis), np.ascontiguousarray(block))
-    Qf, Rf = block_orth(np.asfortranarray(basis), np.asfortranarray(block))
+    Qc, Rc, kc = block_orth(np.ascontiguousarray(basis), np.ascontiguousarray(block))
+    Qf, Rf, kf = block_orth(np.asfortranarray(basis), np.asfortranarray(block))
     assert Qc.shape == Qf.shape == (40, 10)  # the two dependent columns are dropped
+    assert kc.tolist() == kf.tolist() == [0, 1, 2, 5, 6]
     assert Qc.dtype == Qf.dtype == dtype
     assert_allclose(Qc, Qf, rtol=0, atol=1e-14)
     assert_allclose(Rc, Rf, rtol=0, atol=1e-14)

@@ -265,17 +265,18 @@ def test_recycle_matches_direct_extended_krylov():
 
 
 def test_staircase_pivots_match_row_loop():
-    # the input column behind each added basis column is the first nonzero
-    # of its row of R; dependent columns are dropped and have no row
+    # block_orth's kept names the input column behind each added basis
+    # column: the first nonzero of its row of R; dependent columns are
+    # dropped and have no row
     rng = np.random.default_rng(31)
     basis, _ = np.linalg.qr(rng.standard_normal((30, 4)))
     x0, x1, x2 = rng.standard_normal((3, 30, 1))
     block = np.hstack([x0, basis @ rng.standard_normal((4, 1)), x1, x0 + x1, x2])
     for base, expected in ((None, [0, 1, 2, 4]), (basis, [0, 2, 4])):
         k0 = 0 if base is None else base.shape[1]
-        _, R = resmin.block_orth(base, block)
+        _, R, kept = resmin.block_orth(base, block)
         loop = [int(np.nonzero(np.abs(R[i]) > 0.0)[0][0]) for i in range(k0, R.shape[0])]
-        assert resmin._staircase_pivots(R, k0).tolist() == loop == expected
+        assert kept.tolist() == loop == expected
 
 
 def test_recycle_handles_conjugate_pairs():
@@ -382,8 +383,9 @@ def test_history_basis_spans_full_extended_krylov(history, s):
     # factors (S_r, G_r) = real_SG(shifts, s), built at full dimension
     # incrementally and from explicit power blocks
     shifts = shift_history(HISTORIES[history])
+    S, g = real_SG(shifts, 1)
     for p, m in [(3, 1), (2, 2)]:
-        q, S, g = resmin.history_krylov_basis(shifts, p, m)
+        q = resmin.history_krylov_basis(S, g, p, m)
         assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
         S_r, G_r = real_SG(shifts, s)
         Q_inc, _, _ = resmin.extended_krylov_basis(
@@ -429,7 +431,7 @@ def test_recycled_restriction_matches_dense(block, mass, monkeypatch):
     # in the rank-deficient case with M)
     assert_allclose(H, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
     kadd = Qj.shape[1] - seed.Q.shape[1]
-    w = resmin.history_krylov_basis(state.shifts, 2, 1)[0].shape[1] * s
+    w = resmin.history_krylov_basis(*real_SG(state.shifts, 1), 2, 1).shape[1] * s
     if block == "rank-deficient":
         assert Qj.shape[1] == 8 and 0 < kadd < w
     else:

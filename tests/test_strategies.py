@@ -397,34 +397,71 @@ def test_benchmark_strategies_reproduce_pinned_shifts(text):
 
 
 @functools.cache
-def _scaled_cd2d_run(text, c):
-    """(iterations, factorizations, shifts) of text on c * gen_cd2d(30)."""
-    A = c * gen_cd2d(30)
-    problem = LyapunovProblem(A, gen_rhs(A.shape[0], 1, 7), tol=1e-8)
+def _scaled_run(pencil, text, a, b):
+    """(iterations, factorizations, shifts) of text on (a A, M, b B): cd2d(30)
+    with s = 1 and RHS 7, or the fem pair with n = 300, s = 2 and RHS 0."""
+    if pencil == "cd2d":
+        (A, M), s, seed = (gen_cd2d(30), None), 1, 7
+    else:
+        (A, M), s, seed = _fem_pair(300), 2, 0
+    problem = LyapunovProblem(a * A, b * gen_rhs(A.shape[0], s, seed), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     return report.iterations, report.n_factorizations, np.array(report.shifts)
 
 
-def _scaling_cases():
-    # resmin's polish damps and stops on absolute scales, and heur's seed
-    # drops directions at one scale for both Krylov streams (ROADMAP item 13)
-    for text in ("Z(4)+heur", "Z(4)+conv", "Z(4)+Hres", "resmin+Z(8)+gn",
-                 "resmin+EK(3,1)+gn", "heur(20,30,20)"):
-        for c in (2.0, 3.7, 1e3):
-            broken = text.startswith("resmin") or (text.startswith("heur") and c == 1e3)
-            marks = [pytest.mark.xfail(strict=True, reason="shifts depend on the "
-                                       "units of A (ROADMAP item 13)")] if broken else []
+SCALES = {"A": (2.0, 3.7, 1e3), "B": (3.7, 1e3, 1e-3)}
+# the cases that fail besides both resmin kinds, which fail at every scale:
+# resmin's polish damps and stops on absolute scales, heur's seed drops
+# directions at one scale for both Krylov streams, and Hres weighs a half
+# of its eigenvectors that grows with B (ROADMAP item 13)
+SCALING_FAILS = {
+    ("cd2d", "A", "heur(20,30,20)"): (1e3,),
+    ("fem", "A", "heur(6,8,8)"): (3.7, 1e3),
+    ("fem", "A", "heur(20,30,20)"): (2.0, 3.7, 1e3),
+    ("fem", "B", "Z(4)+Hres"): (1e3,),
+}
+
+
+def _scaling_cases(pencil, half):
+    texts = ["Z(4)+heur", "Z(4)+conv", "Z(4)+Hres", "resmin+Z(8)+gn",
+             "resmin+EK(3,1)+gn", "heur(20,30,20)"]
+    if pencil == "fem":
+        texts.append("heur(6,8,8)")
+    for text in texts:
+        for c in SCALES[half]:
+            broken = (text.startswith("resmin")
+                      or c in SCALING_FAILS.get((pencil, half, text), ()))
+            marks = [pytest.mark.xfail(strict=True, reason=f"shifts depend on the "
+                                       f"units of {half} (ROADMAP item 13)")] if broken else []
             yield pytest.param(text, c, marks=marks, id=f"{text}-c={c:g}")
 
 
-@pytest.mark.parametrize("text, c", list(_scaling_cases()))
-def test_scaling_A_scales_the_shifts(text, c):
-    # (cA, B) has the solution X / c, so a shift rule free of the units of
-    # A picks c times the shifts of (A, B), in as many steps and LUs
-    iterations, factorizations, shifts = _scaled_cd2d_run(text, 1.0)
-    iterations_c, factorizations_c, shifts_c = _scaled_cd2d_run(text, c)
+def _assert_scaling_kept(pencil, half, text, c):
+    # (cA, M, B) has the solution X / c, so a shift rule free of the units
+    # of A picks c times the shifts of (A, M, B); (A, M, cB) has c^2 X and
+    # the same shifts; both in as many steps and LUs. The passing cases
+    # round at up to 1.3e-12 on cd2d and 2e-8 on the fem pair (Z(4)+Hres
+    # with A * 3.7)
+    rtol = 1e-10 if pencil == "cd2d" else 1e-7
+    a, b = (c, 1.0) if half == "A" else (1.0, c)
+    iterations, factorizations, shifts = _scaled_run(pencil, text, 1.0, 1.0)
+    iterations_c, factorizations_c, shifts_c = _scaled_run(pencil, text, a, b)
     assert (iterations_c, factorizations_c) == (iterations, factorizations)
-    assert_allclose(shifts_c, c * shifts, rtol=1e-10, atol=0.0)
+    assert_allclose(shifts_c, a * shifts, rtol=rtol, atol=0.0)
+
+
+@pytest.mark.parametrize("text, c", list(_scaling_cases("cd2d", "A")))
+def test_scaling_A_scales_the_shifts(text, c):
+    _assert_scaling_kept("cd2d", "A", text, c)
+
+
+@pytest.mark.parametrize("pencil, half, text, c", [
+    pytest.param(pencil, half, *case.values, marks=case.marks,
+                 id=f"{pencil}-{half}-{case.id}")
+    for pencil, half in (("cd2d", "B"), ("fem", "A"), ("fem", "B"))
+    for case in _scaling_cases(pencil, half)])
+def test_scaling_keeps_the_shift_rule(pencil, half, text, c):
+    _assert_scaling_kept(pencil, half, text, c)
 
 
 def test_zheur_converges_on_the_fem_pair_within_hres_steps():
