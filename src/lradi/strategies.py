@@ -175,7 +175,7 @@ def convex_hull_shift(ritz_values, used_shifts):
 # ---------------------------------------------------------------------------
 
 class CyclicShifts:
-    """Cycle through a fixed shift list.
+    """Cycle through a fixed shift list, from its start at step 0 of a solve.
 
     A complex entry is consumed as a whole conjugate pair by the solver,
     so an adjacent stored conjugate partner is skipped over.
@@ -185,33 +185,30 @@ class CyclicShifts:
         if len(shifts) == 0:
             raise ValueError("empty shift list")
         self.shifts = [complex(a) for a in shifts]
-        self._pos = 0
 
-    def _pop(self):
+    def next_shift(self, state):
+        if state.j == 0:
+            self._pos = 0
         a = self.shifts[self._pos % len(self.shifts)]
         self._pos += 1
         if a.imag != 0.0:
             nxt = self.shifts[self._pos % len(self.shifts)]
             if abs(nxt - a.conjugate()) <= 1e-14 * max(1.0, abs(a)):
                 self._pos += 1  # partner handled by the double step
-        return a
-
-    def next_shift(self, state):
-        return ShiftProposal(self._pop())
+        return ShiftProposal(a)
 
 
-class PrecomputedHeuristicStrategy:
-    """heur(J, p, m): greedy shifts from one extended Krylov space, cycled."""
+class PrecomputedHeuristicStrategy(CyclicShifts):
+    """heur(J, p, m): greedy shifts from one extended Krylov space of the
+    problem, computed at step 0 of a solve and cycled."""
 
     def __init__(self, J, p, m):
         self.J, self.p, self.m = J, p, m
-        self._cycle = None
 
     def next_shift(self, state):
-        if self._cycle is None:
-            self._cycle = CyclicShifts(
-                precomputed_heuristic(state.problem, self.J, self.p, self.m))
-        return self._cycle.next_shift(state)
+        if state.j == 0:
+            self.shifts = precomputed_heuristic(state.problem, self.J, self.p, self.m)
+        return super().next_shift(state)
 
 
 def _greedy_pick(co, state):
@@ -247,7 +244,7 @@ def _resmin_pick(method):
 class AdaptiveStrategy:
     """Every adaptive strategy: a compressed model per shift, then a picker.
 
-    On its first call it builds the extended Krylov seed of
+    At step 0 of each solve it builds the extended Krylov seed of
     ``state.problem``: orders (p, m) for the recycled space (``subspace``
     "EK"), (1, 1) for the Z window ("Z"). The model is the seed
     compression at j = 0, afterwards the window over the last h steps or
@@ -273,9 +270,8 @@ class AdaptiveStrategy:
         # called through the module, not bound here at import: the benchmark's
         # spans (perfbench/spans.py) and tools/rusage_layers.py rebind these
         # names on resmin, and must see the calls made here
-        if self.seed is None:
-            self.seed = resmin.build_seed(state.problem, *self.orders)
         if state.j == 0:
+            self.seed = resmin.build_seed(state.problem, *self.orders)
             co = resmin.seed_compressed(self.seed)
         elif self.subspace == "EK":
             co = resmin.recycle_krylov(self.seed, state)
@@ -311,13 +307,16 @@ class StrategyConfig:
 
 
 def make_strategy(config):
-    """Build a strategy object from a StrategyConfig."""
-    kind = config.kind
+    """Build a strategy object from a StrategyConfig. ValueError on one it would
+    misread: unknown kind, subspace or optimizer, g < 1, or g > 1 off resmin."""
+    kind, g = config.kind, config.g
+    if (kind not in ("heur", "resmin", *_PICKERS) or config.subspace not in ("Z", "EK")
+            or config.optimizer not in resmin.OPTIMIZERS or g < 1
+            or (g > 1 and kind != "resmin")):
+        raise ValueError(f"cannot build a strategy from {config}")
     if kind == "heur":
         return PrecomputedHeuristicStrategy(config.J, config.p, config.m)
     if kind in _PICKERS:
         return AdaptiveStrategy(_PICKERS[kind], h=config.h)
-    if kind == "resmin":
-        return AdaptiveStrategy(_resmin_pick(config.optimizer), config.subspace,
-                                config.h, config.p, config.m, budget=max(1, int(config.g)))
-    raise ValueError(f"unknown strategy kind {kind!r}")
+    return AdaptiveStrategy(_resmin_pick(config.optimizer), config.subspace,
+                            config.h, config.p, config.m, budget=g)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import cycle
 from pathlib import Path
 from types import SimpleNamespace
@@ -367,6 +367,36 @@ def test_stagnation_is_named(text, stagnates):
     problem = LyapunovProblem(A, gen_rhs(2048, 4, 0), M=M, tol=1e-8, max_iterations=150)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert (report.status == "stagnated") == stagnates
+
+
+@cache
+def _cd2d20_unstable_shift():
+    """sigma moving the rightmost eigenvalues of gen_cd2d(20) to real part +5."""
+    return 5.0 - np.linalg.eigvals(gen_cd2d(20).toarray()).real.max()
+
+
+@pytest.mark.parametrize("shifted", [
+    pytest.param(True, marks=pytest.mark.xfail(
+        raises=(AssertionError, SingularShiftError), strict=True,
+        reason="no status names an unstable A (ROADMAP item 3)"), id="shifted"),
+    pytest.param(False, id="stable"),
+])
+@pytest.mark.parametrize("text", [
+    "heur(6,8,8)", "Z(4)+heur", "Z(4)+conv", "Z(4)+Hres", "resmin+Z(8)+gn",
+    "resmin+Z(4)+nt", "resmin+EK(3,1)+gn, g=2",
+])
+def test_unstable_A_is_named(text, shifted):
+    # gen_cd2d(20) + sigma I: Z(4)+heur and Z(4)+Hres raise SingularShiftError
+    # (a shift lands on -lambda of an unstable eigenvalue), the other kinds
+    # end max_iterations with residuals of 7.8e2 to 9.0e9. The unshifted
+    # matrix also ends max_iterations (2.4e-8 to 1.3e-4), and must not be
+    # named unstable
+    A = gen_cd2d(20)
+    if shifted:
+        A = (A + _cd2d20_unstable_shift() * sp.identity(400)).tocsr()
+    problem = LyapunovProblem(A, gen_rhs(400, 1, 7), tol=1e-8, max_iterations=60)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    assert (report.status == "unstable") == shifted
 
 
 @pytest.mark.parametrize("s", [1, 3])

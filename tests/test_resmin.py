@@ -1052,10 +1052,10 @@ def test_resmin_first_shift_negative_identity():
     assert problem.pencil.n_factorizations == 1
 
 
-@pytest.mark.parametrize("g", [0, 1, 3])
+@pytest.mark.parametrize("g", [1, 3])
 def test_resmin_model_has_the_budget_as_group_size(g):
     # the budget is the one carrier of the group size: every model the
-    # optimizer sees has g = budget, also for g = 0 (budget 1)
+    # optimizer sees has g = budget
     rng = np.random.default_rng(28)
     A = random_stable(30, rng)
     problem = LyapunovProblem(sp.csr_matrix(A), rng.standard_normal((30, 1)),
@@ -1070,7 +1070,7 @@ def test_resmin_model_has_the_budget_as_group_size(g):
 
     strat.pick = recording
     lr_adi_solve(problem, strat)
-    assert strat.budget == max(g, 1)
+    assert strat.budget == g
     assert len(sizes) >= 2 and set(sizes) == {strat.budget}
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -330,10 +331,31 @@ def test_hamiltonian_scaling_invariance():
 
 def test_cyclic_shifts_skip_conjugate_partner():
     cyc = CyclicShifts([-1.0 + 2.0j, -1.0 - 2.0j, -3.0])
-    first = cyc.next_shift(None).alpha
-    second = cyc.next_shift(None).alpha
+    first = cyc.next_shift(SimpleNamespace(j=0)).alpha
+    second = cyc.next_shift(SimpleNamespace(j=2)).alpha
     assert first == -1.0 + 2.0j
     assert second == -3.0  # the engine ran the conjugate inside the pair
+
+
+@pytest.mark.parametrize("text", [
+    "heur(6,8,8)", "Z(4)+heur", "Z(4)+conv", "Z(4)+Hres", "resmin+Z(8)+gn",
+    "resmin+EK(3,1)+gn, g=2",
+])
+def test_a_strategy_object_serves_many_solves(text):
+    # every solve builds the strategy's seed or shift list at its step 0, so
+    # an object that solved cd2d(12) before solves cd2d(15) as a fresh one
+    def solve(strategy, n0, seed):
+        A = gen_cd2d(n0)
+        problem = LyapunovProblem(A, gen_rhs(A.shape[0], 1, seed), tol=1e-8)
+        return lr_adi_solve(problem, strategy)
+
+    strategy = make_strategy(parse_strategy(text))
+    solve(strategy, 12, 0)
+    reused = solve(strategy, 15, 3)
+    fresh = solve(make_strategy(parse_strategy(text)), 15, 3)
+    assert np.array_equal(reused.shifts, fresh.shifts)
+    assert reused.iterations == fresh.iterations
+    assert reused.n_factorizations == fresh.n_factorizations
 
 
 @pytest.mark.parametrize("kind", ["heur", "zheur", "zconv", "zhres", "resmin"])
@@ -493,8 +515,16 @@ def test_inputs_are_checked(call):
 
 
 def test_make_strategy_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        make_strategy(StrategyConfig(kind="nope"))
+    # and every config it would misread, before any LU is built: a subspace
+    # other than "Z" or "EK", an optimizer resmin does not know, g < 1, and
+    # g > 1 on a kind without multistep groups
+    for config in (StrategyConfig(kind="nope"),
+                   StrategyConfig(kind="resmin", subspace="ek"),
+                   StrategyConfig(kind="resmin", optimizer="bfgs"),
+                   StrategyConfig(kind="resmin", g=0),
+                   StrategyConfig(kind="zheur", g=5)):
+        with pytest.raises(ValueError):
+            make_strategy(config)
 
 
 def test_adaptive_strategies_bootstrap_counts_factorization():
