@@ -1052,14 +1052,20 @@ def test_resmin_first_shift_negative_identity():
     assert problem.pencil.n_factorizations == 1
 
 
-@pytest.mark.parametrize("g", [1, 3])
+@pytest.mark.parametrize("g", [0, 1, 3])
 def test_resmin_model_has_the_budget_as_group_size(g):
     # the budget is the one carrier of the group size: every model the
-    # optimizer sees has g = budget
+    # optimizer sees has g = budget; a group of size 0 has no budget and
+    # is refused before any LU is built
     rng = np.random.default_rng(28)
     A = random_stable(30, rng)
     problem = LyapunovProblem(sp.csr_matrix(A), rng.standard_normal((30, 1)),
                               tol=1e-14, max_iterations=8)
+    if g == 0:
+        with pytest.raises(ValueError):
+            make_strategy(StrategyConfig(kind="resmin", h=2, g=g))
+        assert problem.pencil.n_factorizations == 0
+        return
     strat = make_strategy(StrategyConfig(kind="resmin", h=2, g=g))
     pick, sizes = strat.pick, []
 
