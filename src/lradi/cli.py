@@ -36,18 +36,11 @@ import numpy as np
 from .engine import LyapunovProblem, lr_adi_solve
 from .linalg import MatrixMarketError, SingularShiftError, matrix_market_read
 from .problems import gen_cd2d, gen_cd3d, gen_rhs
-from .resmin import OPTIMIZERS
 from .strategies import StrategyConfig, make_strategy
 
 
 class ConfigError(ValueError):
     """Invalid config file, strategy string, or option combination."""
-
-
-def _at_least_one(**params):
-    for name, value in params.items():
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def parse_strategy(text):
@@ -60,47 +53,33 @@ def parse_strategy(text):
         resmin+Z(h)+<opt> | resmin+EK(p,m)+<opt>
 
     with ``<opt>`` one of gauss-newton/gn/newton-trust/nt, and an
-    optional ``, g=<int>`` suffix for multistep groups. J, p, h and g
-    must be at least 1; m may be 0.
+    optional ``, g=<int>`` suffix for multistep groups (resmin only).
+    The rules on the numbers are StrategyConfig's; a string it refuses
+    is a ConfigError with its message.
     """
     s = re.sub(r"\s+", "", str(text)).lower()
     if not s:
         raise ConfigError("empty strategy string")
-    g = 1
+    fields = {}
     mg = re.fullmatch(r"(.*),g=(\d+)", s)
     if mg:
-        s, g = mg.group(1), int(mg.group(2))
-        _at_least_one(g=g)
-    if g != 1 and not s.startswith("resmin+"):
-        raise ConfigError("g > 1 is only supported with resmin strategies")
+        s, fields["g"] = mg.group(1), int(mg.group(2))
 
-    m = re.fullmatch(r"heur\((\d+),(\d+),(\d+)\)", s)
-    if m:
+    if m := re.fullmatch(r"heur\((\d+),(\d+),(\d+)\)", s):
         J, p, mm = map(int, m.groups())
-        _at_least_one(J=J, p=p)
-        return StrategyConfig(kind="heur", J=J, p=p, m=mm)
-
-    m = re.fullmatch(r"z\((\d+)\)\+(heur|conv|hres)", s)
-    if m:
-        h = int(m.group(1))
-        _at_least_one(h=h)
-        kind = {"heur": "zheur", "conv": "zconv", "hres": "zhres"}[m.group(2)]
-        return StrategyConfig(kind=kind, h=h)
-
-    m = re.fullmatch(r"resmin\+(?:z\((\d+)\)|ek\((\d+),(\d+)\))\+([a-z-]+)", s)
-    if m:
+        fields.update(kind="heur", J=J, p=p, m=mm)
+    elif m := re.fullmatch(r"z\((\d+)\)\+(heur|conv|hres)", s):
+        fields.update(kind="z" + m.group(2), h=int(m.group(1)))
+    elif m := re.fullmatch(r"resmin\+(?:z\((\d+)\)|ek\((\d+),(\d+)\))\+([a-z-]+)", s):
         h, p, mm, opt = m.groups()
-        if opt not in OPTIMIZERS:
-            raise ConfigError(f"unknown optimizer {opt!r}")
-        if h is not None:
-            space = dict(subspace="Z", h=int(h))
-            _at_least_one(h=space["h"])
-        else:
-            space = dict(subspace="EK", p=int(p), m=int(mm))
-            _at_least_one(p=space["p"])
-        return StrategyConfig(kind="resmin", optimizer=OPTIMIZERS[opt], g=g, **space)
-
-    raise ConfigError(f"unrecognized strategy string {text!r}")
+        space = dict(h=int(h)) if h is not None else dict(subspace="EK", p=int(p), m=int(mm))
+        fields.update(kind="resmin", optimizer=opt, **space)
+    else:
+        raise ConfigError(f"unrecognized strategy string {text!r}")
+    try:
+        return StrategyConfig(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclasses.dataclass

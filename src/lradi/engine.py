@@ -11,6 +11,7 @@ iteration carries along (the residual is exactly W W^* at every step).
 """
 
 import logging
+import operator
 import time
 from dataclasses import dataclass
 
@@ -117,13 +118,19 @@ class LyapunovProblem:
 class ShiftProposal:
     """A strategy's answer: the next shift and how many steps to spend on it.
 
-    ``budget`` > 1 requests a multistep group: the shift is reused for up
-    to ``budget`` logical steps on a single factorization (a conjugate pair
-    consumes two; ceil(budget/2) pairs are allowed).
+    ``budget``, an integer >= 1, > 1 requests a multistep group: the shift
+    is reused for up to ``budget`` logical steps on a single factorization
+    (a conjugate pair consumes two; ceil(budget/2) pairs are allowed).
+    ``info`` is the picker's report on the shift (None: it gave none).
     """
 
     alpha: complex
     budget: int = 1
+    info: object = None
+
+    def __post_init__(self):
+        if not hasattr(self.budget, "__index__") or operator.index(self.budget) < 1:
+            raise ValueError(f"budget must be an integer >= 1, got {self.budget!r}")
 
 
 class AdiState:
@@ -383,7 +390,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         # the group's first solve carries the LU's singularity probe
         fact = None
         fact = sparse_shifted_factorize(problem.pencil, alpha)
-        done = run_multistep_group(state, fact, max(1, int(proposal.budget)))
+        done = run_multistep_group(state, fact, proposal.budget)
         if on_step is not None:
             now = time.monotonic() - t0
             for k in range(state.j - done, state.j):

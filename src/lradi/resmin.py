@@ -527,11 +527,15 @@ def _solve_L(L, X):
     return x
 
 
+# H + alpha I is singular where min |diag| <= this * max(|diag H|, 1, |alpha|)
+_SINGULAR_RTOL = 1e-14
+
+
 def _shift_matrix(co, alpha):
     """H + alpha I as a row-major complex copy; None when numerically singular."""
     H, d, scale = co._shift_base
     d = d + alpha
-    if np.abs(d).min() <= 1e-14 * max(scale, abs(alpha)):
+    if np.abs(d).min() <= _SINGULAR_RTOL * max(scale, abs(alpha)):
         return None
     L = H.copy()
     L.ravel()[:: H.shape[0] + 1] = d
@@ -569,7 +573,7 @@ def grid_objective(co, nus, xis):
     alpha = alpha.ravel()
     vals = np.full(alpha.size, np.inf)
     D = d[:, None] + alpha
-    ok = np.abs(D).min(axis=0) > 1e-14 * np.maximum(scale, np.abs(alpha))
+    ok = np.abs(D).min(axis=0) > _SINGULAR_RTOL * np.maximum(scale, np.abs(alpha))
     # one column per (grid point, residual column), grid point major
     D = np.repeat(D[:, ok], s, axis=1)
     two_nu = np.repeat(2.0 * alpha[ok].real, s)

@@ -199,15 +199,16 @@ class CyclicShifts:
 
 
 class PrecomputedHeuristicStrategy(CyclicShifts):
-    """heur(J, p, m): greedy shifts from one extended Krylov space of the
-    problem, computed at step 0 of a solve and cycled."""
+    """heur(J, p, m) from a StrategyConfig: greedy shifts from one extended
+    Krylov space of the problem, computed at step 0 of a solve and cycled."""
 
-    def __init__(self, J, p, m):
-        self.J, self.p, self.m = J, p, m
+    def __init__(self, config):
+        self.config = config
 
     def next_shift(self, state):
         if state.j == 0:
-            self.shifts = precomputed_heuristic(state.problem, self.J, self.p, self.m)
+            c = self.config
+            self.shifts = precomputed_heuristic(state.problem, c.J, c.p, c.m)
         return super().next_shift(state)
 
 
@@ -218,8 +219,7 @@ def _greedy_pick(co, state):
 
 
 # Each picker maps the current compressed model (and the state, for the
-# shifts used so far) to the next shift and the picker's info (None for
-# these).
+# shifts used so far) to the next shift and its info (None for these).
 _PICKERS = {
     "zheur": _greedy_pick,
     "zconv": lambda co, state: (convex_hull_shift(co.eigenvalues, state.shifts), None),
@@ -245,42 +245,39 @@ class AdaptiveStrategy:
     """Every adaptive strategy: a compressed model per shift, then a picker.
 
     At step 0 of each solve it builds the extended Krylov seed of
-    ``state.problem``: orders (p, m) for the recycled space (``subspace``
-    "EK"), (1, 1) for the Z window ("Z"). The model is the seed
-    compression at j = 0, afterwards the window over the last h steps or
-    the recycled extended Krylov space. ``pick(co, state)`` returns
-    ``(alpha, info)`` from that model: one of the pickers above
-    (Z(h)+heur|conv|Hres, info None) or the residual-norm minimizer
-    (resmin+Z|EK, from _resmin_pick). ``budget`` > 1 makes each shift a
-    multistep group sharing one factorization, and the model's ``g`` is
-    set to it: the budget is the one carrier of the group size.
-    ``last_info`` holds the info of the latest shift.
+    ``state.problem``: the config's orders (p, m) for the recycled space
+    (``subspace`` "EK"), (1, 1) for the Z window ("Z"). The model is the
+    seed compression at j = 0, afterwards the window over the last h steps
+    or the recycled extended Krylov space. ``pick(co, state)`` returns
+    ``(alpha, info)`` from that model, for the proposal: one of the pickers
+    above (Z(h)+heur|conv|Hres) or the residual-norm minimizer (resmin+Z|EK,
+    from _resmin_pick). ``budget``, the config's g, > 1 makes each shift a
+    multistep group sharing one factorization, and the model's ``g`` is set
+    to it: the budget is the one carrier of the group size.
     """
 
-    def __init__(self, pick, subspace="Z", h=4, p=1, m=1, budget=1):
+    def __init__(self, pick, config):
         self.pick = pick
-        self.subspace = subspace
-        self.h = h
-        self.orders = (p, m) if subspace == "EK" else (1, 1)
-        self.budget = budget
-        self.seed = None
-        self.last_info = None
+        self.config = config
+        self.budget = config.g
 
     def next_shift(self, state):
         # called through the module, not bound here at import: the benchmark's
         # spans (perfbench/spans.py) and tools/rusage_layers.py rebind these
         # names on resmin, and must see the calls made here
+        c = self.config
         if state.j == 0:
-            self.seed = resmin.build_seed(state.problem, *self.orders)
+            orders = (c.p, c.m) if c.subspace == "EK" else (1, 1)
+            self.seed = resmin.build_seed(state.problem, *orders)
             co = resmin.seed_compressed(self.seed)
-        elif self.subspace == "EK":
+        elif c.subspace == "EK":
             co = resmin.recycle_krylov(self.seed, state)
         else:
-            co = resmin.compress_zh(state, self.h)
+            co = resmin.compress_zh(state, c.h)
         if self.budget > 1:
             co = replace(co, g=self.budget)
-        alpha, self.last_info = self.pick(co, state)
-        return ShiftProposal(alpha, budget=self.budget)
+        alpha, info = self.pick(co, state)
+        return ShiftProposal(alpha, budget=self.budget, info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +286,14 @@ class AdaptiveStrategy:
 
 @dataclass
 class StrategyConfig:
-    """Parsed strategy description.
+    """Strategy description, the one home of every strategy rule.
 
-    ``kind`` is one of "heur", "zheur", "zconv", "zhres", "resmin".
-    The remaining fields parametrize the particular strategy; ``g`` > 1
-    requests multistep groups (resmin only).
+    ``kind`` is one of "heur", "zheur", "zconv", "zhres", "resmin"; the
+    other fields parametrize it. J, p, h and g are >= 1 and m >= 0;
+    ``subspace`` is "Z" or "EK" and ``optimizer`` a key of
+    resmin.OPTIMIZERS, kept as its canonical name; g > 1 (multistep
+    groups) and "EK" need "resmin". Construction raises ValueError,
+    naming the field and its value, on a config that breaks a rule.
     """
 
     kind: str
@@ -305,18 +305,25 @@ class StrategyConfig:
     optimizer: str = "gauss-newton"
     g: int = 1
 
+    def __post_init__(self):
+        if self.kind not in ("heur", *_PICKERS, "resmin"):
+            raise ValueError(f"unknown kind {self.kind!r}")
+        for name, low in (("J", 1), ("p", 1), ("h", 1), ("g", 1), ("m", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.subspace not in ("Z", "EK"):
+            raise ValueError(f"subspace must be 'Z' or 'EK', got {self.subspace!r}")
+        if self.optimizer not in resmin.OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        self.optimizer = resmin.OPTIMIZERS[self.optimizer]
+        field = "g" if self.g > 1 else "subspace" if self.subspace == "EK" else None
+        if field and self.kind != "resmin":
+            raise ValueError(f"{field} = {getattr(self, field)!r} needs kind 'resmin'")
+
 
 def make_strategy(config):
-    """Build a strategy object from a StrategyConfig. ValueError on one it would
-    misread: unknown kind, subspace or optimizer, g < 1, or g > 1 off resmin."""
-    kind, g = config.kind, config.g
-    if (kind not in ("heur", "resmin", *_PICKERS) or config.subspace not in ("Z", "EK")
-            or config.optimizer not in resmin.OPTIMIZERS or g < 1
-            or (g > 1 and kind != "resmin")):
-        raise ValueError(f"cannot build a strategy from {config}")
-    if kind == "heur":
-        return PrecomputedHeuristicStrategy(config.J, config.p, config.m)
-    if kind in _PICKERS:
-        return AdaptiveStrategy(_PICKERS[kind], h=config.h)
-    return AdaptiveStrategy(_resmin_pick(config.optimizer), config.subspace,
-                            config.h, config.p, config.m, budget=g)
+    """Build the strategy object a StrategyConfig describes."""
+    if config.kind == "heur":
+        return PrecomputedHeuristicStrategy(config)
+    pick = _PICKERS.get(config.kind) or _resmin_pick(config.optimizer)
+    return AdaptiveStrategy(pick, config)

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 import lradi.strategies
 from conftest import random_stable
 from lradi.cli import parse_strategy
-from lradi.engine import AdiState, LyapunovProblem, lr_adi_solve
+from lradi.engine import AdiState, LyapunovProblem, ShiftProposal, lr_adi_solve
 from lradi.linalg import sparse_shifted_factorize
 from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
 from lradi.resmin import derive_bounds, extended_krylov_basis
@@ -517,14 +517,48 @@ def test_inputs_are_checked(call):
 def test_make_strategy_rejects_unknown_kind():
     # and every config it would misread, before any LU is built: a subspace
     # other than "Z" or "EK", an optimizer resmin does not know, g < 1, and
-    # g > 1 on a kind without multistep groups
-    for config in (StrategyConfig(kind="nope"),
-                   StrategyConfig(kind="resmin", subspace="ek"),
-                   StrategyConfig(kind="resmin", optimizer="bfgs"),
-                   StrategyConfig(kind="resmin", g=0),
-                   StrategyConfig(kind="zheur", g=5)):
+    # g > 1 on a kind without multistep groups. The config refuses itself,
+    # so each is built inside the raises block
+    for fields in (dict(kind="nope"),
+                   dict(kind="resmin", subspace="ek"),
+                   dict(kind="resmin", optimizer="bfgs"),
+                   dict(kind="resmin", g=0),
+                   dict(kind="zheur", g=5)):
         with pytest.raises(ValueError):
-            make_strategy(config)
+            make_strategy(StrategyConfig(**fields))
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("J", dict(kind="heur", J=0)),
+    ("p", dict(kind="heur", p=0)),
+    ("h", dict(kind="zheur", h=0)),
+    ("h", dict(kind="resmin", h=-2)),
+    ("m", dict(kind="resmin", subspace="EK", m=-1)),
+    ("g", dict(kind="resmin", g=0)),
+    ("kind", dict(kind="nope")),
+    ("subspace", dict(kind="resmin", subspace="ek")),
+    ("optimizer", dict(kind="resmin", optimizer="bfgs")),
+    ("subspace", dict(kind="zheur", subspace="EK")),
+    ("subspace", dict(kind="zconv", subspace="EK")),
+    ("subspace", dict(kind="zhres", subspace="EK")),
+    ("g", dict(kind="zconv", g=2)),
+], ids=["J0", "p0", "h0", "h-2", "m-1", "g0", "kind", "subspace-ek", "optimizer",
+        "zheur-EK", "zconv-EK", "zhres-EK", "zconv-g2"])
+def test_strategy_config_refuses_what_it_would_misread(field, fields):
+    # each of these ran as something else (J = 0 as J = 1, EK on a Z(h)
+    # kind as the Z window) or failed only inside the solve; the config is
+    # the one home of the rules, and refuses itself naming the field
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        StrategyConfig(**fields)
+
+
+def test_shift_proposal_refuses_a_budget_it_would_alter():
+    # the engine runs the budget as it is: 0 no longer runs as 1 nor 2.7 as 2
+    for budget in (0, -1, 2.7):
+        with pytest.raises(ValueError, match="budget"):
+            ShiftProposal(-1.0, budget=budget)
+    for budget in (1, 3, np.int64(3)):
+        assert ShiftProposal(-1.0, budget=budget).budget == budget
 
 
 def test_adaptive_strategies_bootstrap_counts_factorization():
