@@ -1,9 +1,10 @@
 """Benchmark command line.
 
 Runs the low-rank ADI solver on a configured problem/strategy pair and
-writes a per-iteration CSV plus a summary JSON; ``compare`` runs several
-strategy configs against identical problem data and consolidates the
-summaries into a table.
+writes a per-iteration CSV, a summary JSON and a JSON-lines trace with
+one line per multistep group (``SolveReport.groups``); ``compare`` runs
+several strategy configs against identical problem data and
+consolidates the summaries into a table.
 
 Usage::
 
@@ -216,11 +217,24 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
+def _trace_line(group):
+    """One group record as a JSON line; a complex value ``x`` becomes
+    ``x_re`` and ``x_im``, as the CSV writes the shift."""
+    row = {}
+    for key, value in group.items():
+        if isinstance(value, complex):
+            row[key + "_re"], row[key + "_im"] = value.real, value.imag
+        else:
+            row[key] = value
+    return json.dumps(row) + "\n"
+
+
 def _run_one(cfg, problem=None):
     """Run one config; returns (report, csv_path, json_path).
 
     The CSV is written incrementally and flushed per iteration, so a
-    solver error mid-run leaves the completed rows on disk.
+    solver error mid-run leaves the completed rows on disk. After the
+    solve, ``<label>.trace.jsonl`` gets one line per multistep group.
     """
     if problem is None:
         problem = build_problem(cfg)
@@ -251,6 +265,8 @@ def _run_one(cfg, problem=None):
         "strategy": cfg.strategy,
     }
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
+    with open(out_dir / f"{cfg.label}.trace.jsonl", "w") as fh:
+        fh.writelines(_trace_line(group) for group in report.groups)
     return report, csv_path, json_path
 
 
@@ -259,7 +275,7 @@ def cmd_run(cfg):
     print(f"{cfg.label}: {report.status} in {report.iterations} iterations, "
           f"residual {report.final_residual:.2e} "
           f"({report.t_total:.2f}s, shifts {report.t_shift:.2f}s)")
-    print(f"wrote {csv_path} and {json_path}")
+    print(f"wrote {csv_path}, {json_path} and {csv_path.with_suffix('.trace.jsonl')}")
     return 0
 
 

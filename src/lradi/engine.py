@@ -8,12 +8,16 @@ before the next one is built. Conjugate shift pairs are handled by a real
 double step so Z stays real. The scaled residual norm
 ||W^* W||_2 / ||B^* B||_2 is tracked from the residual factor W that the
 iteration carries along (the residual is exactly W W^* at every step).
+The solve keeps one record per multistep group (``SolveReport.groups``):
+its shift, model and LU, and the seconds and minor page faults of the
+three calls that made it.
 """
 
 import logging
 import operator
+import resource
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -121,7 +125,8 @@ class ShiftProposal:
     ``budget``, an integer >= 1, > 1 requests a multistep group: the shift
     is reused for up to ``budget`` logical steps on a single factorization
     (a conjugate pair consumes two; ceil(budget/2) pairs are allowed).
-    ``info`` is the picker's report on the shift (None: it gave none).
+    ``info``, the picker's report on the shift (None: it gave none), is
+    a dict of scalars that joins the group's record (SolveReport.groups).
     """
 
     alpha: complex
@@ -327,6 +332,20 @@ class SolveReport:
     ``n_factorizations`` counts the shifted factorizations built on the
     problem's pencil during the run, by the engine (one per shift) or by
     the strategy (seed spaces, say).
+
+    ``groups`` has one dict of scalars per multistep group, in order:
+    ``shift`` (as ``shifts`` holds it), ``budget``, ``steps`` run,
+    ``residual_before`` and ``residual_after``, the LU's ``lu_nnz`` and
+    ``lu_dtype``, ``lus`` (the pencil's LUs built during the group, the
+    seed's in the first group), and ``<call>_s``, ``<call>_cpu_s`` and
+    ``<call>_minflt`` (wall seconds, CPU seconds, minor page faults) for
+    the calls ``next_shift``, ``factor`` and ``steps``. The proposal's
+    ``info`` adds its keys (AdaptiveStrategy: the model's ``source``,
+    ``size``, ``used_fallback``, ``n_stabilized``, ``window_start`` and
+    ``compress_s``; resmin: optimize_shift's info, ``guess`` and
+    ``predicted_reduction``). The groups' steps add up to
+    ``iterations``, their ``lus`` to ``n_factorizations`` and their
+    ``next_shift_s`` to ``t_shift``.
     """
 
     status: str
@@ -335,6 +354,7 @@ class SolveReport:
     t_total: float
     t_shift: float
     n_factorizations: int = 0
+    groups: list = field(default_factory=list)
 
     @property
     def iterations(self):
@@ -349,8 +369,29 @@ class SolveReport:
         return self.status == "converged"
 
 
+def _costed(costs, name, call, *args):
+    """``call(*args)``, storing its wall seconds, CPU seconds and minor
+    page faults in ``costs`` as ``<name>_s``, ``<name>_cpu_s`` and
+    ``<name>_minflt``. The clock is read inside the two getrusage reads,
+    so ``<name>_s`` times the call alone."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    t0 = time.monotonic()
+    out = call(*args)
+    costs[name + "_s"] = time.monotonic() - t0
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    costs[name + "_cpu_s"] = (after.ru_utime - before.ru_utime
+                              + after.ru_stime - before.ru_stime)
+    costs[name + "_minflt"] = after.ru_minflt - before.ru_minflt
+    return out
+
+
 def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     """Low-rank ADI driver.
+
+    Each pass of the loop is one multistep group: ``strategy.next_shift``,
+    one shifted LU (``sparse_shifted_factorize``) and the group's steps
+    (``run_multistep_group``). The report's ``groups`` record each one,
+    from readings of the clock and ``getrusage`` around those three calls.
 
     Parameters
     ----------
@@ -378,19 +419,27 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     t0 = time.monotonic()
     t_shift = 0.0
     n_fact0 = problem.pencil.n_factorizations
+    groups = []
 
     while (status := end_status(state)) is None:
-        ts = time.monotonic()
-        proposal = strategy.next_shift(state)
-        t_shift += time.monotonic() - ts
+        costs, lus, before = {}, problem.pencil.n_factorizations, state.current_residual
+        proposal = _costed(costs, "next_shift", strategy.next_shift, state)
+        t_shift += costs["next_shift_s"]
         alpha = normalize_shift(proposal.alpha)
         # release the last group's LU only now, just before the next one is
         # built: SuperLU allocates the same sizes at every shift, so the new
         # LU reuses the old one's memory instead of faulting in fresh pages;
         # the group's first solve carries the LU's singularity probe
         fact = None
-        fact = sparse_shifted_factorize(problem.pencil, alpha)
-        done = run_multistep_group(state, fact, proposal.budget)
+        fact = _costed(costs, "factor", sparse_shifted_factorize, problem.pencil, alpha)
+        done = _costed(costs, "steps", run_multistep_group, state, fact, proposal.budget)
+        groups.append({
+            "shift": state.shifts[-done], "budget": operator.index(proposal.budget),
+            "steps": done, "residual_before": before, "residual_after": state.current_residual,
+            "lu_nnz": fact.nnz, "lu_dtype": fact.dtype.name,
+            "lus": problem.pencil.n_factorizations - lus,
+            **costs, **(proposal.info or {}),
+        })
         if on_step is not None:
             now = time.monotonic() - t0
             for k in range(state.j - done, state.j):
@@ -404,6 +453,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         t_total=t_total,
         t_shift=t_shift,
         n_factorizations=problem.pencil.n_factorizations - n_fact0,
+        groups=groups,
     )
     if return_state:
         return report, state

@@ -31,7 +31,8 @@ class MatrixMarketError(ValueError):
 # symmetric ordering, and the diagonal pivot kept unless it is below this
 # fraction of its column's largest entry.
 _DIAG_PIVOT_THRESH = 0.1
-# a shifted matrix whose condition-number estimate reaches this is singular
+# a shifted matrix whose row-equilibrated condition estimate reaches this
+# is singular
 _COND_LIMIT = 1e14
 # pencils of at least this many unknowns are ordered once by nested
 # dissection. Timed on the convection-diffusion grids (2-core x86 host,
@@ -288,23 +289,24 @@ class ShiftedPencil:
             options=dict(SymmetricMode=True),
         )
 
-    def solve(self, lu, rhs, probe=False):
+    def solve(self, lu, rhs, probe=None):
         """x with K x = rhs, for an LU of K in the pencil's order.
 
         Gathers the right-hand side into the pencil's order and scatters
         the solution back; ``rhs`` is (n,) or (n, k), and SuperLU casts a
-        real one to a complex LU's dtype. With ``probe`` the pencil's
-        ``probe`` is one more column of the same SuperLU call (each column
-        bitwise what its own solve gives), returned as (x, K^{-1} probe);
-        only ShiftedFactorization.solve sets it, for its singularity test.
+        real one to a complex LU's dtype. A ``probe`` column, given in the
+        pencil's order, is one more column of the same SuperLU call (each
+        column bitwise what its own solve gives), returned as (x, K^{-1}
+        probe); only ShiftedFactorization.solve passes one, for its
+        singularity test.
         """
         perm, iperm = self._layout.perm, self._layout.iperm
         b = rhs if perm is None else rhs[perm]
-        X = lu.solve(np.column_stack([b, self.probe]) if probe else b)
-        x = X[:, :-1].reshape(rhs.shape) if probe else X
+        X = lu.solve(b if probe is None else np.column_stack([b, probe]))
+        x = X if probe is None else X[:, :-1].reshape(rhs.shape)
         if perm is not None:
             x = x[iperm]
-        return (x, X[:, -1]) if probe else x
+        return x if probe is None else (x, X[:, -1])
 
     def solve_M(self, rhs):
         """M^{-1} rhs through one LU of M in the pencil's order (made once).
@@ -335,13 +337,15 @@ class ShiftedFactorization:
     pencil's ``lu`` in symmetric mode with diagonal pivot threshold 0.1: as
     it stands after a nested-dissection ordering (1000 unknowns or more),
     otherwise ordered by minimum degree on K + K^T; the pencil counts the
-    LU once SuperLU returns it. An exactly singular K raises
-    SingularShiftError here. A nearly singular one is caught by the first
-    ``solve``, without forming the L and U factors: the pencil's fixed +-1
-    vector b (``probe``, drawn once per pencil) is one more column of that
-    solve, and SingularShiftError is raised when x = K^{-1} b is not
-    finite or ||K||_inf ||x||_inf >= 1e14 ||b||_inf. That product is a
-    lower bound of the condition number kappa_inf(K). An unstable A
+    LU once SuperLU returns it, and ``nnz`` and ``dtype`` describe it. An
+    exactly singular K raises SingularShiftError here. A nearly singular
+    one is caught by the first ``solve``, without forming the L and U
+    factors: with r the row sums of |K| and b the pencil's fixed +-1
+    vector (``probe``, drawn once per pencil), r o b is one more column of
+    that solve, and SingularShiftError is raised when x = K^{-1}(r o b) is
+    not finite or ||x||_inf >= 1e14. That norm is a lower bound of the
+    condition number of the row-equilibrated matrix, kappa_inf(diag(1/r)
+    K), so a well-conditioned but badly scaled K passes. An unstable A
     reaches this error only when a shift lands on the negative of one of
     its eigenvalues; usually its solve just runs to max_iterations
     (ROADMAP.md, item 3).
@@ -364,9 +368,11 @@ class ShiftedFactorization:
             ) from exc
         pencil.n_factorizations += 1
         row_sums = np.bincount(K.indices, np.abs(K.data), minlength=pencil.n)
-        self._norm = row_sums.max(initial=0.0)  # ||K||_inf; None once a solve passed
+        self._probe = row_sums * pencil.probe  # None once a solve passed
         self._pencil = pencil
         self.alpha = alpha
+        self.nnz = self._lu.nnz  # stored entries of L and U
+        self.dtype = K.dtype
 
     def solve(self, rhs):
         """Solve (A + alpha*M) x = rhs for one or several right-hand sides.
@@ -374,17 +380,17 @@ class ShiftedFactorization:
         Until one has passed, each solve carries the singularity probe and
         raises SingularShiftError when it fails.
         """
-        if self._norm is None:
+        if self._probe is None:
             return self._pencil.solve(self._lu, np.asarray(rhs))
-        x, p = self._pencil.solve(self._lu, np.asarray(rhs), probe=True)
+        x, p = self._pencil.solve(self._lu, np.asarray(rhs), probe=self._probe)
         with np.errstate(all="ignore"):
-            cond = self._norm * np.max(np.abs(p), initial=0.0)
+            cond = np.max(np.abs(p), initial=0.0)
         if not cond < _COND_LIMIT:  # also true for nan
             raise SingularShiftError(
                 f"A + ({self.alpha})*M is numerically singular "
-                f"(condition number >= {cond:.2e})"
+                f"(row-equilibrated condition number >= {cond:.2e})"
             )
-        self._norm = None
+        self._probe = None
         return x
 
 

@@ -27,6 +27,7 @@ normal equations at a point (perfbench/spans.py wraps it by that name).
 """
 
 import logging
+import time
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -372,7 +373,7 @@ def ritz_update(state, h):
         start -= 1  # never split a conjugate pair
     Zw = state.Z[:, start * s :]
     Q, R = np.linalg.qr(Zw)
-    used_fallback = not np.all(np.isfinite(R)) or np.linalg.cond(R) >= 1e8
+    used_fallback = bool(not np.all(np.isfinite(R)) or np.linalg.cond(R) >= 1e8)
     QW = Q.conj().T @ state.W
     N = None
     if problem.M is not None:
@@ -854,8 +855,10 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     single column) and reports psi at its end point. Returns (alpha,
     info) with alpha = nu + i xi the best point found and info carrying
     the final value, the chosen start's iteration count, ``converged``
-    and stop reason (``stop``), and every start's stop reason in start
-    order (``stops``; see _polish_gauss_newton for the reasons).
+    and stop reason (``stop``), every start's stop reason in start
+    order (``stops``; see _polish_gauss_newton for the reasons), and the
+    seconds spent in the grid presearch (``grid_s``) and in the polish
+    (``polish_s``).
 
     Parameters
     ----------
@@ -875,10 +878,12 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     b = co.bounds
     exact = OPTIMIZERS[method] == "newton-trust"
 
+    t0 = time.monotonic()
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
     vals = grid_objective(co, nus, xis)
     order = np.argsort(vals, kind="stable")[:3]
+    t1 = time.monotonic()
 
     starts = []
     if x0 is not None:
@@ -903,6 +908,8 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         "from_guess": x0 is not None and which == 0,
         "grid_best": float(vals[order[0]]) if order.size else np.inf,
         "iterations": iterations,
+        "grid_s": t1 - t0,
+        "polish_s": time.monotonic() - t1,
     }
     # _box_clip puts every point of a real-axis box at xi = +0.0
     return complex(x[0], x[1]), info

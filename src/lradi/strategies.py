@@ -13,12 +13,14 @@ only input.
 """
 
 import logging
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import resmin
 from .engine import ShiftProposal
+from .linalg import spectral_norm_small
 # bound here too, so that the benchmark's strategies.* span points exist
 from .resmin import hamiltonian_residual_shift, ritz_update, schur_stabilize
 
@@ -229,13 +231,16 @@ _PICKERS = {
 
 def _resmin_pick(method):
     """The residual-norm minimizer with optimizer ``method``, as a picker:
-    optimize_shift from the model's projected-Hamiltonian shift, its info
-    adding the model ("compression") and the guess."""
+    optimize_shift from the model's projected-Hamiltonian shift. Its info
+    adds the guess and the model's ``predicted_reduction`` of the squared
+    residual norm, value / ||weight Wtil||_2^2, and joins the starts'
+    stop reasons into one string, so that it holds scalars only."""
     def pick(co, state):
         guess = resmin.hamiltonian_residual_shift(co.H, co.Wtil)
         alpha, info = resmin.optimize_shift(co, x0=guess, method=method)
-        info["compression"] = co
-        info["guess"] = guess
+        Wt2 = spectral_norm_small(co.Wtil if co.weight is None else co.weight @ co.Wtil)
+        info.update(guess=guess, stops=",".join(info["stops"]),
+                    predicted_reduction=info["value"] / Wt2 if Wt2 else np.nan)
         return alpha, info
 
     return pick
@@ -249,11 +254,16 @@ class AdaptiveStrategy:
     (``subspace`` "EK"), (1, 1) for the Z window ("Z"). The model is the
     seed compression at j = 0, afterwards the window over the last h steps
     or the recycled extended Krylov space. ``pick(co, state)`` returns
-    ``(alpha, info)`` from that model, for the proposal: one of the pickers
-    above (Z(h)+heur|conv|Hres) or the residual-norm minimizer (resmin+Z|EK,
-    from _resmin_pick). ``budget``, the config's g, > 1 makes each shift a
-    multistep group sharing one factorization, and the model's ``g`` is set
-    to it: the budget is the one carrier of the group size.
+    ``(alpha, info)`` from that model: one of the pickers above
+    (Z(h)+heur|conv|Hres) or the residual-norm minimizer (resmin+Z|EK,
+    from _resmin_pick). The proposal's info holds the model's scalars
+    (``source``, ``size``, ``used_fallback``, ``n_stabilized``,
+    ``window_start``), ``compress_s``, the seconds spent building the
+    model (the seed's build included at step 0), and the picker's info;
+    never the model itself, whose basis is n x k. ``budget``, the
+    config's g, > 1 makes each shift a multistep group sharing one
+    factorization, and the model's ``g`` is set to it: the budget is the
+    one carrier of the group size.
     """
 
     def __init__(self, pick, config):
@@ -263,9 +273,10 @@ class AdaptiveStrategy:
 
     def next_shift(self, state):
         # called through the module, not bound here at import: the benchmark's
-        # spans (perfbench/spans.py) and tools/rusage_layers.py rebind these
-        # names on resmin, and must see the calls made here
+        # spans (perfbench/spans.py) rebind these names on resmin, and must
+        # see the calls made here
         c = self.config
+        t0 = time.monotonic()
         if state.j == 0:
             orders = (c.p, c.m) if c.subspace == "EK" else (1, 1)
             self.seed = resmin.build_seed(state.problem, *orders)
@@ -274,10 +285,13 @@ class AdaptiveStrategy:
             co = resmin.recycle_krylov(self.seed, state)
         else:
             co = resmin.compress_zh(state, c.h)
+        info = {"source": co.source, "size": co.size, "used_fallback": co.used_fallback,
+                "n_stabilized": co.n_stabilized, "window_start": co.window_start,
+                "compress_s": time.monotonic() - t0}
         if self.budget > 1:
             co = replace(co, g=self.budget)
-        alpha, info = self.pick(co, state)
-        return ShiftProposal(alpha, budget=self.budget, info=info)
+        alpha, pick_info = self.pick(co, state)
+        return ShiftProposal(alpha, budget=self.budget, info={**info, **(pick_info or {})})
 
 
 # ---------------------------------------------------------------------------

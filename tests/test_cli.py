@@ -158,6 +158,24 @@ def test_run_writes_csv_and_json(tmp_path):
     assert float(first[1]) > 0
 
 
+def test_run_writes_one_trace_line_per_group(tmp_path):
+    out = tmp_path / "o"
+    path = write_cfg(tmp_path, "rm.cfg",
+                     run_cfg_text(out, strategy="resmin+EK(2,1)+gn, g=2",
+                                  extra="cx = 10\ncy = 10\n"))
+    assert main(["run", path]) == 0
+    summary = json.loads((out / "rm.json").read_text())
+    groups = [json.loads(line) for line in (out / "rm.trace.jsonl").read_text().splitlines()]
+    # one LU per group, plus the seed's (m = 1) in the first
+    assert len(groups) == summary["n_factorizations"] - 1
+    assert sum(g["steps"] for g in groups) == summary["iters"]
+    # each group's shift is the CSV's at the group's first step
+    rows = [row.split(",") for row in (out / "rm.csv").read_text().splitlines()[1:]]
+    first = np.cumsum([0] + [g["steps"] for g in groups[:-1]])
+    assert [(g["shift_re"], g["shift_im"]) for g in groups] == [
+        (float(rows[k][2]), float(rows[k][3])) for k in first]
+
+
 def test_run_resmin_multistep_through_cli(tmp_path):
     out = tmp_path / "o"
     # mild convection: the tiny EK search space needs a resolved mesh

@@ -233,7 +233,8 @@ class _ProbedLU(_NoFactorsLU):
 
 def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
     # the +-1 vector of the singularity test is the draw each LU used to
-    # make for itself, now made once per pencil and shared by its LUs
+    # make for itself, now made once per pencil and shared by its LUs,
+    # each scaling it by the row sums of its |K|
     n = 20
     draw = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
     rhs, draws = [], []
@@ -249,13 +250,14 @@ def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
             fact.solve(np.ones(n))
     assert draws == [(0,)]
     assert_allclose(pencil.probe, draw, rtol=0, atol=0)  # no solve overwrote it
-    # each LU's first solve carries the probe as its last column, solved
-    # in the LU's arithmetic, and its second solve is plain
+    # each LU's first solve carries the scaled probe as its last column,
+    # solved in the LU's arithmetic, and its second solve is plain
     dtypes = [np.float64, np.complex128, np.float64]
     assert [dtype for _, dtype in rhs] == [d for d in dtypes for _ in range(2)]
-    for first, second in zip(rhs[::2], rhs[1::2]):
+    for alpha, first, second in zip((-1.5, -1.5 + 4.0j, -2.0), rhs[::2], rhs[1::2]):
         assert first[0].shape == (n, 2) and second[0].shape == (n,)
-        assert_allclose(first[0][:, 1], draw, rtol=0, atol=0)
+        row_sums = np.asarray(abs(A + alpha * sp.identity(n)).sum(axis=1)).ravel()
+        assert_allclose(first[0][:, 1], row_sums * draw, rtol=1e-14, atol=0)
 
 
 def test_complex_shift_fill_stays_low(recorded_lu):
