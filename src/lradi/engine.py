@@ -118,13 +118,22 @@ class LyapunovProblem:
         return self.B.shape[1]
 
 
+def integer_at_least(name, value, low):
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer (has ``__index__``: 2.5 and 2.0 do not) of at least ``low``."""
+    if not hasattr(value, "__index__") or operator.index(value) < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass
 class ShiftProposal:
     """A strategy's answer: the next shift and how many steps to spend on it.
 
-    ``budget``, an integer >= 1, > 1 requests a multistep group: the shift
-    is reused for up to ``budget`` logical steps on a single factorization
-    (a conjugate pair consumes two; ceil(budget/2) pairs are allowed).
+    ``budget``, an integer >= 1 stored as an int, > 1 requests a multistep
+    group: the shift is reused for up to ``budget`` logical steps on a
+    single factorization (a conjugate pair consumes two; ceil(budget/2)
+    pairs are allowed).
     ``info``, the picker's report on the shift (None: it gave none), is
     a dict of scalars that joins the group's record (SolveReport.groups).
     """
@@ -134,8 +143,7 @@ class ShiftProposal:
     info: object = None
 
     def __post_init__(self):
-        if not hasattr(self.budget, "__index__") or operator.index(self.budget) < 1:
-            raise ValueError(f"budget must be an integer >= 1, got {self.budget!r}")
+        self.budget = integer_at_least("budget", self.budget, 1)
 
 
 class AdiState:
@@ -434,7 +442,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         fact = _costed(costs, "factor", sparse_shifted_factorize, problem.pencil, alpha)
         done = _costed(costs, "steps", run_multistep_group, state, fact, proposal.budget)
         groups.append({
-            "shift": state.shifts[-done], "budget": operator.index(proposal.budget),
+            "shift": state.shifts[-done], "budget": proposal.budget,
             "steps": done, "residual_before": before, "residual_after": state.current_residual,
             "lu_nnz": fact.nnz, "lu_dtype": fact.dtype.name,
             "lus": problem.pencil.n_factorizations - lus,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import resmin
-from .engine import ShiftProposal
+from .engine import ShiftProposal, integer_at_least
 from .linalg import spectral_norm_small
 # bound here too, so that the benchmark's strategies.* span points exist
 from .resmin import hamiltonian_residual_shift, ritz_update, schur_stabilize
@@ -303,11 +303,12 @@ class StrategyConfig:
     """Strategy description, the one home of every strategy rule.
 
     ``kind`` is one of "heur", "zheur", "zconv", "zhres", "resmin"; the
-    other fields parametrize it. J, p, h and g are >= 1 and m >= 0;
-    ``subspace`` is "Z" or "EK" and ``optimizer`` a key of
-    resmin.OPTIMIZERS, kept as its canonical name; g > 1 (multistep
-    groups) and "EK" need "resmin". Construction raises ValueError,
-    naming the field and its value, on a config that breaks a rule.
+    other fields parametrize it. J, p, h and g are integers >= 1 and m an
+    integer >= 0, each stored as an int; ``subspace`` is "Z" or "EK" and
+    ``optimizer`` a key of resmin.OPTIMIZERS, kept as its canonical name;
+    g > 1 (multistep groups) and "EK" need "resmin". Construction raises
+    ValueError, naming the field and its value, on a config that breaks
+    a rule.
     """
 
     kind: str
@@ -323,8 +324,7 @@ class StrategyConfig:
         if self.kind not in ("heur", *_PICKERS, "resmin"):
             raise ValueError(f"unknown kind {self.kind!r}")
         for name, low in (("J", 1), ("p", 1), ("h", 1), ("g", 1), ("m", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            setattr(self, name, integer_at_least(name, getattr(self, name), low))
         if self.subspace not in ("Z", "EK"):
             raise ValueError(f"subspace must be 'Z' or 'EK', got {self.subspace!r}")
         if self.optimizer not in resmin.OPTIMIZERS:

@@ -1,12 +1,25 @@
-"""Shared test fixtures and independent reference implementations.
+"""Shared test oracles and input builders; test modules import them from here.
 
-The helpers here deliberately avoid the package's own building blocks:
-residuals are formed densely from the definition, the reference ADI runs
-in complex arithmetic with no realification or factor bookkeeping, and
-the extended Krylov oracle builds explicit power/inverse-power blocks.
-They exist so the package code is checked against something it shares no
-code with. ``matrix_market_write`` writes the files that the package's
-Matrix Market reader is tested on.
+Oracles share no code with the package. Residuals are formed densely from
+the definition, the reference ADI runs in complex arithmetic with no
+realification or factor bookkeeping, the extended Krylov oracle builds
+explicit power/inverse-power blocks, and the spectral grid oracle
+evaluates the compressed objective from an eigendecomposition instead of
+the package's triangular solves:
+
+    dense_lyap_residual, factored_residual_gap, reference_complex_adi,
+    explicit_extended_krylov, max_principal_angle, dense_lyap_solve,
+    spectral_grid_minimum
+
+Finite differences check the package's derivative code against its own
+objective, so they call ``eval_objective``: fd_gradient, fd_hessian.
+
+Builders make inputs and may use the package to do so: random matrices
+(random_stable, random_spd), the 1-D FEM pencil (fem_pair), random
+compressed objectives and points in their boxes (make_objective,
+sample_point), an engine state stepped through a given shift list
+(run_shifts), and the Matrix Market files the package's reader is
+tested on (matrix_market_write).
 
 BLAS is pinned to one thread before NumPy is first imported: the package's
 small dense kernels oversubscribe the cores with threaded BLAS, and one
@@ -22,6 +35,15 @@ import numpy as np  # noqa: E402
 import scipy.linalg as spla  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
 
+from lradi.engine import (  # noqa: E402
+    AdiState,
+    LyapunovProblem,
+    adi_double_step,
+    adi_real_step,
+)
+from lradi.linalg import sparse_shifted_factorize  # noqa: E402
+from lradi.resmin import CompressedObjective, derive_bounds, eval_objective  # noqa: E402
+
 
 def random_stable(n, rng, spread=1.0):
     """Dense random stable matrix with a mix of real and complex modes."""
@@ -35,6 +57,52 @@ def random_stable(n, rng, spread=1.0):
 def random_spd(n, rng):
     F = rng.standard_normal((n, n))
     return F @ F.T + n * np.eye(n)
+
+
+def fem_pair(n):
+    """(A, M) = (-K, M): the stiffness K and SPD mass M of linear finite
+    elements on n interior nodes of [0, 1], both tridiagonal CSR."""
+    h = 1.0 / (n + 1)
+    K = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr") / h
+    M = sp.diags([np.ones(n - 1), 4 * np.ones(n), np.ones(n - 1)],
+                 [-1, 0, 1], format="csr") * (h / 6.0)
+    return -K, M
+
+
+def make_objective(rng, k=6, s=1, g=1, weighted=False, real_spectrum=False):
+    """Random compressed objective with a stable Schur-form H."""
+    H = random_stable(k, rng)
+    if real_spectrum:
+        H = np.diag(-rng.random(k) * 5 - 0.5)
+    T, _ = spla.schur(H.astype(np.complex128), output="complex")
+    Wt = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
+    weight = None
+    if weighted:
+        weight = np.triu(rng.standard_normal((k, k))) + k * np.eye(k)
+    return CompressedObjective(H=T, Wtil=Wt, weight=weight, g=g,
+                               bounds=derive_bounds(np.diag(T)))
+
+
+def sample_point(co, rng):
+    """A random (nu, xi) in co's box, xi away from the real axis."""
+    b = co.bounds
+    nu = rng.uniform(b.nu_minus, b.nu_plus)
+    xi = rng.uniform(0.1 * max(b.xi_plus, 1e-3), max(b.xi_plus, 1e-3))
+    return nu, xi
+
+
+def run_shifts(A, B, shifts, M=None, tol=0.0, max_iterations=500):
+    """Step the engine through an explicit shift list; returns the state."""
+    problem = LyapunovProblem(A, B, M=M, tol=tol, max_iterations=max_iterations)
+    state = AdiState(problem)
+    for alpha in shifts:
+        fact = sparse_shifted_factorize(problem.pencil, alpha)
+        if np.imag(alpha) == 0:
+            adi_real_step(state, fact)
+        else:
+            adi_double_step(state, fact)
+    return state
 
 
 def dense_lyap_residual(A, Z, B, M=None):
@@ -120,6 +188,44 @@ def dense_lyap_solve(A, B, M=None):
         A = np.linalg.solve(Md, A)
         B = np.linalg.solve(Md, B)
     return spla.solve_continuous_lyapunov(A, -B @ B.T)
+
+
+def spectral_grid_minimum(co, n=200):
+    """min of psi = ||C(H, alpha)^g Wt||_2^2 on an n x n grid over co's box
+    (n points on a real-axis box), from H = V diag(lam) V^{-1}:
+    C^g Wt = V diag(((lam - conj alpha) / (lam + alpha))^g) V^{-1} Wt.
+    Unweighted models only."""
+    lam, V = np.linalg.eig(co.H)
+    Y = np.linalg.solve(V, co.Wtil)
+    b = co.bounds
+    xis = [0.0] if b.real_axis else np.linspace(0.0, b.xi_plus, n)
+    alpha = (np.linspace(b.nu_minus, b.nu_plus, n)[:, None] + 1j * np.asarray(xis)).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = ((lam - np.conj(alpha)[:, None]) / (lam + alpha[:, None])) ** co.g
+    Psi = V @ (r[:, :, None] * Y)
+    return np.nanmin(np.linalg.norm(Psi, 2, axis=(1, 2)) ** 2)
+
+
+def fd_gradient(co, nu, xi, h=1e-6):
+    """Central differences of eval_objective in nu and xi, step h max(|nu|, 1)."""
+    d = max(abs(nu), 1.0) * h
+    gn = (eval_objective(co, nu + d, xi) - eval_objective(co, nu - d, xi)) / (2 * d)
+    gx = (eval_objective(co, nu, xi + d) - eval_objective(co, nu, xi - d)) / (2 * d)
+    return np.array([gn, gx])
+
+
+def fd_hessian(co, nu, xi, h=1e-4):
+    """Second central differences of eval_objective, step h max(|nu|, 1)."""
+    d = max(abs(nu), 1.0) * h
+
+    def f(a, b):
+        return eval_objective(co, a, b)
+
+    hnn = (f(nu + d, xi) - 2 * f(nu, xi) + f(nu - d, xi)) / d**2
+    hxx = (f(nu, xi + d) - 2 * f(nu, xi) + f(nu, xi - d)) / d**2
+    hnx = (f(nu + d, xi + d) - f(nu + d, xi - d)
+           - f(nu - d, xi + d) + f(nu - d, xi - d)) / (4 * d**2)
+    return np.array([[hnn, hnx], [hnx, hxx]])
 
 
 def matrix_market_write(path, A):

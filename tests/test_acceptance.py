@@ -8,14 +8,20 @@ condition.
 import time
 
 import numpy as np
-import scipy.linalg as spla
 import scipy.sparse as sp
 
 from conftest import (
     explicit_extended_krylov,
     factored_residual_gap,
+    fd_gradient,
+    fd_hessian,
+    fem_pair,
+    make_objective,
     max_principal_angle,
     random_stable,
+    run_shifts,
+    sample_point,
+    spectral_grid_minimum,
 )
 from lradi.cli import parse_strategy
 from lradi.engine import (
@@ -30,13 +36,10 @@ from lradi.engine import (
 from lradi.linalg import sparse_shifted_factorize
 from lradi.problems import gen_cd2d, gen_rhs
 from lradi.resmin import (
-    CompressedObjective,
     ShiftObjectiveError,
     _psi_derivatives,
     build_seed,
-    derive_bounds,
     eval_derivatives,
-    eval_objective,
     optimize_shift,
     recycle_krylov,
 )
@@ -132,21 +135,14 @@ def test_c3_recycled_extended_krylov_angles():
         B = rng.standard_normal((n, 1))
         As = sp.csr_matrix(A)
         for p, m in [(2, 0), (2, 1), (1, 2)]:
-            problem = LyapunovProblem(As, B, tol=0.0, max_iterations=200)
-            seed = build_seed(problem, p=p, m=m)
+            seed = build_seed(LyapunovProblem(As, B), p=p, m=m)
             for j in range(2, 9):
                 if j % 2 == 0:  # conjugate-pair history
                     shifts = [complex(-1.0, 0.8)]
                     shifts += [-0.5 * (i + 2) for i in range(j - 2)]
                 else:  # pure real history
                     shifts = [-0.5 * (i + 1) for i in range(j)]
-                state = AdiState(problem)
-                for alpha in shifts:
-                    fact = sparse_shifted_factorize(problem.pencil, alpha)
-                    if np.imag(alpha) == 0:
-                        adi_real_step(state, fact)
-                    else:
-                        adi_double_step(state, fact)
+                state = run_shifts(As, B, shifts)
                 assert state.j == j
                 co = recycle_krylov(seed, state)
                 Q_ref = explicit_extended_krylov(A, state.W, p, m)
@@ -159,41 +155,10 @@ def test_c3_recycled_extended_krylov_angles():
            f"(<= 1e-8), {elapsed:.1f}s")
 
 
-def _random_objective(rng, k, s, g):
-    H = random_stable(k, rng)
-    T, _ = spla.schur(H.astype(np.complex128), output="complex")
-    Wt = rng.standard_normal((k, s)) + 1j * rng.standard_normal((k, s))
-    return CompressedObjective(H=T, Wtil=Wt, g=g,
-                               bounds=derive_bounds(np.diag(T)))
-
-
-def _sample_point(co, rng):
-    b = co.bounds
-    nu = rng.uniform(b.nu_minus, b.nu_plus)
-    xi = rng.uniform(0.1 * max(b.xi_plus, 1e-3), max(b.xi_plus, 1e-3))
-    return nu, xi
-
-
 def test_c4_derivative_correctness():
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
     gs = (1, 2, 5)
-
-    def fd_grad(co, nu, xi, h):
-        d = max(abs(nu), 1.0) * h
-        return np.array([
-            (eval_objective(co, nu + d, xi) - eval_objective(co, nu - d, xi)),
-            (eval_objective(co, nu, xi + d) - eval_objective(co, nu, xi - d)),
-        ]) / (2 * d)
-
-    def fd_hess(co, nu, xi, h):
-        d = max(abs(nu), 1.0) * h
-        f = lambda a, b: eval_objective(co, a, b)
-        hnn = (f(nu + d, xi) - 2 * f(nu, xi) + f(nu - d, xi)) / d**2
-        hxx = (f(nu, xi + d) - 2 * f(nu, xi) + f(nu, xi - d)) / d**2
-        hnx = (f(nu + d, xi + d) - f(nu + d, xi - d)
-               - f(nu - d, xi + d) + f(nu - d, xi - d)) / (4 * d**2)
-        return np.array([[hnn, hnx], [hnx, hxx]])
 
     errs = {"gradient": 0.0, "hessian": 0.0, "jacobian": 0.0}
     counts = {"gradient": 0, "hessian": 0, "jacobian": 0}
@@ -204,36 +169,36 @@ def test_c4_derivative_correctness():
         k = int(rng.integers(5, 10))
 
         if counts["gradient"] < 50:
-            co = _random_objective(rng, k, int(rng.integers(1, 4)), g)
-            nu, xi = _sample_point(co, rng)
+            co = make_objective(rng, k=k, s=int(rng.integers(1, 4)), g=g)
+            nu, xi = sample_point(co, rng)
             try:
                 grad = eval_derivatives(co, nu, xi, order=1)[1]
             except ShiftObjectiveError:
                 grad = None
             if grad is not None:
-                ref = fd_grad(co, nu, xi, 1e-6)
+                ref = fd_gradient(co, nu, xi)
                 errs["gradient"] = max(
                     errs["gradient"],
                     np.linalg.norm(grad - ref) / max(np.linalg.norm(ref), 1e-12))
                 counts["gradient"] += 1
 
         if counts["hessian"] < 50:
-            co = _random_objective(rng, k, int(rng.integers(1, 3)), g)
-            nu, xi = _sample_point(co, rng)
+            co = make_objective(rng, k=k, s=int(rng.integers(1, 3)), g=g)
+            nu, xi = sample_point(co, rng)
             try:
                 Hm = eval_derivatives(co, nu, xi)[2]
             except ShiftObjectiveError:
                 Hm = None
             if Hm is not None:
-                ref = fd_hess(co, nu, xi, 1e-4)
+                ref = fd_hessian(co, nu, xi)
                 errs["hessian"] = max(
                     errs["hessian"],
                     np.linalg.norm(Hm - ref) / max(np.linalg.norm(ref), 1e-12))
                 counts["hessian"] += 1
 
         if counts["jacobian"] < 50:
-            co = _random_objective(rng, k, 1, g)
-            nu, xi = _sample_point(co, rng)
+            co = make_objective(rng, k=k, s=1, g=g)
+            nu, xi = sample_point(co, rng)
             # Psi_nu and Psi_xi against central differences of Psi
             J = np.stack(_psi_derivatives(co, nu, xi, 1)[1:])
             d = 1e-7 * max(abs(nu), 1.0)
@@ -259,29 +224,13 @@ def test_c4_derivative_correctness():
            f"{elapsed:.1f}s")
 
 
-def _grid_minimum(co, n_grid=200):
-    """Grid oracle via eigendecomposition (independent of the triangular
-    solves inside eval_objective)."""
-    lam, X = np.linalg.eig(co.H)
-    c = np.linalg.solve(X, co.Wtil[:, 0])
-    b = co.bounds
-    nus = np.linspace(b.nu_minus, b.nu_plus, n_grid)
-    xis = np.linspace(0.0, b.xi_plus, n_grid) if not b.real_axis else np.array([0.0])
-    NU, XI = np.meshgrid(nus, xis, indexing="ij")
-    alpha = (NU + 1j * XI).ravel()
-    factors = (lam[None, :] - np.conj(alpha)[:, None]) / (lam[None, :] + alpha[:, None])
-    vec = (factors ** co.g * c[None, :]) @ X.T
-    vals = np.linalg.norm(vec, axis=1) ** 2
-    return vals.min()
-
-
 def test_c5_optimizer_matches_grid_oracle():
     rng = np.random.default_rng(4)
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(10):
-        co = _random_objective(rng, 8, 1, 1)
-        gmin = _grid_minimum(co)
+        co = make_objective(rng, k=8, s=1, g=1)
+        gmin = spectral_grid_minimum(co)
         for method in ("gauss-newton", "newton-trust"):
             _, info = optimize_shift(co, method=method)
             worst = max(worst, info["value"] / gmin)
@@ -353,19 +302,10 @@ def test_c8_multistep_factorization_savings():
            f"(ratio {r1.n_factorizations / r5.n_factorizations:.2f} >= 4)")
 
 
-def _fem_pair(n):
-    h = 1.0 / (n + 1)
-    K = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-                 [-1, 0, 1], format="csr") / h
-    M = sp.diags([np.ones(n - 1), 4 * np.ones(n), np.ones(n - 1)],
-                 [-1, 0, 1], format="csr") * (h / 6.0)
-    return -K, M
-
-
 def test_c9_generalized_path():
     # large run: SPD tridiagonal mass, A = -stiffness
     n = 4096
-    A, M = _fem_pair(n)
+    A, M = fem_pair(n)
     B = gen_rhs(n, 1, 0)
     problem = LyapunovProblem(A, B, M=M, tol=1e-10, max_iterations=150)
     strategy = make_strategy(parse_strategy("resmin+Z(8)+gauss-newton"))
@@ -375,7 +315,7 @@ def test_c9_generalized_path():
 
     # dense check: generalized residual identity at every step on n = 50
     n_small = 50
-    As, Ms = _fem_pair(n_small)
+    As, Ms = fem_pair(n_small)
     Bs = gen_rhs(n_small, 1, 0)
     problem = LyapunovProblem(As, Bs, M=Ms, tol=1e-10, max_iterations=120)
     strategy = make_strategy(parse_strategy("resmin+Z(8)+gauss-newton"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import matrix_market_write
+from conftest import fem_pair, matrix_market_write
 import lradi
 from lradi.cli import ConfigError, main, parse_config, parse_strategy
 
@@ -220,12 +220,8 @@ def test_run_is_deterministic_apart_from_timing(tmp_path):
 
 def test_run_generalized_matrix_market(tmp_path):
     n = 20
-    main_diag = 2.0 * np.ones(n)
-    off = -1.0 * np.ones(n - 1)
-    K = sp.diags([off, main_diag, off], [-1, 0, 1], format="csr")
-    M = sp.diags([0.25 * np.ones(n - 1), np.ones(n), 0.25 * np.ones(n - 1)],
-                 [-1, 0, 1], format="csr")
-    matrix_market_write(str(tmp_path / "a.mtx"), -K)
+    A, M = fem_pair(n)
+    matrix_market_write(str(tmp_path / "a.mtx"), A)
     matrix_market_write(str(tmp_path / "m.mtx"), M)
     rng = np.random.default_rng(0)
     matrix_market_write(str(tmp_path / "b.mtx"),

@@ -17,9 +17,11 @@ from scipy.sparse.linalg import splu
 from conftest import (
     dense_lyap_solve,
     factored_residual_gap,
+    fem_pair,
     random_spd,
     random_stable,
     reference_complex_adi,
+    run_shifts,
 )
 from lradi import engine, linalg, resmin, strategies
 from lradi.cli import parse_strategy
@@ -38,20 +40,6 @@ from lradi.engine import (
 from lradi.linalg import SingularShiftError, sparse_shifted_factorize
 from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
 from lradi.strategies import CyclicShifts, make_strategy
-from test_acceptance import _fem_pair
-
-
-def run_shifts(A, B, shifts, M=None, tol=0.0, max_iterations=500):
-    """Step the engine through an explicit shift list; returns the state."""
-    problem = LyapunovProblem(A, B, M=M, tol=tol, max_iterations=max_iterations)
-    state = AdiState(problem)
-    for alpha in shifts:
-        fact = sparse_shifted_factorize(problem.pencil, alpha)
-        if np.imag(alpha) == 0:
-            adi_real_step(state, fact)
-        else:
-            adi_double_step(state, fact)
-    return state
 
 
 def test_real_steps_residual_identity():
@@ -297,7 +285,7 @@ def test_probe_rides_each_groups_first_solve(monkeypatch):
     # shifted LU, the seed's (alpha = 0) included, solves it exactly once,
     # scaled by the row sums of |A + alpha M|
     rhs.clear()
-    A, M = _fem_pair(200)
+    A, M = fem_pair(200)
     problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+EK(3,1)+gn")))
     assert report.converged
@@ -346,7 +334,7 @@ def test_resmin_survives_a_mass_matrix_with_tiny_rows():
     # probe lets it pass. The solve then stagnates: 150 steps at residual
     # 1.0, which no status names yet (ROADMAP item 3)
     n = 300
-    A, M = _fem_pair(n)
+    A, M = fem_pair(n)
     D = sp.diags(np.r_[np.ones(n - 3), np.full(3, 1e-9)])
     M = (D @ (6.0 * (n + 1) * M) @ D).tocsr()
     problem = LyapunovProblem(A, gen_rhs(n, 2, 0), M=M)
@@ -366,7 +354,7 @@ def test_stagnation_is_named(text, stagnates):
     # at 8.1e-1 at step 30 and 6.9e-1 at step 120, while heur(6,8,8)'s keeps
     # falling (5.6e-3 at step 30, 3.2e-5 at 120, 6.4e-6 at 150): a
     # stagnation rule names the first and leaves slow progress running
-    A, M = _fem_pair(2048)
+    A, M = fem_pair(2048)
     problem = LyapunovProblem(A, gen_rhs(2048, 4, 0), M=M, tol=1e-8, max_iterations=150)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert (report.status == "stagnated") == stagnates
@@ -606,7 +594,7 @@ def test_solve_keeps_one_factorization_alive(monkeypatch):
 
     alive.clear()
     builders.clear()
-    A, M = _fem_pair(200)
+    A, M = fem_pair(200)
     problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
     strategy = make_strategy(parse_strategy("resmin+EK(3,1)+gn, g=5"))
     report = lr_adi_solve(problem, handover(strategy))
@@ -637,48 +625,6 @@ def test_report_counts_factorizations_a_strategy_builds_itself():
     assert report.n_factorizations == 2 * (report.iterations - pairs)
     # a second solve of the same problem counts its own LUs only
     assert lr_adi_solve(problem, Probing()).n_factorizations == report.n_factorizations
-
-
-@pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "resmin+Z nd"])
-def test_factorizations_pass_through_the_seams(case, monkeypatch):
-    # every counted factorization enters through engine's or resmin's
-    # sparse_shifted_factorize with the shift as second positional
-    # argument, and each costs one linalg.splu (plus one for M's LU):
-    # ordered by SuperLU's minimum degree below the nested-dissection
-    # size, factored as ordered by the problem's pencil from it on
-    if case == "resmin+Z":
-        A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
-    elif case == "resmin+EK+M":
-        (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
-    elif case == "Z(4)+Hres":
-        A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
-    else:
-        A, M, s, text = gen_cd2d(32), None, 1, "resmin+Z(8)+gn"
-    nd = A.shape[0] >= linalg._ND_MIN_N
-    assert nd == (case == "resmin+Z nd")
-    shifts, lus = [], []
-
-    def seam(build):
-        def counted(*args, **kwargs):
-            assert len(args) >= 2 and np.isscalar(args[1])
-            shifts.append(args[1])
-            return build(*args, **kwargs)
-        return counted
-
-    def counted_splu(*args, **kwargs):
-        assert kwargs["permc_spec"] == ("NATURAL" if nd else "MMD_AT_PLUS_A")
-        lus.append(None)
-        return splu(*args, **kwargs)
-
-    for module in (engine, resmin):
-        monkeypatch.setattr(module, "sparse_shifted_factorize",
-                            seam(module.sparse_shifted_factorize))
-    monkeypatch.setattr(linalg, "splu", counted_splu)
-    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
-    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
-    assert report.converged
-    assert len(shifts) == report.n_factorizations
-    assert len(lus) == report.n_factorizations + (M is not None)
 
 
 _ROOT = Path(__file__).resolve().parents[1]  # the checkout
@@ -719,6 +665,54 @@ _OPTIMIZER_SEAMS = {"resmin.optimize_shift", "resmin.nls_residual_jacobian",
 _WINDOW_SEAMS = {"resmin.compress_zh", "resmin.ritz_update"}
 
 
+def _seam_case(case):
+    """(A, M, s, strategy text) of a case of the two tests below."""
+    if case == "resmin+Z":
+        return gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
+    if case == "resmin+Z nd":
+        return gen_cd2d(32), None, 1, "resmin+Z(8)+gn"
+    if case == "resmin+EK+M":
+        return *fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
+    if case == "Z(4)+Hres":
+        return gen_cd3d(4), None, 1, "Z(4)+Hres"
+    return gen_cd2d(10), None, 1, "heur(20,30,20)"
+
+
+@pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "resmin+Z nd"])
+def test_factorizations_pass_through_the_seams(case, monkeypatch):
+    # every counted factorization enters through engine's or resmin's
+    # sparse_shifted_factorize with the shift as second positional
+    # argument, and each costs one linalg.splu (plus one for M's LU):
+    # ordered by SuperLU's minimum degree below the nested-dissection
+    # size, factored as ordered by the problem's pencil from it on
+    A, M, s, text = _seam_case(case)
+    nd = A.shape[0] >= linalg._ND_MIN_N
+    assert nd == (case == "resmin+Z nd")
+    shifts, lus = [], []
+
+    def seam(build):
+        def counted(*args, **kwargs):
+            assert len(args) >= 2 and np.isscalar(args[1])
+            shifts.append(args[1])
+            return build(*args, **kwargs)
+        return counted
+
+    def counted_splu(*args, **kwargs):
+        assert kwargs["permc_spec"] == ("NATURAL" if nd else "MMD_AT_PLUS_A")
+        lus.append(None)
+        return splu(*args, **kwargs)
+
+    for module in (engine, resmin):
+        monkeypatch.setattr(module, "sparse_shifted_factorize",
+                            seam(module.sparse_shifted_factorize))
+    monkeypatch.setattr(linalg, "splu", counted_splu)
+    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
+    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
+    assert report.converged
+    assert len(shifts) == report.n_factorizations
+    assert len(lus) == report.n_factorizations + (M is not None)
+
+
 # strategies.ritz_update and strategies.schur_stabilize are never entered:
 # nothing calls them through the strategies module; resmin.eval_objective
 # is never entered either: the polish reports psi from the Psi it accepted
@@ -736,14 +730,7 @@ def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
     # the benchmark times layers by rebinding module attributes; each
     # layer a strategy uses must be reached through one of them, and the
     # factorization seams must see every factorization the report counts
-    if case == "resmin+Z":
-        A, M, s, text = gen_cd2d(10), None, 1, "resmin+Z(8)+gn"
-    elif case == "resmin+EK+M":
-        (A, M), s, text = _fem_pair(200), 2, "resmin+EK(3,1)+gn, g=5"
-    elif case == "Z(4)+Hres":
-        A, M, s, text = gen_cd3d(4), None, 1, "Z(4)+Hres"
-    else:
-        A, M, s, text = gen_cd2d(10), None, 1, "heur(20,30,20)"
+    A, M, s, text = _seam_case(case)
     points = _benchmark_patch_points()
     assert len(points) == 20
     counts = Counter()
@@ -806,7 +793,7 @@ def _check_groups(report, adaptive, resmin):
 def test_group_records_hold_scalars_only(text):
     # the record outlives the solve, so it keeps no model (whose basis is
     # n x k) and no array: every value is a number or a string
-    A, M = _fem_pair(200)
+    A, M = fem_pair(200)
     problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert report.converged and report.groups

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from conftest import matrix_market_write
+from conftest import fem_pair, matrix_market_write
 from lradi import linalg
 from lradi.engine import LyapunovProblem
 from lradi.linalg import (
@@ -339,10 +339,7 @@ def dissect_all(monkeypatch):
 
 def test_tridiagonal_pencil_keeps_natural_fill(dissect_all, recorded_lu):
     # the FEM pair's path graph is ordered end to end: no fill beyond the band
-    n = 2000
-    h = 1.0 / (n + 1)
-    A = -_tridiagonal(n) / h
-    M = sp.diags([np.ones(n - 1), 4.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) * h / 6
+    A, M = fem_pair(2000)
     sparse_shifted_factorize(ShiftedPencil(A, M), -300.0)
     lu, = recorded_lu
     K = sp.csc_matrix(A - 300.0 * M)
@@ -438,6 +435,21 @@ def test_block_orth_drops_dependent_columns():
     bottom = R[3:, :]
     assert bottom[0, 0] > 0
     assert_allclose(bottom[:, 1], 0, atol=1e-12)
+
+
+def test_block_orth_kept_is_the_pivot_column_of_each_new_row():
+    # kept names the input column behind each added basis column: the
+    # first nonzero of its row of R; dependent columns are dropped and
+    # have no row
+    rng = np.random.default_rng(31)
+    basis, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+    x0, x1, x2 = rng.standard_normal((3, 30, 1))
+    block = np.hstack([x0, basis @ rng.standard_normal((4, 1)), x1, x0 + x1, x2])
+    for base, expected in ((None, [0, 1, 2, 4]), (basis, [0, 2, 4])):
+        k0 = 0 if base is None else base.shape[1]
+        _, R, kept = block_orth(base, block)
+        pivots = [int(np.nonzero(np.abs(R[i]) > 0.0)[0][0]) for i in range(k0, R.shape[0])]
+        assert kept.tolist() == pivots == expected
 
 
 def test_block_orth_all_zero_block():

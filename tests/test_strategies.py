@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import lradi.strategies
-from conftest import random_stable
+from conftest import fem_pair, random_stable, run_shifts
 from lradi.cli import parse_strategy
-from lradi.engine import AdiState, LyapunovProblem, ShiftProposal, lr_adi_solve
-from lradi.linalg import sparse_shifted_factorize
+from lradi.engine import LyapunovProblem, ShiftProposal, lr_adi_solve
 from lradi.problems import gen_cd2d, gen_cd3d, gen_rhs
 from lradi.resmin import derive_bounds, extended_krylov_basis
 from lradi.strategies import (
@@ -32,8 +31,6 @@ from lradi.strategies import (
     ritz_update,
     schur_stabilize,
 )
-from test_acceptance import _fem_pair
-from test_engine import run_shifts
 
 
 def adi_rational(z, used):
@@ -381,7 +378,7 @@ def test_strategy_kinds_reproduce_pinned_shifts(text):
     # cd2d(12) with s = 1, or the fem pair with n = 200 and s = 2 for EK;
     # shifts to 1e-12 relative, counts exact
     if text.startswith("resmin+EK"):
-        (A, M), s = _fem_pair(200), 2
+        (A, M), s = fem_pair(200), 2
     else:
         A, M, s = gen_cd2d(12), None, 1
     problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
@@ -400,7 +397,7 @@ PINNED_BENCHMARK = json.loads(
 BENCHMARK_INPUTS = {
     "resmin+Z(8)+gauss-newton": (lambda: (gen_cd2d(40), None), 1, 7, 1e-8),
     "Z(4)+Hres": (lambda: (gen_cd3d(11), None), 1, 7, 1e-8),
-    "resmin+EK(3,1)+gauss-newton, g=5": (lambda: _fem_pair(2048), 4, 0, 1e-10),
+    "resmin+EK(3,1)+gauss-newton, g=5": (lambda: fem_pair(2048), 4, 0, 1e-10),
 }
 
 
@@ -425,7 +422,7 @@ def _scaled_run(pencil, text, a, b):
     if pencil == "cd2d":
         (A, M), s, seed = (gen_cd2d(30), None), 1, 7
     else:
-        (A, M), s, seed = _fem_pair(300), 2, 0
+        (A, M), s, seed = fem_pair(300), 2, 0
     problem = LyapunovProblem(a * A, b * gen_rhs(A.shape[0], s, seed), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     return report.iterations, report.n_factorizations, np.array(report.shifts)
@@ -490,7 +487,7 @@ def test_zheur_converges_on_the_fem_pair_within_hres_steps():
     # the greedy step continued from the executed shifts damps the slowest
     # generalized mode; the min-max pick alone stagnated here (150 steps,
     # residual 1.9e-5)
-    A, M = _fem_pair(300)
+    A, M = fem_pair(300)
     steps = {}
     for text in ("Z(4)+heur", "Z(4)+Hres"):
         problem = LyapunovProblem(A, gen_rhs(300, 2, 0), M=M, tol=1e-8,
@@ -552,13 +549,25 @@ def test_strategy_config_refuses_what_it_would_misread(field, fields):
         StrategyConfig(**fields)
 
 
+@pytest.mark.parametrize("field", ["J", "p", "m", "h", "g"])
+def test_strategy_config_refuses_a_non_integer(field):
+    # 2.5 passed the bounds and then ran as a float: g = 2.5 and h = 2.5
+    # raised TypeError inside the solve, J = 2.5 ran silently. An integral
+    # NumPy value is stored as the int it stands for
+    with pytest.raises(ValueError, match=rf"\b{field} must be an integer"):
+        StrategyConfig(kind="resmin", **{field: 2.5})
+    value = getattr(StrategyConfig(kind="resmin", **{field: np.int64(3)}), field)
+    assert value == 3 and type(value) is int
+
+
 def test_shift_proposal_refuses_a_budget_it_would_alter():
     # the engine runs the budget as it is: 0 no longer runs as 1 nor 2.7 as 2
     for budget in (0, -1, 2.7):
         with pytest.raises(ValueError, match="budget"):
             ShiftProposal(-1.0, budget=budget)
     for budget in (1, 3, np.int64(3)):
-        assert ShiftProposal(-1.0, budget=budget).budget == budget
+        stored = ShiftProposal(-1.0, budget=budget).budget
+        assert stored == budget and type(stored) is int
 
 
 def test_adaptive_strategies_bootstrap_counts_factorization():
