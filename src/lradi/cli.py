@@ -2,9 +2,10 @@
 
 Runs the low-rank ADI solver on a configured problem/strategy pair and
 writes a per-iteration CSV, a summary JSON and a JSON-lines trace with
-one line per multistep group (``SolveReport.groups``); ``compare`` runs
-several strategy configs against identical problem data and
-consolidates the summaries into a table.
+one line per multistep group (``SolveReport.groups``), written with the
+group's CSV rows as it ends; ``compare`` runs several strategy configs
+against identical problem data and consolidates the summaries into a
+table.
 
 Usage::
 
@@ -22,7 +23,7 @@ values optional), e.g.::
     tol      = 1e-8
     max_iter = 150
 
-Exit codes: 0 ok, 1 config error, 2 solver error (partial CSV is kept).
+Exit codes: 0 ok, 1 config error, 2 solver error (partial CSV, trace kept).
 """
 
 import argparse
@@ -165,8 +166,6 @@ def parse_config(path, overrides=None):
     cfg = RunConfig(**values)
     if not 0.0 < cfg.tol < 1.0:
         raise ConfigError(f"{path}: tol must be in (0, 1), got {cfg.tol}")
-    if cfg.max_iter < 1:
-        raise ConfigError(f"{path}: max_iter must be >= 1")
     if cfg.s < 1:
         raise ConfigError(f"{path}: s must be >= 1")
     if cfg.seed < 0:
@@ -232,9 +231,9 @@ def _trace_line(group):
 def _run_one(cfg, problem=None):
     """Run one config; returns (report, csv_path, json_path).
 
-    The CSV is written incrementally and flushed per iteration, so a
-    solver error mid-run leaves the completed rows on disk. After the
-    solve, ``<label>.trace.jsonl`` gets one line per multistep group.
+    Each multistep group's CSV rows and ``<label>.trace.jsonl`` line are
+    written, line-buffered, as it ends, so a solver error mid-run leaves
+    every completed group on disk. The summary follows the solve.
     """
     if problem is None:
         problem = build_problem(cfg)
@@ -243,15 +242,21 @@ def _run_one(cfg, problem=None):
     strategy = make_strategy(parse_strategy(cfg.strategy))
     csv_path = out_dir / f"{cfg.label}.csv"
     json_path = out_dir / f"{cfg.label}.json"
-    with open(csv_path, "w") as fh:
-        fh.write(_CSV_HEADER + "\n")
+    t_shift = 0.0
+    with open(csv_path, "w", buffering=1) as csv_file, \
+            open(out_dir / f"{cfg.label}.trace.jsonl", "w", buffering=1) as trace_file:
+        csv_file.write(_CSV_HEADER + "\n")
 
-        def on_step(i, res, shift, t_shift, t_total):
-            fh.write(f"{i},{_fmt(res)},{_fmt(shift.real)},{_fmt(shift.imag)},"
-                     f"{_fmt(t_shift)},{_fmt(t_total)}\n")
-            fh.flush()
+        def on_group(state, group):
+            nonlocal t_shift
+            t_shift += group["next_shift_s"]
+            for k in range(state.j - group["steps"], state.j):
+                csv_file.write(f"{k + 1},{_fmt(state.res_history[k])},"
+                               f"{_fmt(state.shifts[k].real)},{_fmt(state.shifts[k].imag)},"
+                               f"{_fmt(t_shift)},{_fmt(group['elapsed_s'])}\n")
+            trace_file.write(_trace_line(group))
 
-        report = lr_adi_solve(problem, strategy, on_step=on_step)
+        report = lr_adi_solve(problem, strategy, on_group=on_group)
     summary = {
         "iters": report.iterations,
         "t_total": report.t_total,
@@ -265,8 +270,6 @@ def _run_one(cfg, problem=None):
         "strategy": cfg.strategy,
     }
     json_path.write_text(json.dumps(summary, indent=2) + "\n")
-    with open(out_dir / f"{cfg.label}.trace.jsonl", "w") as fh:
-        fh.writelines(_trace_line(group) for group in report.groups)
     return report, csv_path, json_path
 
 

@@ -9,8 +9,9 @@ double step so Z stays real. The scaled residual norm
 ||W^* W||_2 / ||B^* B||_2 is tracked from the residual factor W that the
 iteration carries along (the residual is exactly W W^* at every step).
 The solve keeps one record per multistep group (``SolveReport.groups``):
-its shift, model and LU, and the seconds and minor page faults of the
-three calls that made it.
+its shift, model and LU, the seconds and minor page faults of the three
+calls that made it and the solve's clock at its end. The report's totals
+are sums over it, and the ``on_group`` hook receives each as it is made.
 """
 
 import logging
@@ -57,7 +58,8 @@ class LyapunovProblem:
     ``problem.pencil.solve_M(X)`` under its own ``problem.M`` test.
     Construction makes every input check and raises ValueError for bad
     data: complex A, M or B, a NaN or infinite entry in B or among the
-    stored entries of A or M, mismatched shapes, or B = 0.
+    stored entries of A or M, mismatched shapes, B = 0, a NaN or negative
+    tol, or a max_iterations that is not an integer >= 1.
 
     Parameters
     ----------
@@ -76,8 +78,8 @@ class LyapunovProblem:
     tol
         Convergence threshold on the scaled residual ||W^*W|| / ||B^*B||.
     max_iterations
-        Cap on logical ADI steps (a trailing conjugate pair may run one
-        step past the cap, see SolveReport).
+        Cap on logical ADI steps, stored as an int (a trailing conjugate
+        pair may run one step past the cap, see SolveReport).
     """
 
     A: object
@@ -87,6 +89,10 @@ class LyapunovProblem:
     max_iterations: int = 150
 
     def __post_init__(self):
+        # 2.5 would run 3 steps, 0 none, and a NaN tol would run to the cap
+        self.max_iterations = integer_at_least("max_iterations", self.max_iterations, 1)
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol must be >= 0, got {self.tol!r}")
         # B, W and Z are real throughout: complex data would be truncated;
         # a NaN or Inf would surface deep in the solve, as a singular shift
         # or a box with no eigenvalues
@@ -334,39 +340,41 @@ class SolveReport:
     ``status`` is ``end_status`` after the last step. ``residuals`` and
     ``shifts`` have one entry per logical step, and ``iterations`` counts
     them (pair halves count separately; the last pair may overshoot
-    max_iterations by one). ``t_total`` is the solve's wall time and
-    ``t_shift`` the part spent proposing shifts; their values after each
-    step reach ``lr_adi_solve``'s ``on_step`` only.
-    ``n_factorizations`` counts the shifted factorizations built on the
-    problem's pencil during the run, by the engine (one per shift) or by
-    the strategy (seed spaces, say).
+    max_iterations by one). ``t_total`` is the solve's wall time.
 
     ``groups`` has one dict of scalars per multistep group, in order:
     ``shift`` (as ``shifts`` holds it), ``budget``, ``steps`` run,
     ``residual_before`` and ``residual_after``, the LU's ``lu_nnz`` and
-    ``lu_dtype``, ``lus`` (the pencil's LUs built during the group, the
-    seed's in the first group), and ``<call>_s``, ``<call>_cpu_s`` and
+    ``lu_dtype``, ``lus`` (the pencil's LUs built during the group, by
+    the engine or the strategy: the seed's in the first group),
+    ``elapsed_s`` (the solve's clock at the group's end), and
+    ``<call>_s``, ``<call>_cpu_s`` and
     ``<call>_minflt`` (wall seconds, CPU seconds, minor page faults) for
     the calls ``next_shift``, ``factor`` and ``steps``. The proposal's
     ``info`` adds its keys (AdaptiveStrategy: the model's ``source``,
     ``size``, ``used_fallback``, ``n_stabilized``, ``window_start`` and
     ``compress_s``; resmin: optimize_shift's info, ``guess`` and
-    ``predicted_reduction``). The groups' steps add up to
-    ``iterations``, their ``lus`` to ``n_factorizations`` and their
-    ``next_shift_s`` to ``t_shift``.
+    ``predicted_reduction``). ``t_shift``, the seconds spent proposing
+    shifts, and ``n_factorizations`` sum their ``next_shift_s`` and ``lus``.
     """
 
     status: str
     residuals: list
     shifts: list
     t_total: float
-    t_shift: float
-    n_factorizations: int = 0
     groups: list = field(default_factory=list)
 
     @property
     def iterations(self):
         return len(self.shifts)
+
+    @property
+    def t_shift(self):
+        return sum((group["next_shift_s"] for group in self.groups), 0.0)
+
+    @property
+    def n_factorizations(self):
+        return sum(group["lus"] for group in self.groups)
 
     @property
     def final_residual(self):
@@ -393,7 +401,7 @@ def _costed(costs, name, call, *args):
     return out
 
 
-def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
+def lr_adi_solve(problem, strategy, return_state=False, on_group=None):
     """Low-rank ADI driver.
 
     Each pass of the loop is one multistep group: ``strategy.next_shift``,
@@ -407,17 +415,17 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
         LyapunovProblem instance.
     strategy
         Shift source: an object with ``next_shift(state) ->
-        ShiftProposal``; the problem is ``state.problem``. The report
-        counts the change in ``problem.pencil.n_factorizations`` over the
-        solve, so the LUs a strategy builds there are counted too. The
-        last group's LU is still alive while ``next_shift`` runs.
+        ShiftProposal``; the problem is ``state.problem``. Each group's
+        ``lus`` counts the change in ``problem.pencil.n_factorizations``
+        over the group, so the LUs a strategy builds there are counted
+        too. The last group's LU is still alive while ``next_shift`` runs.
     return_state
         Also return the final AdiState (for Z and the residual factor).
-    on_step
-        Optional callback ``on_step(i, res, shift, t_shift, t_total)``
-        invoked once per completed logical step (1-based index), so
-        progress survives a mid-run solver error; ``t_shift`` and
-        ``t_total`` are the times spent so far when the step's group ended.
+    on_group
+        Optional callback ``on_group(state, group)``, called after each
+        multistep group with the record just appended to ``groups``; the
+        group's steps are the last ``group["steps"]`` of ``state.shifts``
+        and ``state.res_history``. What it sees survives a solver error.
 
     Returns
     -------
@@ -425,14 +433,11 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
     """
     state = AdiState(problem)
     t0 = time.monotonic()
-    t_shift = 0.0
-    n_fact0 = problem.pencil.n_factorizations
     groups = []
 
     while (status := end_status(state)) is None:
         costs, lus, before = {}, problem.pencil.n_factorizations, state.current_residual
         proposal = _costed(costs, "next_shift", strategy.next_shift, state)
-        t_shift += costs["next_shift_s"]
         alpha = normalize_shift(proposal.alpha)
         # release the last group's LU only now, just before the next one is
         # built: SuperLU allocates the same sizes at every shift, so the new
@@ -446,21 +451,17 @@ def lr_adi_solve(problem, strategy, return_state=False, on_step=None):
             "steps": done, "residual_before": before, "residual_after": state.current_residual,
             "lu_nnz": fact.nnz, "lu_dtype": fact.dtype.name,
             "lus": problem.pencil.n_factorizations - lus,
+            "elapsed_s": time.monotonic() - t0,
             **costs, **(proposal.info or {}),
         })
-        if on_step is not None:
-            now = time.monotonic() - t0
-            for k in range(state.j - done, state.j):
-                on_step(k + 1, state.res_history[k], state.shifts[k], t_shift, now)
+        if on_group is not None:
+            on_group(state, groups[-1])
 
-    t_total = time.monotonic() - t0
     report = SolveReport(
         status=status,
         residuals=list(state.res_history),
         shifts=list(state.shifts),
-        t_total=t_total,
-        t_shift=t_shift,
-        n_factorizations=problem.pencil.n_factorizations - n_fact0,
+        t_total=time.monotonic() - t0,
         groups=groups,
     )
     if return_state:

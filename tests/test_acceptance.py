@@ -74,13 +74,11 @@ def test_c1_exact_one_step_convergence():
     one_step = True
     for text in ALL_PATHS:
         problem = LyapunovProblem(A, B.copy(), tol=1e-24, max_iterations=5)
-        res1 = []
-        report = lr_adi_solve(problem, make_strategy(parse_strategy(text)),
-                              on_step=lambda i, r, *rest: res1.append(r))
+        report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
         one_step &= report.iterations == 1 and report.status == "converged"
         # scaled residual is (||W||/||B||)^2, so ||W1|| <= 1e-12 ||B||
         # is res1 <= 1e-24
-        worst = max(worst, np.sqrt(res1[0]))
+        worst = max(worst, np.sqrt(report.residuals[0]))
     elapsed = time.perf_counter() - t0
     ok = one_step and worst <= 1e-12 and elapsed < 1.0
     _check("one-step convergence on A = -I", ok,

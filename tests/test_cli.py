@@ -103,7 +103,6 @@ def test_parse_config_defaults_and_label(tmp_path):
     ("problem = warp\nn0 = 4\nstrategy = heur(1,2,2)", "unknown problem"),
     ("problem = mm\nstrategy = heur(1,2,2)", "a_file"),
     ("n0 = 10\nstrategy = heur(1,2,2)", "problem"),
-    ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\nmax_iter = 0", "max_iter"),
     ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\ns = 0", "s must be"),
     ("problem = cd2d\nn0 = 10\nstrategy = heur(1,2,2)\nseed = -1", "seed must be"),
 ])
@@ -160,11 +159,14 @@ def test_run_writes_csv_and_json(tmp_path):
 
 def test_run_writes_one_trace_line_per_group(tmp_path):
     out = tmp_path / "o"
+    # mild convection: the tiny EK search space needs a resolved mesh
     path = write_cfg(tmp_path, "rm.cfg",
                      run_cfg_text(out, strategy="resmin+EK(2,1)+gn, g=2",
                                   extra="cx = 10\ncy = 10\n"))
     assert main(["run", path]) == 0
     summary = json.loads((out / "rm.json").read_text())
+    assert summary["status"] == "converged"
+    assert summary["n_factorizations"] < summary["iters"]
     groups = [json.loads(line) for line in (out / "rm.trace.jsonl").read_text().splitlines()]
     # one LU per group, plus the seed's (m = 1) in the first
     assert len(groups) == summary["n_factorizations"] - 1
@@ -174,18 +176,6 @@ def test_run_writes_one_trace_line_per_group(tmp_path):
     first = np.cumsum([0] + [g["steps"] for g in groups[:-1]])
     assert [(g["shift_re"], g["shift_im"]) for g in groups] == [
         (float(rows[k][2]), float(rows[k][3])) for k in first]
-
-
-def test_run_resmin_multistep_through_cli(tmp_path):
-    out = tmp_path / "o"
-    # mild convection: the tiny EK search space needs a resolved mesh
-    path = write_cfg(tmp_path, "rm.cfg",
-                     run_cfg_text(out, strategy="resmin+EK(2,1)+gn, g=2",
-                                  extra="cx = 10\ncy = 10\n"))
-    assert main(["run", path]) == 0
-    summary = json.loads((out / "rm.json").read_text())
-    assert summary["status"] == "converged"
-    assert summary["n_factorizations"] < summary["iters"]
 
 
 def test_run_cd3d(tmp_path):
@@ -299,6 +289,17 @@ def test_exit_code_non_finite_coefficient(tmp_path, capsys):
     assert not (out / "nan.csv").exists()
 
 
+def test_exit_code_zero_max_iter(tmp_path, capsys):
+    # the problem refuses a cap of no steps: a config error before any CSV
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "cap.cfg", "problem = cd2d\nn0 = 6\nmax_iter = 0\n"
+                     f"strategy = heur(1,2,2)\nout_dir = {out}\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "max_iter" in err
+    assert not (out / "cap.csv").exists()
+
+
 def test_exit_code_usage_error(capsys):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -339,6 +340,25 @@ def test_exit_code_solver_error_keeps_partial_csv(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
     lines = (out / "sing.csv").read_text().splitlines()
     assert lines[0] == "iter,res,shift_re,shift_im,t_shift_cum,t_total_cum"
+
+
+def test_solver_error_keeps_each_completed_groups_rows_and_trace(tmp_path, capsys):
+    # A = diag(1, -2, -8): heur(3,3,0) mirrors the Ritz value 1 to the
+    # shift -1, and A - I is exactly singular at the third group
+    matrix_market_write(str(tmp_path / "a.mtx"), sp.diags([1.0, -2.0, -8.0]))
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, "mid.cfg", "problem = mm\na_file = a.mtx\n"
+                     f"strategy = heur(3,3,0)\nout_dir = {out}\n")
+    assert main(["run", path]) == 2
+    assert "solver error" in capsys.readouterr().err
+    rows = [row.split(",") for row in (out / "mid.csv").read_text().splitlines()[1:]]
+    groups = [json.loads(line) for line in (out / "mid.trace.jsonl").read_text().splitlines()]
+    assert len(rows) == len(groups) == 2
+    assert [g["steps"] for g in groups] == [1, 1]
+    assert [(g["shift_re"], g["shift_im"]) for g in groups] == [
+        (float(row[2]), float(row[3])) for row in rows]
+    assert [g["elapsed_s"] for g in groups] == [float(row[5]) for row in rows]
+    assert not (out / "mid.json").exists()
 
 
 # ---------------------------------------------------------------------------

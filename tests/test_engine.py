@@ -180,22 +180,11 @@ def test_lr_adi_solve_report_shapes():
     A = random_stable(20, rng)
     B = rng.standard_normal((20, 2))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
-    rows = []
-    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]),
-                          on_step=lambda *row: rows.append(row))
+    report = lr_adi_solve(problem, CyclicShifts([-1.0, -3.0 + 2.0j, -10.0]))
     assert report.converged
-    k = report.iterations
-    assert len(report.residuals) == k == len(report.shifts) == len(rows)
-    # the times on_step receives grow step by step, shift time within total
-    t_shift, t_total = [row[3] for row in rows], [row[4] for row in rows]
-    assert t_shift == sorted(t_shift) and t_total == sorted(t_total)
-    assert all(x <= y for x, y in zip(t_shift, t_total))
-    assert t_total[-1] <= report.t_total
+    assert len(report.residuals) == report.iterations == len(report.shifts)
     assert report.t_shift <= report.t_total
     assert report.final_residual <= 1e-9
-    # real shifts factor once per step, pairs once per two steps
-    pairs = sum(1 for a in report.shifts if a.imag > 0)
-    assert report.n_factorizations == k - pairs
 
 
 def test_lr_adi_solve_hits_iteration_cap():
@@ -209,16 +198,26 @@ def test_lr_adi_solve_hits_iteration_cap():
     assert report.iterations == 5
 
 
-def test_lr_adi_solve_on_step_callback():
+def test_lr_adi_solve_on_group_callback():
+    # a real step, a multistep group of two conjugate pairs, a real group:
+    # one call per group, in order, after the group's last step, with the
+    # record the report then holds; its clock reads grow within t_total
     rng = np.random.default_rng(10)
-    A = random_stable(15, rng)
-    B = rng.standard_normal((15, 1))
-    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-8, max_iterations=60)
-    rows = []
-    report = lr_adi_solve(problem, CyclicShifts([-1.0, -5.0]),
-                          on_step=lambda *row: rows.append(row))
-    assert [r[0] for r in rows] == list(range(1, report.iterations + 1))
-    assert_allclose([r[1] for r in rows], report.residuals, rtol=0)
+    A = random_stable(20, rng)
+    B = rng.standard_normal((20, 2))
+    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
+    proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
+                       ShiftProposal(-10.0, budget=3)])
+    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    calls = []
+    report = lr_adi_solve(problem, strategy,
+                          on_group=lambda state, group: calls.append((state.j, dict(group))))
+    assert report.converged
+    assert [group for _, group in calls] == report.groups
+    assert [j for j, _ in calls] == np.cumsum([g["steps"] for g in report.groups]).tolist()
+    assert [g["steps"] for g in report.groups[:3]] == [1, 4, 3]
+    elapsed = [g["elapsed_s"] for g in report.groups]
+    assert elapsed == sorted(elapsed) and elapsed[-1] <= report.t_total
 
 
 def test_history_is_one_complex_shift_per_step():
@@ -304,13 +303,13 @@ def test_singular_shift_mid_solve_leaves_the_completed_steps():
     # the near-singular bidiagonal shift of test_linalg's
     # test_shifted_factorization_near_singular, reached after a regular
     # group: its LU is built and counted, its first solve refuses it, and
-    # neither on_step nor the state sees anything of the refused group
+    # neither on_group nor the state sees anything of the refused group
     n, alpha = 30, -3.0
     d = np.linspace(1.0, 10.0, n)
     d[n // 2] = 1e-16 * d.max()
     A = sp.diags([d - alpha, np.ones(n - 1)], [0, 1], format="csr")
     problem = LyapunovProblem(A, np.ones((n, 2)), tol=1e-12)
-    held, steps = [], []
+    held, calls = [], []
 
     class Holding(CyclicShifts):
         def next_shift(self, state):
@@ -319,12 +318,14 @@ def test_singular_shift_mid_solve_leaves_the_completed_steps():
 
     with pytest.raises(SingularShiftError, match="numerically singular"):
         lr_adi_solve(problem, Holding([alpha - 0.5, alpha]),
-                     on_step=lambda i, res, shift, *_: steps.append((i, res, shift)))
+                     on_group=lambda state, group: calls.append((state.j, group)))
     state = held[-1]
     assert len(held) == 2 and problem.pencil.n_factorizations == 2
     assert state.shifts == [complex(alpha - 0.5)] and len(state.res_history) == 1
     assert state.Z.shape == (n, 2)
-    assert steps == [(1, state.res_history[0], state.shifts[0])]
+    [(j, group)] = calls
+    assert j == 1 and group["steps"] == 1 and group["shift"] == state.shifts[0]
+    assert group["residual_after"] == state.res_history[0]
 
 
 def test_resmin_survives_a_mass_matrix_with_tiny_rows():
@@ -531,26 +532,26 @@ def test_problem_rejects_mismatched_shapes(A, M, B, match):
         LyapunovProblem(A, B, M=M)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("max_iterations", 2.5), ("max_iterations", 0), ("max_iterations", -1),
+    ("tol", np.nan), ("tol", -1e-8),
+])
+def test_problem_rejects_a_cap_or_tol_it_would_misread(name, value):
+    # 2.5 would run 3 steps and 0 none; a NaN or negative tol would never
+    # end the solve before the cap
+    with pytest.raises(ValueError, match=name):
+        LyapunovProblem(-sp.identity(4, format="csr"), np.ones((4, 1)), **{name: value})
+
+
+def test_problem_keeps_a_zero_tol_and_an_integer_cap():
+    problem = LyapunovProblem(-sp.identity(4, format="csr"), np.ones((4, 1)),
+                              tol=0.0, max_iterations=np.int64(3))
+    assert problem.tol == 0.0
+    assert problem.max_iterations == 3 and type(problem.max_iterations) is int
+
+
 def test_problem_reads_1d_B_as_one_column():
     assert LyapunovProblem(gen_cd2d(4), np.ones(16)).B.shape == (16, 1)
-
-
-def test_only_conjugate_pairs_factor_in_complex(monkeypatch):
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(splu(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(linalg, "splu", recording)
-    A = gen_cd2d(10)
-    problem = LyapunovProblem(A, gen_rhs(A.shape[0], 1, 7), tol=1e-8)
-    report = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+Z(8)+gn")))
-    assert report.converged and len(made) == report.n_factorizations
-    pairs = sum(1 for a in report.shifts if a.imag > 0)
-    complex_lus = sum(lu.solve(np.ones(A.shape[0])).dtype == np.complex128 for lu in made)
-    assert 0 < pairs < report.n_factorizations - 1  # both kinds of shift occur
-    assert complex_lus == pairs
 
 
 def test_solve_keeps_one_factorization_alive(monkeypatch):
@@ -753,7 +754,7 @@ def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
     assert factorizations == report.n_factorizations
     assert factorizations == problem.pencil.n_factorizations - before
     assert counts["linalg.splu"] == report.n_factorizations + (M is not None)
-    _check_groups(report, adaptive=case != "heur", resmin=case.startswith("resmin"))
+    _check_groups(report, text)
 
 
 _COSTS = {f"{call}_{cost}" for call in ("next_shift", "factor", "steps")
@@ -761,17 +762,20 @@ _COSTS = {f"{call}_{cost}" for call in ("next_shift", "factor", "steps")
 _MODEL = {"source", "size", "used_fallback", "n_stabilized", "window_start", "compress_s"}
 
 
-def _check_groups(report, adaptive, resmin):
-    """The solve's group records tile the report: their steps, shifts,
-    residuals, LUs and shift seconds add up to the report's, and each
-    holds the three calls' costs (and the model's scalars, and the
-    optimizer's seconds, where there are a model and an optimizer)."""
-    groups = report.groups
-    assert sum(g["steps"] for g in groups) == report.iterations
-    assert sum(g["lus"] for g in groups) == report.n_factorizations
-    assert sum(g["next_shift_s"] for g in groups) == pytest.approx(report.t_shift, rel=1e-12)
+def _check_groups(report, text):
+    """The solve's group records, under strategy ``text``, tile the report:
+    their steps, shifts and residuals are the report's, in order. Each
+    builds one LU, which factors in complex arithmetic exactly when its
+    shift is complex, and the first group builds the seed's too when the
+    seed has m >= 1 (EK(p, m) and heur(J, p, m) by their m, every Z
+    window kind on EK(1, 1)). Each holds the three calls' costs, and the
+    model's scalars and the optimizer's seconds where there are a model
+    and an optimizer."""
+    config = parse_strategy(text)
+    adaptive, optimized = config.kind != "heur", config.kind == "resmin"
+    seed_m = config.m if config.kind == "heur" or config.subspace == "EK" else 1
     end, before = 0, 1.0
-    for g in groups:
+    for i, g in enumerate(report.groups):
         start, end = end, end + g["steps"]
         shift = g["shift"]
         assert report.shifts[start:end] == [shift.conjugate() if k % 2 else shift
@@ -780,10 +784,11 @@ def _check_groups(report, adaptive, resmin):
         assert g["residual_after"] == report.residuals[end - 1]
         before = g["residual_after"]
         assert 1 <= g["steps"] <= g["budget"] + (shift.imag != 0.0)
+        assert g["lus"] == 1 + (i == 0 and seed_m >= 1)
         assert _COSTS <= set(g) and g["lu_nnz"] > 0
         assert g["lu_dtype"] == ("float64" if shift.imag == 0.0 else "complex128")
         assert _MODEL <= set(g) if adaptive else not _MODEL & set(g)
-        assert {"grid_s", "polish_s", "predicted_reduction"} <= set(g) if resmin \
+        assert {"grid_s", "polish_s", "predicted_reduction"} <= set(g) if optimized \
             else "grid_s" not in g
     assert end == report.iterations
 
@@ -797,6 +802,7 @@ def test_group_records_hold_scalars_only(text):
     problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert report.converged and report.groups
+    _check_groups(report, text)
     for group in report.groups:
         for key, value in group.items():
             assert not isinstance(value, (np.ndarray, resmin.CompressedObjective)), key

@@ -1066,18 +1066,6 @@ def test_resmin_never_worse_than_guess():
         run_multistep_group(state, fact, 1)
 
 
-def test_resmin_strategy_counts_seed_factorization():
-    rng = np.random.default_rng(25)
-    A = random_stable(30, rng)
-    B = rng.standard_normal((30, 1))
-    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-8, max_iterations=60)
-    strat = make_strategy(StrategyConfig(kind="resmin", subspace="EK", p=2, m=1))
-    report = lr_adi_solve(problem, strat)
-    assert report.converged
-    pairs = sum(1 for a in report.shifts if a.imag > 0)
-    assert report.n_factorizations == report.iterations - pairs + 1
-
-
 def test_resmin_multistep_reuses_factorizations():
     rng = np.random.default_rng(26)
     A = random_stable(40, rng)

@@ -367,48 +367,43 @@ def test_all_strategies_solve_small_problem(kind):
     assert report.converged, f"{kind} failed: {report.final_residual:.2e}"
 
 
-# shift sequences and counts of every strategy kind on small inputs, recorded
-# when each adaptive kind still had its own strategy class; a refactor of
-# shift generation must reproduce them
-PINNED = json.loads((Path(__file__).parent / "pinned_shifts.json").read_text())
+def _pinned(name):
+    return json.loads((Path(__file__).parent / name).read_text())
 
 
-@pytest.mark.parametrize("text", list(PINNED))
-def test_strategy_kinds_reproduce_pinned_shifts(text):
-    # cd2d(12) with s = 1, or the fem pair with n = 200 and s = 2 for EK;
-    # shifts to 1e-12 relative, counts exact
-    if text.startswith("resmin+EK"):
-        (A, M), s = fem_pair(200), 2
-    else:
-        A, M, s = gen_cd2d(12), None, 1
-    problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
-    report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
-    pinned = PINNED[text]
-    assert report.iterations == pinned["iterations"]
-    assert report.n_factorizations == pinned["factorizations"]
-    expected = np.array([complex(x, y) for x, y in pinned["shifts"]])
-    assert_allclose(np.array(report.shifts), expected, rtol=1e-12, atol=0.0)
-
-
-# the benchmark's three strategies at sizes of 1000 unknowns or more, so that
-# the pinned runs take the nested-dissection path of every benchmark workload
-PINNED_BENCHMARK = json.loads(
-    (Path(__file__).parent / "pinned_benchmark_shifts.json").read_text())
-BENCHMARK_INPUTS = {
-    "resmin+Z(8)+gauss-newton": (lambda: (gen_cd2d(40), None), 1, 7, 1e-8),
-    "Z(4)+Hres": (lambda: (gen_cd3d(11), None), 1, 7, 1e-8),
-    "resmin+EK(3,1)+gauss-newton, g=5": (lambda: fem_pair(2048), 4, 0, 1e-10),
+# shift sequences and counts recorded for a refactor of shift generation to
+# reproduce, shifts to 1e-12 relative and counts exact. pinned_shifts.json
+# holds every strategy kind on small inputs, recorded when each adaptive
+# kind still had its own strategy class: cd2d(12) with s = 1, or the fem
+# pair with n = 200 and s = 2 for EK. pinned_benchmark_shifts.json holds
+# the benchmark's three strategies at 1000 unknowns or more, so that they
+# take the nested-dissection path of every benchmark workload.
+# (file, strategy) -> (pencil, s, RHS seed, tol)
+_CD2D12, _FEM200 = (lambda: (gen_cd2d(12), None), 1, 0, 1e-8), (lambda: fem_pair(200), 2, 0, 1e-8)
+PINNED_INPUTS = {
+    ("pinned_shifts.json", text): _FEM200 if text.startswith("resmin+EK") else _CD2D12
+    for text in _pinned("pinned_shifts.json")
+} | {
+    ("pinned_benchmark_shifts.json", "resmin+Z(8)+gauss-newton"):
+        (lambda: (gen_cd2d(40), None), 1, 7, 1e-8),
+    ("pinned_benchmark_shifts.json", "Z(4)+Hres"): (lambda: (gen_cd3d(11), None), 1, 7, 1e-8),
+    ("pinned_benchmark_shifts.json", "resmin+EK(3,1)+gauss-newton, g=5"):
+        (lambda: fem_pair(2048), 4, 0, 1e-10),
 }
 
 
-@pytest.mark.parametrize("text", list(PINNED_BENCHMARK))
-def test_benchmark_strategies_reproduce_pinned_shifts(text):
-    make_pencil, s, seed, tol = BENCHMARK_INPUTS[text]
+# Z(4)+Hres is in both files, so the benchmark file's ids name it
+# ("pinned_benchmark:"); the small file's ids are its strategy strings
+@pytest.mark.parametrize("file, text", list(PINNED_INPUTS), ids=[
+    text if file == "pinned_shifts.json" else f"{file.removesuffix('_shifts.json')}:{text}"
+    for file, text in PINNED_INPUTS])
+def test_strategy_kinds_reproduce_pinned_shifts(file, text):
+    make_pencil, s, seed, tol = PINNED_INPUTS[file, text]
     A, M = make_pencil()
     problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, seed), M=M, tol=tol)
-    assert problem.n >= 1000
+    assert (problem.n >= 1000) == (file == "pinned_benchmark_shifts.json")
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
-    pinned = PINNED_BENCHMARK[text]
+    pinned = _pinned(file)[text]
     assert report.iterations == pinned["iterations"]
     assert report.n_factorizations == pinned["factorizations"]
     expected = np.array([complex(x, y) for x, y in pinned["shifts"]])
@@ -568,20 +563,6 @@ def test_shift_proposal_refuses_a_budget_it_would_alter():
     for budget in (1, 3, np.int64(3)):
         stored = ShiftProposal(-1.0, budget=budget).budget
         assert stored == budget and type(stored) is int
-
-
-def test_adaptive_strategies_bootstrap_counts_factorization():
-    rng = np.random.default_rng(9)
-    n = 30
-    A = random_stable(n, rng)
-    B = rng.standard_normal((n, 1))
-    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-8, max_iterations=100)
-    strat = make_strategy(StrategyConfig(kind="zconv", h=2))
-    report = lr_adi_solve(problem, strat)
-    assert report.converged
-    # one seed factorization on top of the per-step ones
-    pairs = sum(1 for a in report.shifts if a.imag > 0)
-    assert report.n_factorizations == report.iterations - pairs + 1
 
 
 def test_resmin_does_not_import_strategies():
