@@ -157,16 +157,27 @@ def test_run_writes_csv_and_json(tmp_path):
     assert float(first[1]) > 0
 
 
-def test_run_writes_one_trace_line_per_group(tmp_path):
-    out = tmp_path / "o"
+@pytest.fixture(scope="module")
+def resmin_run(tmp_path_factory):
+    """One CLI run of a multistep resmin strategy, shared by the tests that read it."""
+    tmp = tmp_path_factory.mktemp("resmin_run")
+    out = tmp / "o"
     # mild convection: the tiny EK search space needs a resolved mesh
-    path = write_cfg(tmp_path, "rm.cfg",
+    path = write_cfg(tmp, "rm.cfg",
                      run_cfg_text(out, strategy="resmin+EK(2,1)+gn, g=2",
                                   extra="cx = 10\ncy = 10\n"))
     assert main(["run", path]) == 0
-    summary = json.loads((out / "rm.json").read_text())
+    return out, json.loads((out / "rm.json").read_text())
+
+
+def test_run_resmin_multistep_through_cli(resmin_run):
+    _, summary = resmin_run
     assert summary["status"] == "converged"
     assert summary["n_factorizations"] < summary["iters"]
+
+
+def test_run_writes_one_trace_line_per_group(resmin_run):
+    out, summary = resmin_run
     groups = [json.loads(line) for line in (out / "rm.trace.jsonl").read_text().splitlines()]
     # one LU per group, plus the seed's (m = 1) in the first
     assert len(groups) == summary["n_factorizations"] - 1
