@@ -11,7 +11,8 @@ iteration carries along (the residual is exactly W W^* at every step).
 The solve keeps one record per multistep group (``SolveReport.groups``):
 its shift, model and LU, the seconds and minor page faults of the three
 calls that made it and the solve's clock at its end. The report's totals
-are sums over it, and the ``on_group`` hook receives each as it is made.
+are read from it, and the ``on_group`` hook receives each as it is made.
+``costed``, the package's one timer, makes every reading of seconds and faults.
 """
 
 import logging
@@ -142,6 +143,7 @@ class ShiftProposal:
     pairs are allowed).
     ``info``, the picker's report on the shift (None: it gave none), is
     a dict of scalars that joins the group's record (SolveReport.groups).
+    An ``alpha`` with a NaN or infinite part raises ValueError.
     """
 
     alpha: complex
@@ -150,6 +152,8 @@ class ShiftProposal:
 
     def __post_init__(self):
         self.budget = integer_at_least("budget", self.budget, 1)
+        if not np.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
 
 class AdiState:
@@ -340,7 +344,7 @@ class SolveReport:
     ``status`` is ``end_status`` after the last step. ``residuals`` and
     ``shifts`` have one entry per logical step, and ``iterations`` counts
     them (pair halves count separately; the last pair may overshoot
-    max_iterations by one). ``t_total`` is the solve's wall time.
+    max_iterations by one).
 
     ``groups`` has one dict of scalars per multistep group, in order:
     ``shift`` (as ``shifts`` holds it), ``budget``, ``steps`` run,
@@ -348,25 +352,29 @@ class SolveReport:
     ``lu_dtype``, ``lus`` (the pencil's LUs built during the group, by
     the engine or the strategy: the seed's in the first group),
     ``elapsed_s`` (the solve's clock at the group's end), and
-    ``<call>_s``, ``<call>_cpu_s`` and
-    ``<call>_minflt`` (wall seconds, CPU seconds, minor page faults) for
-    the calls ``next_shift``, ``factor`` and ``steps``. The proposal's
+    ``costed``'s ``<call>_s``, ``<call>_cpu_s`` and ``<call>_minflt``
+    for the calls ``next_shift``, ``factor`` and ``steps``. The proposal's
     ``info`` adds its keys (AdaptiveStrategy: the model's ``source``,
     ``size``, ``used_fallback``, ``n_stabilized``, ``window_start`` and
-    ``compress_s``; resmin: optimize_shift's info, ``guess`` and
-    ``predicted_reduction``). ``t_shift``, the seconds spent proposing
-    shifts, and ``n_factorizations`` sum their ``next_shift_s`` and ``lus``.
+    ``compress`` costs; resmin: optimize_shift's info with its ``grid``
+    and ``polish`` costs, ``guess`` and ``predicted_reduction``). The
+    report stores no time of its own: ``t_total`` is the last record's
+    ``elapsed_s`` (0.0 with no group); ``t_shift``, the seconds spent
+    proposing shifts, and ``n_factorizations`` sum ``next_shift_s`` and ``lus``.
     """
 
     status: str
     residuals: list
     shifts: list
-    t_total: float
     groups: list = field(default_factory=list)
 
     @property
     def iterations(self):
         return len(self.shifts)
+
+    @property
+    def t_total(self):
+        return self.groups[-1]["elapsed_s"] if self.groups else 0.0
 
     @property
     def t_shift(self):
@@ -385,7 +393,7 @@ class SolveReport:
         return self.status == "converged"
 
 
-def _costed(costs, name, call, *args):
+def costed(costs, name, call, *args):
     """``call(*args)``, storing its wall seconds, CPU seconds and minor
     page faults in ``costs`` as ``<name>_s``, ``<name>_cpu_s`` and
     ``<name>_minflt``. The clock is read inside the two getrusage reads,
@@ -407,7 +415,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_group=None):
     Each pass of the loop is one multistep group: ``strategy.next_shift``,
     one shifted LU (``sparse_shifted_factorize``) and the group's steps
     (``run_multistep_group``). The report's ``groups`` record each one,
-    from readings of the clock and ``getrusage`` around those three calls.
+    from ``costed``'s readings around those three calls.
 
     Parameters
     ----------
@@ -437,15 +445,15 @@ def lr_adi_solve(problem, strategy, return_state=False, on_group=None):
 
     while (status := end_status(state)) is None:
         costs, lus, before = {}, problem.pencil.n_factorizations, state.current_residual
-        proposal = _costed(costs, "next_shift", strategy.next_shift, state)
+        proposal = costed(costs, "next_shift", strategy.next_shift, state)
         alpha = normalize_shift(proposal.alpha)
         # release the last group's LU only now, just before the next one is
         # built: SuperLU allocates the same sizes at every shift, so the new
         # LU reuses the old one's memory instead of faulting in fresh pages;
         # the group's first solve carries the LU's singularity probe
         fact = None
-        fact = _costed(costs, "factor", sparse_shifted_factorize, problem.pencil, alpha)
-        done = _costed(costs, "steps", run_multistep_group, state, fact, proposal.budget)
+        fact = costed(costs, "factor", sparse_shifted_factorize, problem.pencil, alpha)
+        done = costed(costs, "steps", run_multistep_group, state, fact, proposal.budget)
         groups.append({
             "shift": state.shifts[-done], "budget": proposal.budget,
             "steps": done, "residual_before": before, "residual_after": state.current_residual,
@@ -457,13 +465,7 @@ def lr_adi_solve(problem, strategy, return_state=False, on_group=None):
         if on_group is not None:
             on_group(state, groups[-1])
 
-    report = SolveReport(
-        status=status,
-        residuals=list(state.res_history),
-        shifts=list(state.shifts),
-        t_total=time.monotonic() - t0,
-        groups=groups,
-    )
+    report = SolveReport(status, list(state.res_history), list(state.shifts), groups)
     if return_state:
         return report, state
     return report

@@ -27,14 +27,13 @@ normal equations at a point (perfbench/spans.py wraps it by that name).
 """
 
 import logging
-import time
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
 
-from .engine import real_SG
+from .engine import costed, real_SG
 from .linalg import block_orth, sparse_shifted_factorize, spectral_norm_small
 
 logger = logging.getLogger(__name__)
@@ -857,8 +856,9 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     the final value, the chosen start's iteration count, ``converged``
     and stop reason (``stop``), every start's stop reason in start
     order (``stops``; see _polish_gauss_newton for the reasons), and the
-    seconds spent in the grid presearch (``grid_s``) and in the polish
-    (``polish_s``).
+    costs (engine.costed) of the grid presearch, ``grid_s``,
+    ``grid_cpu_s`` and ``grid_minflt``, and of the polish runs, the same
+    under ``polish``.
 
     Parameters
     ----------
@@ -878,12 +878,11 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
     b = co.bounds
     exact = OPTIMIZERS[method] == "newton-trust"
 
-    t0 = time.monotonic()
+    costs = {}
     nus = np.linspace(b.nu_minus, b.nu_plus, 48 if b.real_axis else 24)
     xis = np.array([0.0]) if b.real_axis else np.linspace(0.0, b.xi_plus, 12)
-    vals = grid_objective(co, nus, xis)
+    vals = costed(costs, "grid", grid_objective, co, nus, xis)
     order = np.argsort(vals, kind="stable")[:3]
-    t1 = time.monotonic()
 
     starts = []
     if x0 is not None:
@@ -895,7 +894,8 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         starts = [(0.5 * (b.nu_minus + b.nu_plus), 0.0)]
 
     # (x, psi, iterations, stop) per start; the first minimum wins
-    runs = [_polish_gauss_newton(co, st, exact) for st in starts]
+    runs = costed(costs, "polish", lambda: [_polish_gauss_newton(co, st, exact)
+                                            for st in starts])
     which = min(range(len(runs)), key=lambda k: runs[k][1])
     x, fx, iterations, stop = runs[which]
     info = {
@@ -908,8 +908,7 @@ def optimize_shift(co, x0=None, method="gauss-newton"):
         "from_guess": x0 is not None and which == 0,
         "grid_best": float(vals[order[0]]) if order.size else np.inf,
         "iterations": iterations,
-        "grid_s": t1 - t0,
-        "polish_s": time.monotonic() - t1,
+        **costs,
     }
     # _box_clip puts every point of a real-axis box at xi = +0.0
     return complex(x[0], x[1]), info

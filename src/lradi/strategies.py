@@ -13,13 +13,12 @@ only input.
 """
 
 import logging
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import resmin
-from .engine import ShiftProposal, integer_at_least
+from .engine import ShiftProposal, costed, integer_at_least
 from .linalg import spectral_norm_small
 # bound here too, so that the benchmark's strategies.* span points exist
 from .resmin import hamiltonian_residual_shift, ritz_update, schur_stabilize
@@ -258,12 +257,11 @@ class AdaptiveStrategy:
     (Z(h)+heur|conv|Hres) or the residual-norm minimizer (resmin+Z|EK,
     from _resmin_pick). The proposal's info holds the model's scalars
     (``source``, ``size``, ``used_fallback``, ``n_stabilized``,
-    ``window_start``), ``compress_s``, the seconds spent building the
-    model (the seed's build included at step 0), and the picker's info;
-    never the model itself, whose basis is n x k. ``budget``, the
-    config's g, > 1 makes each shift a multistep group sharing one
-    factorization, and the model's ``g`` is set to it: the budget is the
-    one carrier of the group size.
+    ``window_start``), the ``compress`` costs of ``_model`` (engine.costed;
+    the seed's build included at step 0) and the picker's info; never the
+    model itself, whose basis is n x k. ``budget``, the config's g, > 1
+    makes each shift a multistep group sharing one factorization, and the
+    model's ``g`` is set to it: the budget is the one carrier of the group size.
     """
 
     def __init__(self, pick, config):
@@ -271,23 +269,24 @@ class AdaptiveStrategy:
         self.config = config
         self.budget = config.g
 
-    def next_shift(self, state):
-        # called through the module, not bound here at import: the benchmark's
-        # spans (perfbench/spans.py) rebind these names on resmin, and must
-        # see the calls made here
+    def _model(self, state):
+        """The step's model: the seed's at step 0, then the recycled EK space or Z window."""
+        # called through the module, not bound at import: the benchmark's spans
+        # (perfbench/spans.py) rebind these names on resmin and must see these calls
         c = self.config
-        t0 = time.monotonic()
         if state.j == 0:
             orders = (c.p, c.m) if c.subspace == "EK" else (1, 1)
             self.seed = resmin.build_seed(state.problem, *orders)
-            co = resmin.seed_compressed(self.seed)
-        elif c.subspace == "EK":
-            co = resmin.recycle_krylov(self.seed, state)
-        else:
-            co = resmin.compress_zh(state, c.h)
+            return resmin.seed_compressed(self.seed)
+        if c.subspace == "EK":
+            return resmin.recycle_krylov(self.seed, state)
+        return resmin.compress_zh(state, c.h)
+
+    def next_shift(self, state):
+        costs = {}
+        co = costed(costs, "compress", self._model, state)
         info = {"source": co.source, "size": co.size, "used_fallback": co.used_fallback,
-                "n_stabilized": co.n_stabilized, "window_start": co.window_start,
-                "compress_s": time.monotonic() - t0}
+                "n_stabilized": co.n_stabilized, "window_start": co.window_start, **costs}
         if self.budget > 1:
             co = replace(co, g=self.budget)
         alpha, pick_info = self.pick(co, state)

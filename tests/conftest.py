@@ -19,7 +19,8 @@ Builders make inputs and may use the package to do so: random matrices
 compressed objectives and points in their boxes (make_objective,
 sample_point), an engine state stepped through a given shift list
 (run_shifts), and the Matrix Market files the package's reader is
-tested on (matrix_market_write).
+tested on (matrix_market_write). The one fixture, ``recorded_lu``,
+records every SuperLU object that ``linalg.splu`` builds.
 
 BLAS is pinned to one thread before NumPy is first imported: the package's
 small dense kernels oversubscribe the cores with threaded BLAS, and one
@@ -32,9 +33,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 import scipy.linalg as spla  # noqa: E402
 import scipy.sparse as sp  # noqa: E402
+from scipy.sparse.linalg import splu  # noqa: E402
 
+from lradi import linalg  # noqa: E402
 from lradi.engine import (  # noqa: E402
     AdiState,
     LyapunovProblem,
@@ -43,6 +47,39 @@ from lradi.engine import (  # noqa: E402
 )
 from lradi.linalg import sparse_shifted_factorize  # noqa: E402
 from lradi.resmin import CompressedObjective, derive_bounds, eval_objective  # noqa: E402
+
+
+class RecordedLU:
+    """A SuperLU object as ``linalg.splu`` built it: ``kwargs`` holds the
+    keyword arguments of that call, and ``solves`` the right-hand side and
+    the result's dtype of each solve, in order. It exposes ``perm_r``,
+    ``perm_c``, ``nnz`` and ``solve``; reading ``L``, ``U`` or any other
+    attribute fails."""
+
+    def __init__(self, lu, kwargs):
+        self._lu, self.kwargs, self.solves = lu, kwargs, []
+        self.perm_r, self.perm_c, self.nnz = lu.perm_r, lu.perm_c, lu.nnz
+
+    def solve(self, rhs, trans="N"):
+        x = self._lu.solve(rhs, trans)
+        self.solves.append((np.array(rhs), x.dtype))
+        return x
+
+    def __getattr__(self, name):  # the L and U factors among them
+        raise AssertionError(f"the SuperLU attribute {name} was read")
+
+
+@pytest.fixture
+def recorded_lu(monkeypatch):
+    """Every SuperLU object linalg.splu returns, in call order, as a RecordedLU."""
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(RecordedLU(splu(*args, **kwargs), kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(linalg, "splu", recording)
+    return made
 
 
 def random_stable(n, rng, spread=1.0):

@@ -155,6 +155,8 @@ def test_run_writes_csv_and_json(tmp_path):
     first = csv_lines[1].split(",")
     assert int(first[0]) == 1
     assert float(first[1]) > 0
+    # the summary's clock is the last group's, which its rows carry
+    assert summary["t_total"] == float(csv_lines[-1].split(",")[5])
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
-from scipy.sparse.linalg import splu
 
 from conftest import (
     dense_lyap_solve,
@@ -198,17 +197,23 @@ def test_lr_adi_solve_hits_iteration_cap():
     assert report.iterations == 5
 
 
-def test_lr_adi_solve_on_group_callback():
-    # a real step, a multistep group of two conjugate pairs, a real group:
-    # one call per group, in order, after the group's last step, with the
-    # record the report then holds; its clock reads grow within t_total
-    rng = np.random.default_rng(10)
-    A = random_stable(20, rng)
-    B = rng.standard_normal((20, 2))
+def _three_kinds_of_group(seed):
+    """A 20 x 20 problem with s = 2 from RNG ``seed``, and a strategy that
+    cycles a real step, a multistep group of two conjugate pairs and a real
+    group of three steps."""
+    rng = np.random.default_rng(seed)
+    A, B = random_stable(20, rng), rng.standard_normal((20, 2))
     problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
     proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
                        ShiftProposal(-10.0, budget=3)])
-    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    return problem, SimpleNamespace(next_shift=lambda state: next(proposals))
+
+
+def test_lr_adi_solve_on_group_callback():
+    # a real step, a multistep group of two conjugate pairs, a real group:
+    # one call per group, in order, after the group's last step, with the
+    # record the report then holds; its clock reads grow, the last one t_total
+    problem, strategy = _three_kinds_of_group(10)
     calls = []
     report = lr_adi_solve(problem, strategy,
                           on_group=lambda state, group: calls.append((state.j, dict(group))))
@@ -217,18 +222,20 @@ def test_lr_adi_solve_on_group_callback():
     assert [j for j, _ in calls] == np.cumsum([g["steps"] for g in report.groups]).tolist()
     assert [g["steps"] for g in report.groups[:3]] == [1, 4, 3]
     elapsed = [g["elapsed_s"] for g in report.groups]
-    assert elapsed == sorted(elapsed) and elapsed[-1] <= report.t_total
+    assert elapsed == sorted(elapsed) and elapsed[-1] == report.t_total
+
+
+def test_a_solve_with_no_group_takes_no_time():
+    # B B^* alone meets tol = 1: no group runs, so the totals read from the records are 0
+    problem = LyapunovProblem(gen_cd2d(4), np.ones((16, 1)), tol=1.0)
+    report = lr_adi_solve(problem, CyclicShifts([-1.0]))
+    assert report.converged and report.groups == [] and report.iterations == 0
+    assert report.t_total == report.t_shift == 0.0 and report.n_factorizations == 0
 
 
 def test_history_is_one_complex_shift_per_step():
     # a real step, a multistep group of two conjugate pairs, a real group
-    rng = np.random.default_rng(12)
-    A = random_stable(20, rng)
-    B = rng.standard_normal((20, 2))
-    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
-    proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
-                       ShiftProposal(-10.0, budget=3)])
-    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    problem, strategy = _three_kinds_of_group(12)
     report, state = lr_adi_solve(problem, strategy, return_state=True)
     assert report.converged
     assert state.shifts[:8] == [-1.0, -3.0 + 2.0j, -3.0 - 2.0j, -3.0 + 2.0j,
@@ -248,32 +255,14 @@ def test_history_is_one_complex_shift_per_step():
             i += 2
 
 
-def test_probe_rides_each_groups_first_solve(monkeypatch):
+def test_probe_rides_each_groups_first_solve(recorded_lu):
     # every shifted LU of a solve makes one SuperLU solve per step (per
     # pair for a complex shift) and none for its singularity probe: the
     # probe is the last column of the group's first solve
-    solves, rhs = [], []
-
-    class CountedLU:
-        def __init__(self, lu):
-            self._lu = lu
-            self.nnz = lu.nnz
-
-        def solve(self, b, trans="N"):
-            solves.append(np.shape(b))
-            rhs.append(np.array(b))
-            return self._lu.solve(b, trans)
-
-    monkeypatch.setattr(linalg, "splu", lambda *a, **k: CountedLU(splu(*a, **k)))
-    rng = np.random.default_rng(12)
-    A = random_stable(20, rng)
-    B = rng.standard_normal((20, 2))
-    problem = LyapunovProblem(sp.csr_matrix(A), B, tol=1e-9, max_iterations=80)
-    proposals = cycle([ShiftProposal(-1.0), ShiftProposal(-3.0 + 2.0j, budget=4),
-                       ShiftProposal(-10.0, budget=3)])
-    strategy = SimpleNamespace(next_shift=lambda state: next(proposals))
+    problem, strategy = _three_kinds_of_group(12)
     report = lr_adi_solve(problem, strategy)
     assert report.converged
+    solves = [b.shape for lu in recorded_lu for b, _ in lu.solves]
     pairs = sum(alpha.imag > 0.0 for alpha in report.shifts)
     assert len(solves) == report.iterations - pairs
     assert solves.count((20, 3)) == report.n_factorizations
@@ -283,11 +272,12 @@ def test_probe_rides_each_groups_first_solve(monkeypatch):
     # first solve too: no SuperLU solve holds the probe alone, and each
     # shifted LU, the seed's (alpha = 0) included, solves it exactly once,
     # scaled by the row sums of |A + alpha M|
-    rhs.clear()
+    recorded_lu.clear()
     A, M = fem_pair(200)
     problem = LyapunovProblem(A, gen_rhs(200, 2, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy("resmin+EK(3,1)+gn")))
     assert report.converged
+    rhs = [b for lu in recorded_lu for b, _ in lu.solves]
     pencil, probe = problem.pencil, problem.pencil.probe
     assert not any(b.ndim == 1 and np.array_equal(np.sign(b), probe) for b in rhs)
     probed = [b[:, -1] for b in rhs
@@ -490,6 +480,19 @@ def test_proposal_budget_defaults_to_one():
     assert ShiftProposal(-1.0).budget == 1
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, complex(-1.0, np.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_proposal_refuses_a_non_finite_shift(alpha):
+    # SuperLU would call such a shift exactly singular, and an infinite one warns
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        ShiftProposal(alpha)
+    problem = LyapunovProblem(gen_cd2d(4), np.ones((16, 1)))
+    strategy = SimpleNamespace(next_shift=lambda state: ShiftProposal(alpha))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        lr_adi_solve(problem, strategy)
+    assert problem.pencil.n_factorizations == 0
+
+
 def test_scaled_residual_definition():
     rng = np.random.default_rng(13)
     W = rng.standard_normal((30, 2))
@@ -680,7 +683,7 @@ def _seam_case(case):
 
 
 @pytest.mark.parametrize("case", ["resmin+Z", "resmin+EK+M", "Z(4)+Hres", "resmin+Z nd"])
-def test_factorizations_pass_through_the_seams(case, monkeypatch):
+def test_factorizations_pass_through_the_seams(case, monkeypatch, recorded_lu):
     # every counted factorization enters through engine's or resmin's
     # sparse_shifted_factorize with the shift as second positional
     # argument, and each costs one linalg.splu (plus one for M's LU):
@@ -689,7 +692,7 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
     A, M, s, text = _seam_case(case)
     nd = A.shape[0] >= linalg._ND_MIN_N
     assert nd == (case == "resmin+Z nd")
-    shifts, lus = [], []
+    shifts = []
 
     def seam(build):
         def counted(*args, **kwargs):
@@ -698,20 +701,16 @@ def test_factorizations_pass_through_the_seams(case, monkeypatch):
             return build(*args, **kwargs)
         return counted
 
-    def counted_splu(*args, **kwargs):
-        assert kwargs["permc_spec"] == ("NATURAL" if nd else "MMD_AT_PLUS_A")
-        lus.append(None)
-        return splu(*args, **kwargs)
-
     for module in (engine, resmin):
         monkeypatch.setattr(module, "sparse_shifted_factorize",
                             seam(module.sparse_shifted_factorize))
-    monkeypatch.setattr(linalg, "splu", counted_splu)
     problem = LyapunovProblem(A, gen_rhs(A.shape[0], s, 0), M=M, tol=1e-8)
     report = lr_adi_solve(problem, make_strategy(parse_strategy(text)))
     assert report.converged
     assert len(shifts) == report.n_factorizations
-    assert len(lus) == report.n_factorizations + (M is not None)
+    assert len(recorded_lu) == report.n_factorizations + (M is not None)
+    for lu in recorded_lu:
+        assert lu.kwargs["permc_spec"] == ("NATURAL" if nd else "MMD_AT_PLUS_A")
 
 
 # strategies.ritz_update and strategies.schur_stabilize are never entered:
@@ -757,9 +756,8 @@ def test_benchmark_patch_points_see_every_layer(case, entered, monkeypatch):
     _check_groups(report, text)
 
 
-_COSTS = {f"{call}_{cost}" for call in ("next_shift", "factor", "steps")
-          for cost in ("s", "cpu_s", "minflt")}
-_MODEL = {"source", "size", "used_fallback", "n_stabilized", "window_start", "compress_s"}
+_COSTS = ("s", "cpu_s", "minflt")
+_MODEL = {"source", "size", "used_fallback", "n_stabilized", "window_start"}
 
 
 def _check_groups(report, text):
@@ -768,9 +766,10 @@ def _check_groups(report, text):
     builds one LU, which factors in complex arithmetic exactly when its
     shift is complex, and the first group builds the seed's too when the
     seed has m >= 1 (EK(p, m) and heur(J, p, m) by their m, every Z
-    window kind on EK(1, 1)). Each holds the three calls' costs, and the
-    model's scalars and the optimizer's seconds where there are a model
-    and an optimizer."""
+    window kind on EK(1, 1)). Each holds the model's scalars if there is
+    a model, and the three costs of each timed call: the engine's three,
+    the model's compression and the optimizer's grid and polish, these
+    three inside next_shift. The last group's clock is the report's."""
     config = parse_strategy(text)
     adaptive, optimized = config.kind != "heur", config.kind == "resmin"
     seed_m = config.m if config.kind == "heur" or config.subspace == "EK" else 1
@@ -785,12 +784,19 @@ def _check_groups(report, text):
         before = g["residual_after"]
         assert 1 <= g["steps"] <= g["budget"] + (shift.imag != 0.0)
         assert g["lus"] == 1 + (i == 0 and seed_m >= 1)
-        assert _COSTS <= set(g) and g["lu_nnz"] > 0
+        assert g["lu_nnz"] > 0
         assert g["lu_dtype"] == ("float64" if shift.imag == 0.0 else "complex128")
         assert _MODEL <= set(g) if adaptive else not _MODEL & set(g)
-        assert {"grid_s", "polish_s", "predicted_reduction"} <= set(g) if optimized \
-            else "grid_s" not in g
+        assert "predicted_reduction" in g if optimized else "predicted_reduction" not in g
+        calls = {"next_shift", "factor", "steps"} | ({"compress"} if adaptive else set()) \
+            | ({"grid", "polish"} if optimized else set())
+        timed = {key for key in g if key.endswith(("_s", "_minflt")) and key != "elapsed_s"}
+        assert timed == {f"{call}_{cost}" for call in calls for cost in _COSTS}
+        for cost in _COSTS:
+            inner = sum(g.get(f"{call}_{cost}", 0) for call in ("compress", "grid", "polish"))
+            assert 0 <= inner <= g[f"next_shift_{cost}"] + 1e-9
     assert end == report.iterations
+    assert report.t_total == report.groups[-1]["elapsed_s"]
 
 
 @pytest.mark.parametrize("text", ["resmin+EK(3,1)+gn, g=5", "resmin+Z(4)+nt", "Z(4)+conv",

@@ -25,19 +25,6 @@ from lradi.linalg import (
 from lradi.problems import gen_cd2d, gen_cd3d
 
 
-@pytest.fixture
-def recorded_lu(monkeypatch):
-    """Every SuperLU object linalg.splu returns, in call order."""
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(splu(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(linalg, "splu", recording)
-    return made
-
-
 def test_shifted_factorization_real():
     rng = np.random.default_rng(0)
     A = sp.csr_matrix(rng.standard_normal((15, 15)) - 20 * np.eye(15))
@@ -181,27 +168,8 @@ def test_real_rhs_on_a_complex_lu_and_the_first_rhs_are_bitwise(alpha, ordered, 
     assert pencil.n_factorizations == 3
 
 
-class _NoFactorsLU:
-    """SuperLU stand-in whose L and U factors may not be formed."""
-
-    def __init__(self, lu):
-        self._lu = lu
-        self.nnz = lu.nnz
-
-    def solve(self, rhs, trans="N"):
-        return self._lu.solve(rhs, trans)
-
-    @property
-    def L(self):
-        raise AssertionError("the L factor was materialized")
-
-    @property
-    def U(self):
-        raise AssertionError("the U factor was materialized")
-
-
-def test_factorization_never_forms_L_or_U(monkeypatch):
-    monkeypatch.setattr(linalg, "splu", lambda *a, **k: _NoFactorsLU(splu(*a, **k)))
+def test_factorization_never_forms_L_or_U(recorded_lu):
+    # recorded_lu's SuperLU objects refuse L and U
     rng = np.random.default_rng(12)
     A = sp.csr_matrix(rng.standard_normal((20, 20)) - 25 * np.eye(20))
     for alpha in (-1.5, -1.5 + 4.0j):
@@ -217,31 +185,16 @@ def test_factorization_never_forms_L_or_U(monkeypatch):
     assert_allclose(M @ problem.pencil.solve_M(rhs), rhs, atol=1e-12)
 
 
-class _ProbedLU(_NoFactorsLU):
-    """SuperLU stand-in that records the right-hand side of each solve and
-    its solution's dtype."""
-
-    def __init__(self, lu, rhs):
-        super().__init__(lu)
-        self._rhs = rhs
-
-    def solve(self, rhs, trans="N"):
-        x = super().solve(rhs, trans)
-        self._rhs.append((np.array(rhs), x.dtype))
-        return x
-
-
-def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
+def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch, recorded_lu):
     # the +-1 vector of the singularity test is the draw each LU used to
     # make for itself, now made once per pencil and shared by its LUs,
     # each scaling it by the row sums of its |K|
     n = 20
     draw = np.where(np.random.default_rng(0).random(n) < 0.5, -1.0, 1.0)
-    rhs, draws = [], []
+    draws = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng",
                         lambda *a, **k: draws.append(a) or default_rng(*a, **k))
-    monkeypatch.setattr(linalg, "splu", lambda *a, **k: _ProbedLU(splu(*a, **k), rhs))
     A = sp.csr_matrix(default_rng(13).standard_normal((n, n)) - 25 * np.eye(n))
     pencil = ShiftedPencil(A)
     for alpha in (-1.5, -1.5 + 4.0j, -2.0):
@@ -250,6 +203,7 @@ def test_singularity_probe_is_drawn_once_per_pencil(monkeypatch):
             fact.solve(np.ones(n))
     assert draws == [(0,)]
     assert_allclose(pencil.probe, draw, rtol=0, atol=0)  # no solve overwrote it
+    rhs = [solve for lu in recorded_lu for solve in lu.solves]
     # each LU's first solve carries the scaled probe as its last column,
     # solved in the LU's arithmetic, and its second solve is plain
     dtypes = [np.float64, np.complex128, np.float64]
